@@ -35,7 +35,6 @@ from .mcmc import (
     log_posterior,
     log_prior,
     marginal_beta_log_kernel,
-    mh_step,
     posterior_density_grid,
     run_chain,
 )
@@ -51,15 +50,10 @@ from .mle import (
 from .numerics import (
     RngStream,
     SymMatrix2,
-    bisect_root,
     chi2_quantile_2dof,
-    draw_std_normal,
-    draw_uniform,
     finite_diff_gradient,
     finite_diff_hessian,
-    ln_gamma,
     normal_quantile,
-    sample_moments,
 )
 from .simulation import (
     MetricsReport,

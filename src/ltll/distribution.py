@@ -18,8 +18,9 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
+from scipy.optimize import brentq
 
-from .numerics import RngStream, bisect_root, sample_moments
+from .numerics import RngStream
 
 __all__ = [
     "DegenerateSampleError",
@@ -325,14 +326,14 @@ def score_gradient(s: Sample, alpha: float, beta: float):
 # Existence statistics and profile objective
 # ---------------------------------------------------------------------------
 
-_BETA_C_BRACKET = (1e-8, 1e3)
-
-
 def existence_stats(s: Sample) -> ExistenceStats:
     """Interior-maximum criterion statistics for a sample with x_l > 0.
 
     The data are first normalized by the truncation point; both statistics
-    are invariant under common rescaling of values and x_l.
+    are invariant under common rescaling of values and x_l.  Raises
+    :class:`DegenerateSampleError` when the sample has fewer than two
+    distinct values, or when its log-gaps above x_l round to zero so often
+    that mean(X^-beta) never falls below 1/2.
     """
     if s.x_l <= 0.0:
         raise ValueError("existence statistics require x_l > 0")
@@ -340,12 +341,22 @@ def existence_stats(s: Sample) -> ExistenceStats:
         raise DegenerateSampleError("need at least two distinct values")
     lw = s.log_values - np.log(s.x_l)
     total = float(np.sum(lw))
+    if not total > 0.0:
+        raise DegenerateSampleError("values are indistinguishable from x_l in log space")
     beta0 = s.n / total
 
     def half_gap(b):
         return float(np.mean(np.exp(-b * lw))) - 0.5
 
-    beta_c = bisect_root(half_gap, *_BETA_C_BRACKET, tol=1e-12)
+    # half_gap falls from 1/2 at b = 0 toward (share of zero log-gaps) - 1/2,
+    # so doubling from the data's own scale beta0 brackets the root if any.
+    lo, hi = 0.0, beta0
+    while half_gap(hi) >= 0.0:
+        lo, hi = hi, 2.0 * hi
+        if not np.isfinite(hi):
+            raise DegenerateSampleError(
+                "mean(X^-beta) = 1/2 has no root: at least half the log-gaps round to zero")
+    beta_c = brentq(half_gap, lo, hi, xtol=1e-12)
     return ExistenceStats(beta0=beta0, beta_c=beta_c, s=total, n=s.n)
 
 
@@ -376,8 +387,20 @@ def phi_objective(lam: float, beta: float, s: Sample) -> float:
 def mc_moments(p: LTLLParams, n_draws: int, rng: RngStream):
     """Monte Carlo (mean, variance, skewness, kurtosis) of the distribution.
 
-    Closed-form truncated moments are not used anywhere in the package; the
-    k-th moment is only meaningful when beta > k, and heavy-tail instability
-    for small shapes is the caller's to interpret.
+    Variance uses the n-1 denominator; skewness and kurtosis are the third
+    and fourth central moments standardized by the population variance
+    (kurtosis is plain, not excess).  Closed-form truncated moments are not
+    used anywhere in the package; the k-th moment is only meaningful when
+    beta > k, and heavy-tail instability for small shapes is the caller's to
+    interpret.
     """
-    return sample_moments(draw_ltll(n_draws, p, rng).values, upto=4)
+    if n_draws < 4:
+        raise ValueError(f"need at least 4 draws, got {n_draws}")
+    # Plain numpy rather than scipy.stats.describe: importing scipy.stats
+    # roughly doubles the package's cold import time.
+    x = draw_ltll(n_draws, p, rng).values
+    mean = float(np.mean(x))
+    d = x - mean
+    m2 = float(np.mean(d * d))
+    return (mean, float(np.sum(d * d) / (x.size - 1)), float(np.mean(d**3)) / m2**1.5,
+            float(np.mean(d**4)) / (m2 * m2))

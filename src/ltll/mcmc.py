@@ -18,10 +18,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.special import gammaln
 
-from .distribution import Sample, _loglik_batch, _softplus
+from .distribution import Sample, _loglik_batch, _softplus, log_likelihood
 from .mle import EllipsePoints, _trace_ellipse, fit_mle
-from .numerics import RngStream, SymMatrix2, chi2_quantile_2dof, ln_gamma, normal_quantile
+from .numerics import RngStream, SymMatrix2, chi2_quantile_2dof, normal_quantile
 
 __all__ = [
     "McmcConfig",
@@ -32,7 +33,6 @@ __all__ = [
     "log_posterior",
     "log_prior",
     "marginal_beta_log_kernel",
-    "mh_step",
     "posterior_density_grid",
     "run_chain",
     "summarize_draws",
@@ -48,8 +48,7 @@ _RNG_BLOCK = 2048
 class PriorSpec:
     """Independent Gamma(shape, rate) priors on alpha and beta.
 
-    Rate parameterization: density proportional to x^(a-1) e^(-b x).  The
-    marginal-beta kernel's hyperparameters are aliases c = a2, d = b2.
+    Rate parameterization: density proportional to x^(a-1) e^(-b x).
     """
 
     a1: float
@@ -62,14 +61,6 @@ class PriorSpec:
             v = getattr(self, name)
             if not (np.isfinite(v) and v > 0.0):
                 raise ValueError(f"prior hyperparameter {name} must be positive, got {v}")
-
-    @property
-    def c(self) -> float:
-        return self.a2
-
-    @property
-    def d(self) -> float:
-        return self.b2
 
     @classmethod
     def diffuse(cls) -> "PriorSpec":
@@ -141,8 +132,8 @@ class PosteriorResult:
 # ---------------------------------------------------------------------------
 
 def _prior_consts(prior: PriorSpec):
-    c1 = prior.a1 * np.log(prior.b1) - ln_gamma(prior.a1)
-    c2 = prior.a2 * np.log(prior.b2) - ln_gamma(prior.a2)
+    c1 = prior.a1 * np.log(prior.b1) - gammaln(prior.a1)
+    c2 = prior.a2 * np.log(prior.b2) - gammaln(prior.a2)
     return c1, c2
 
 
@@ -161,12 +152,7 @@ def log_posterior(s: Sample, alpha: float, beta: float, prior: PriorSpec) -> flo
     """Unnormalized log-posterior: log-likelihood plus log-prior."""
     if not (alpha > 0.0 and beta > 0.0 and np.isfinite(alpha) and np.isfinite(beta)):
         return -np.inf
-    ln_xl = None if s.x_l == 0.0 else np.log(s.x_l)
-    ll = _loglik_batch(
-        s.log_values[None, :], np.array([s.sum_log]), s.n, ln_xl,
-        np.array([np.log(alpha)]), np.array([np.log(beta)]),
-    )
-    return float(ll[0]) + log_prior(alpha, beta, prior)
+    return log_likelihood(s, alpha, beta) + log_prior(alpha, beta, prior)
 
 
 def _log_target_z(lna, lnb, prior: PriorSpec, c1: float, c2: float):
@@ -247,32 +233,6 @@ def _mh_chains(lx, ln_xl, prior: PriorSpec, cfg: McmcConfig, streams, init):
 
     acc_rate = accepted_total / cfg.iterations
     return draws, acc_rate, np.column_stack([sa, sb])
-
-
-def mh_step(state, s: Sample, prior: PriorSpec, cfg: McmcConfig, rng: RngStream,
-            step_alpha: float | None = None, step_beta: float | None = None):
-    """One Metropolis-Hastings transition from ``state`` = (alpha, beta).
-
-    Proposes independently per coordinate via exp(ln state + step * z) and
-    accepts with probability min(1, exp(d_logposterior + d_logJacobian)).
-    Consumes exactly three uniforms.  Step overrides exist for diagnostics
-    (a zero step makes the proposal the identity, which is always accepted).
-    """
-    sa = cfg.step_alpha if step_alpha is None else step_alpha
-    sb = cfg.step_beta if step_beta is None else step_beta
-    alpha, beta = float(state[0]), float(state[1])
-    lna, lnb = np.log(alpha), np.log(beta)
-    z1 = float(normal_quantile(rng.uniform()))
-    z2 = float(normal_quantile(rng.uniform()))
-    u = rng.uniform()
-    lna_p = lna + sa * z1
-    lnb_p = lnb + sb * z2
-    alpha_p, beta_p = float(np.exp(lna_p)), float(np.exp(lnb_p))
-    delta = (log_posterior(s, alpha_p, beta_p, prior) + lna_p + lnb_p
-             - log_posterior(s, alpha, beta, prior) - lna - lnb)
-    if np.log(u) < delta:
-        return (alpha_p, beta_p), True
-    return (alpha, beta), False
 
 
 def _default_init(s: Sample):
@@ -389,10 +349,10 @@ def _ess(x: np.ndarray) -> float:
 def marginal_beta_log_kernel(values, beta: float, prior: PriorSpec) -> float:
     """Log-kernel of the marginal shape posterior on truncation-normalized data.
 
-    (N + c - 1) ln(beta) - d*beta - sum ln(1 + X_i^beta) with c, d the shape
-    prior's hyperparameters.  This is a diagnostic surface only: it is kept
-    out of the main inference path, and with no data it reduces to the
-    Gamma(c, d) prior kernel.  Returns -inf for beta <= 0.
+    (N + a2 - 1) ln(beta) - b2*beta - sum ln(1 + X_i^beta) with a2, b2 the
+    shape prior's hyperparameters.  This is a diagnostic surface only: it is
+    kept out of the main inference path, and with no data it reduces to the
+    Gamma(a2, b2) prior kernel.  Returns -inf for beta <= 0.
     """
     if not (np.isfinite(beta) and beta > 0.0):
         return -np.inf
@@ -401,7 +361,7 @@ def marginal_beta_log_kernel(values, beta: float, prior: PriorSpec) -> float:
         raise ValueError("kernel expects data normalized to the truncation point (X > 1)")
     n = x.size
     tail = float(np.sum(_softplus(beta * np.log(x)))) if n else 0.0
-    return float((n + prior.c - 1.0) * np.log(beta) - prior.d * beta - tail)
+    return float((n + prior.a2 - 1.0) * np.log(beta) - prior.b2 * beta - tail)
 
 
 def posterior_density_grid(res: PosteriorResult, alpha_bounds=None, beta_bounds=None,

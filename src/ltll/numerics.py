@@ -1,4 +1,9 @@
-"""Scalar and small-matrix numerics plus a splittable random-number source.
+"""Small numerics shared by the layers, plus a splittable random-number source.
+
+Special functions and root finding come from scipy; this module keeps only
+what scipy does not provide in the shape the package needs: a counter-based
+uniform generator, the closed-form chi-squared(2) quantile, central
+differences on R^2, and a symmetric 2x2 matrix type.
 
 Everything here is deterministic: functions are pure, and random draws are a
 pure function of (master_seed, stream_id, counter).  The generator is
@@ -11,25 +16,16 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
+from scipy.special import ndtri
 
 __all__ = [
-    "BracketError",
     "RngStream",
     "SymMatrix2",
-    "bisect_root",
     "chi2_quantile_2dof",
-    "draw_std_normal",
-    "draw_uniform",
     "finite_diff_gradient",
     "finite_diff_hessian",
-    "ln_gamma",
     "normal_quantile",
-    "sample_moments",
 ]
-
-
-class BracketError(ValueError):
-    """Raised when a root bracket does not contain a sign change."""
 
 
 # ---------------------------------------------------------------------------
@@ -70,7 +66,7 @@ def _stream_key(master_seed: int, stream_id: int) -> int:
 
 @dataclass
 class RngStream:
-    """Counter-based uniform/normal source keyed by (master_seed, stream_id).
+    """Counter-based uniform source keyed by (master_seed, stream_id).
 
     The i-th output of a stream is ``mix64(key + (i+1)*GOLDEN)`` where the key
     is a hash of (master_seed, stream_id); draws therefore depend only on the
@@ -96,66 +92,10 @@ class RngStream:
         self.counter += k
         return ((words >> np.uint64(11)).astype(np.float64) + 0.5) * _INV_2_53
 
-    def uniform(self) -> float:
-        self.counter += 1
-        w = _mix64((self._key + self.counter * _GOLDEN) & _MASK64)
-        return ((w >> 11) + 0.5) * _INV_2_53
-
-    def normals(self, k: int) -> np.ndarray:
-        """Next ``k`` standard normals (inverse-CDF transform of uniforms)."""
-        return normal_quantile(self.uniforms(k))
-
-    def normal(self) -> float:
-        return float(normal_quantile(self.uniform()))
-
-
-def draw_uniform(rng: RngStream) -> float:
-    """One uniform draw in the open interval (0, 1)."""
-    return rng.uniform()
-
-
-def draw_std_normal(rng: RngStream) -> float:
-    """One standard-normal draw, a deterministic transform of one uniform."""
-    return rng.normal()
-
 
 # ---------------------------------------------------------------------------
 # Special functions
 # ---------------------------------------------------------------------------
-
-# Lanczos coefficients, g = 7, n = 9 (Godfrey's published set).
-_LANCZOS_G = 7.0
-_LANCZOS_COEF = (
-    0.99999999999980993,
-    676.5203681218851,
-    -1259.1392167224028,
-    771.32342877765313,
-    -176.61502916214059,
-    12.507343278686905,
-    -0.13857109526572012,
-    9.9843695780195716e-6,
-    1.5056327351493116e-7,
-)
-
-_LN_SQRT_2PI = 0.9189385332046727417803297364  # ln sqrt(2*pi)
-_LN_PI = 1.1447298858494001741434273513
-
-
-def ln_gamma(x: float) -> float:
-    """Natural log of the gamma function for x > 0 (Lanczos approximation)."""
-    x = float(x)
-    if not np.isfinite(x) or x <= 0.0:
-        raise ValueError(f"ln_gamma requires finite x > 0, got {x}")
-    if x < 0.5:
-        # Reflection keeps the series argument >= 0.5.
-        return _LN_PI - np.log(np.sin(np.pi * x)) - ln_gamma(1.0 - x)
-    z = x - 1.0
-    acc = _LANCZOS_COEF[0]
-    for i, c in enumerate(_LANCZOS_COEF[1:], start=1):
-        acc += c / (z + i)
-    t = z + _LANCZOS_G + 0.5
-    return _LN_SQRT_2PI + (z + 0.5) * np.log(t) - t + np.log(acc)
-
 
 def chi2_quantile_2dof(p: float) -> float:
     """Quantile of the chi-squared distribution with 2 degrees of freedom.
@@ -169,110 +109,21 @@ def chi2_quantile_2dof(p: float) -> float:
     return -2.0 * np.log1p(-p)
 
 
-# AS 241 (Wichura): rational approximations for the standard normal quantile.
-_PPND_A = (
-    3.3871328727963666080e0, 1.3314166789178437745e2, 1.9715909503065514427e3,
-    1.3731693765509461125e4, 4.5921953931549871457e4, 6.7265770927008700853e4,
-    3.3430575583588128105e4, 2.5090809287301226727e3,
-)
-_PPND_B = (
-    1.0, 4.2313330701600911252e1, 6.8718700749205790830e2,
-    5.3941960214247511077e3, 2.1213794301586595867e4, 3.9307895800092710610e4,
-    2.8729085735721942674e4, 5.2264952788528545610e3,
-)
-_PPND_C = (
-    1.42343711074968357734e0, 4.63033784615654529590e0, 5.76949722146069140550e0,
-    3.64784832476320460504e0, 1.27045825245236838258e0, 2.41780725177450611770e-1,
-    2.27238449892691845833e-2, 7.74545014278341407640e-4,
-)
-_PPND_D = (
-    1.0, 2.05319162663775882187e0, 1.67638483018380384940e0,
-    6.89767334985100004550e-1, 1.48103976427480074590e-1, 1.51986665636164571966e-2,
-    5.47593808499534494600e-4, 1.05075007164441684324e-9,
-)
-_PPND_E = (
-    6.65790464350110377720e0, 5.46378491116411436990e0, 1.78482653991729133580e0,
-    2.96560571828504891230e-1, 2.65321895265761230930e-2, 1.24266094738807843860e-3,
-    2.71155556874348757815e-5, 2.01033439929228813265e-7,
-)
-_PPND_F = (
-    1.0, 5.99832206555887937690e-1, 1.36929880922735805310e-1,
-    1.48753612908506148525e-2, 7.86869131145613259100e-4, 1.84631831751005468180e-5,
-    1.42151175831644588870e-7, 2.04426310338993978564e-15,
-)
-
-
-def _poly(coef, r):
-    acc = coef[-1]
-    for c in coef[-2::-1]:
-        acc = acc * r + c
-    return acc
-
-
 def normal_quantile(p):
     """Standard normal quantile (inverse CDF) for p in (0, 1).
 
-    Wichura's AS 241 rational approximation; relative error below 1e-15,
-    comfortably inside the 1e-9 needed for interval construction.  Accepts
-    scalars or arrays.
+    Accepts scalars or arrays; a scalar argument returns a float.
     """
     p = np.asarray(p, dtype=np.float64)
     if np.any(p <= 0.0) or np.any(p >= 1.0):
         raise ValueError("normal_quantile requires 0 < p < 1")
-    q = p - 0.5
-    out = np.empty_like(q)
-
-    central = np.abs(q) <= 0.425
-    if np.any(central):
-        r = 0.180625 - q[central] * q[central]
-        out[central] = q[central] * _poly(_PPND_A, r) / _poly(_PPND_B, r)
-
-    tails = ~central
-    if np.any(tails):
-        pt = np.where(q[tails] < 0.0, p[tails], 1.0 - p[tails])
-        r = np.sqrt(-np.log(pt))
-        near = r <= 5.0
-        val = np.empty_like(r)
-        val[near] = _poly(_PPND_C, r[near] - 1.6) / _poly(_PPND_D, r[near] - 1.6)
-        val[~near] = _poly(_PPND_E, r[~near] - 5.0) / _poly(_PPND_F, r[~near] - 5.0)
-        out[tails] = np.where(q[tails] < 0.0, -val, val)
-
+    out = ndtri(p)
     return out if out.ndim else float(out)
 
 
 # ---------------------------------------------------------------------------
-# Root finding and finite differences
+# Finite differences
 # ---------------------------------------------------------------------------
-
-def bisect_root(f, lo: float, hi: float, tol: float = 1e-12) -> float:
-    """Bisection root of a sign-changing function on [lo, hi].
-
-    Runs until the bracket width drops below ``tol`` and returns the midpoint.
-    Deterministic; raises :class:`BracketError` when f(lo) and f(hi) share a
-    sign.
-    """
-    if not tol > 0.0:
-        raise ValueError("tol must be positive")
-    flo, fhi = f(lo), f(hi)
-    if flo == 0.0:
-        return lo
-    if fhi == 0.0:
-        return hi
-    if np.sign(flo) == np.sign(fhi):
-        raise BracketError(f"no sign change on [{lo}, {hi}]: f(lo)={flo}, f(hi)={fhi}")
-    while hi - lo > tol:
-        mid = 0.5 * (lo + hi)
-        if mid <= lo or mid >= hi:  # bracket is at float resolution
-            break
-        fm = f(mid)
-        if fm == 0.0:
-            return mid
-        if np.sign(fm) == np.sign(flo):
-            lo, flo = mid, fm
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)
-
 
 def _default_steps(theta, scale):
     return tuple(max(scale, scale * abs(t)) for t in theta)
@@ -320,38 +171,8 @@ def finite_diff_hessian(f, theta, h=None) -> "SymMatrix2":
 
 
 # ---------------------------------------------------------------------------
-# Moments and 2x2 symmetric matrices
+# 2x2 symmetric matrices
 # ---------------------------------------------------------------------------
-
-def sample_moments(values, upto: int = 4):
-    """Mean, unbiased variance, and standardized skewness/kurtosis.
-
-    Variance uses the n-1 denominator; skewness and kurtosis are the third
-    and fourth central moments standardized by the population variance
-    (kurtosis is plain, not excess).  ``upto`` limits how many moments are
-    computed: 2 returns (mean, variance), 4 the full tuple.
-    """
-    x = np.asarray(values, dtype=np.float64)
-    if upto not in (1, 2, 3, 4):
-        raise ValueError("upto must be between 1 and 4")
-    if x.ndim != 1 or x.size < upto:
-        raise ValueError(f"need at least {upto} observations, got {x.size}")
-    mean = float(np.mean(x))
-    if upto == 1:
-        return (mean,)
-    d = x - mean
-    var = float(np.sum(d * d) / (x.size - 1))
-    if upto == 2:
-        return mean, var
-    m2 = float(np.mean(d * d))
-    if m2 == 0.0:
-        raise ValueError("zero variance: skewness and kurtosis are undefined")
-    skew = float(np.mean(d**3)) / m2**1.5
-    if upto == 3:
-        return mean, var, skew
-    kurt = float(np.mean(d**4)) / (m2 * m2)
-    return mean, var, skew, kurt
-
 
 @dataclass(frozen=True)
 class SymMatrix2:

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.integrate import quad
 
 from ltll.distribution import (
@@ -228,6 +230,47 @@ class TestExistenceStats:
         with pytest.raises(ValueError):
             existence_stats(Sample(np.array([1.0, 2.0]), 0.0))
 
+    @settings(max_examples=200, deadline=None, derandomize=True, database=None)
+    @given(
+        x_l=st.sampled_from([1e-3, 0.37, 1.0, 7.9, 1e3]),
+        log10_eps=st.floats(-9.0, -1.0),
+        fractions=st.lists(st.floats(1e-3, 1.0), min_size=2, max_size=40),
+        scale=st.sampled_from([1e-3, 0.5, 3.0, 1e4]),
+    )
+    def test_sample_hugging_truncation_point(self, x_l, log10_eps, fractions, scale):
+        # Values in (x_L, x_L*(1+eps)] push beta_C far above any fixed bracket.
+        values = x_l * (1.0 + 10.0 ** log10_eps * np.array(fractions))
+        s = Sample(values, x_l)
+        scaled = Sample(values * scale, x_l * scale)
+        try:
+            stats = existence_stats(s)
+        except DegenerateSampleError:
+            assert s.n_distinct < 2
+            return
+        lw = s.log_values - math.log(x_l)
+        assert abs(float(np.mean(np.exp(-stats.beta_c * lw))) - 0.5) <= 1e-9
+
+        # Each log-gap is a difference of two logs, so it carries an absolute
+        # rounding error of a few eps*(1 + |ln x_L|); beta_C inherits that
+        # error relative to the smallest gap, in each of the two samples.
+        def rel_rounding(w):
+            gaps = w.log_values - math.log(w.x_l)
+            return 4.0 * np.finfo(float).eps * (1.0 + abs(math.log(w.x_l))) / gaps.min()
+
+        tol = rel_rounding(s) + rel_rounding(scaled) + 1e-12
+        assert existence_stats(scaled).beta_c == pytest.approx(stats.beta_c, rel=tol)
+
+    def test_log_gaps_rounding_to_zero_rejected(self):
+        # One and two ulps above x_L = 7.9, both logs round onto ln x_L.
+        x_l = 7.9
+        v1 = np.nextafter(x_l, np.inf)
+        v2 = np.nextafter(v1, np.inf)
+        with pytest.raises(DegenerateSampleError):
+            existence_stats(Sample(np.array([v1, v2]), x_l))
+        # Two of three gaps are zero, so mean(X^-beta) never falls below 2/3.
+        with pytest.raises(DegenerateSampleError):
+            existence_stats(Sample(np.array([v1, v2, 9.0]), x_l))
+
     def test_criterion_function_monotone(self):
         lw = np.log(np.array([1.3, 2.0, 5.0, 11.0]))
         grid = np.linspace(0.01, 20.0, 200)
@@ -284,6 +327,19 @@ class TestMcMoments:
         se = np.std(batch_vars, ddof=1) / math.sqrt(50)
         m = mc_moments(LTLLParams(alpha, beta, 0.0), 200_000, RngStream(5, 0))
         assert abs(m[1] - var_exact) < 3 * se
+
+    def test_moment_definitions(self):
+        # n-1 variance; skewness and plain (not excess) kurtosis standardized
+        # by the population variance.
+        p = LTLLParams(2.0, 6.0, 1.0)
+        x = draw_ltll(1000, p, RngStream(11, 4)).values
+        d = x - x.mean()
+        m2 = np.mean(d * d)
+        want = (x.mean(), np.sum(d * d) / (x.size - 1), np.mean(d ** 3) / m2 ** 1.5,
+                np.mean(d ** 4) / m2 ** 2)
+        assert mc_moments(p, 1000, RngStream(11, 4)) == pytest.approx(want, rel=1e-12)
+        with pytest.raises(ValueError):
+            mc_moments(p, 3, RngStream(11, 4))
 
     def test_mean_nondecreasing_in_truncation(self):
         means = [mc_moments(LTLLParams(2.0, 3.0, xl), 50_000, RngStream(9, k))[0]

@@ -12,13 +12,12 @@ from ltll.mcmc import (
     log_posterior,
     log_prior,
     marginal_beta_log_kernel,
-    mh_step,
     posterior_density_grid,
     run_chain,
     summarize_draws,
 )
 from ltll.mle import fit_mle
-from ltll.numerics import RngStream, chi2_quantile_2dof
+from ltll.numerics import RngStream, chi2_quantile_2dof, normal_quantile
 
 FAST_CFG = McmcConfig(iterations=6000, burn_in=1500, thin=3, seed=77)
 
@@ -52,9 +51,16 @@ class TestPriors:
         with pytest.raises(ValueError):
             PriorSpec(0.0, 1, 1, 1)
 
-    def test_aliases(self):
-        p = PriorSpec(1, 2, 3, 4)
-        assert (p.c, p.d) == (3.0, 4.0)
+    def test_gamma_logpdf_non_integer_shapes(self):
+        # Non-integer shapes keep ln Gamma(a) away from 0, so the normalizing
+        # constant is visible (at a in {1, 2} it vanishes).
+        from scipy.stats import gamma as gamma_dist
+        for a1, b1, a2, b2 in [(0.5, 2.0, 2.5, 0.3), (7.3, 1.7, 0.5, 4.0), (2.5, 0.01, 7.3, 9.0)]:
+            for alpha, beta in [(0.2, 3.0), (1.0, 1.0), (4.5, 0.7)]:
+                want = (gamma_dist.logpdf(alpha, a1, scale=1.0 / b1)
+                        + gamma_dist.logpdf(beta, a2, scale=1.0 / b2))
+                got = log_prior(alpha, beta, PriorSpec(a1, b1, a2, b2))
+                assert got == pytest.approx(want, rel=1e-13, abs=1e-13)
 
 
 class TestLogPosterior:
@@ -90,24 +96,29 @@ class TestLogPosterior:
         assert abs(betas[ib] - fit.beta) <= betas[1] - betas[0]
 
 
+# One Metropolis-Hastings transition: a single unadapted iteration, retained.
+ONE_STEP = McmcConfig(iterations=1, burn_in=0, thin=1, adapt=False)
+
+
+def _one_step(state, s, prior, seed):
+    res = run_chain(s, prior, ONE_STEP, rng=RngStream(seed, 3), init=state)
+    return tuple(res.draws[0]), res.acceptance_rate == 1.0
+
+
+# The covariance summary of a single retained draw is undefined (nan, with
+# numpy's RuntimeWarnings); these tests read only the draw and the acceptance.
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
 class TestMhStep:
     def test_deterministic(self, sample_n1000):
         p = PriorSpec.diffuse()
-        a = mh_step((2.0, 3.0), sample_n1000, p, McmcConfig(), RngStream(5, 5))
-        b = mh_step((2.0, 3.0), sample_n1000, p, McmcConfig(), RngStream(5, 5))
+        a = _one_step((2.0, 3.0), sample_n1000, p, 5)
+        b = _one_step((2.0, 3.0), sample_n1000, p, 5)
         assert a == b
-
-    def test_zero_step_always_accepts(self, sample_n1000):
-        p = PriorSpec.diffuse()
-        for seed in range(10):
-            state, accepted = mh_step((2.0, 3.0), sample_n1000, p, McmcConfig(),
-                                      RngStream(seed, 0), step_alpha=0.0, step_beta=0.0)
-            assert accepted
-            assert state == pytest.approx((2.0, 3.0), rel=1e-15)
 
     def test_uphill_proposals_always_accepted(self, sample_n1000):
         # Whenever the proposal's target density (including the Jacobian)
         # exceeds the current one, the ratio is >= 1 and the move must happen.
+        # A step consumes three uniforms: two proposal normals, then the accept draw.
         prior = PriorSpec.diffuse()
 
         def target(a, b):
@@ -116,13 +127,10 @@ class TestMhStep:
         start = (1.9, 2.7)  # off the mode so uphill proposals are frequent
         checked = 0
         for seed in range(40):
-            rng = RngStream(seed, 3)
-            z1 = float(np.log(start[0]) + 0.1 * _normal(rng))
-            z2 = float(np.log(start[1]) + 0.1 * _normal(rng))
-            prop = (math.exp(z1), math.exp(z2))
+            z = normal_quantile(RngStream(seed, 3).uniforms(2))
+            prop = (start[0] * math.exp(0.1 * z[0]), start[1] * math.exp(0.1 * z[1]))
             if target(*prop) >= target(*start):
-                state, accepted = mh_step(start, sample_n1000, prior, McmcConfig(),
-                                          RngStream(seed, 3))
+                state, accepted = _one_step(start, sample_n1000, prior, seed)
                 assert accepted and state == pytest.approx(prop)
                 checked += 1
         assert checked >= 5
@@ -154,11 +162,6 @@ class TestMhStep:
         p10 = trans[1, 0] / trans[1].sum()
         assert abs(p01 - a01) < 0.01
         assert abs(p10 - a10) < 0.01
-
-
-def _normal(rng):
-    from ltll.numerics import normal_quantile
-    return float(normal_quantile(rng.uniform()))
 
 
 class TestRunChain:
@@ -275,7 +278,7 @@ class TestMarginalBetaKernel:
     def test_prior_recovery_with_no_data(self):
         prior = PriorSpec(1.0, 1.0, 2.5, 1.5)
         for b in (0.3, 1.0, 4.0):
-            want = (prior.c - 1.0) * math.log(b) - prior.d * b
+            want = (prior.a2 - 1.0) * math.log(b) - prior.b2 * b
             assert marginal_beta_log_kernel([], b, prior) == pytest.approx(want, abs=1e-12)
 
     def test_off_support(self):

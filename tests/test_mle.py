@@ -53,6 +53,14 @@ class TestFitMle:
         assert not fit.boundary
         assert fit.stats.beta0 > fit.stats.beta_c
 
+    def test_sample_hugging_truncation_point_is_interior(self):
+        # Log-gaps of 2e-5..1e-4 put beta_C near 1e4, far above the data-free
+        # bracket the criterion root once had to lie in.
+        fit = fit_mle(Sample(np.linspace(1.00002, 1.0001, 30), 1.0))
+        assert isinstance(fit, MleFit)
+        assert not fit.boundary
+        assert fit.stats.beta0 > fit.stats.beta_c > 1e3
+
     def test_boundary_detection(self):
         fit = fit_mle(boundary_sample())
         assert fit.boundary

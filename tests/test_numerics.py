@@ -5,40 +5,12 @@ import pytest
 from scipy.special import ndtri
 
 from ltll.numerics import (
-    BracketError,
     SymMatrix2,
-    bisect_root,
     chi2_quantile_2dof,
     finite_diff_gradient,
     finite_diff_hessian,
-    ln_gamma,
     normal_quantile,
-    sample_moments,
 )
-
-# beta_C of the normalized sample {2, 4}: with t = 2^-beta the criterion
-# mean(X^-beta) = 1/2 becomes t + t^2 = 1, so t = (sqrt(5)-1)/2.
-BETA_C_TWO_FOUR = -math.log((math.sqrt(5.0) - 1.0) / 2.0) / math.log(2.0)
-
-
-class TestLnGamma:
-    def test_exact_anchors(self):
-        assert ln_gamma(1.0) == pytest.approx(0.0, abs=1e-14)
-        assert ln_gamma(2.0) == pytest.approx(0.0, abs=1e-14)
-        assert ln_gamma(0.5) == pytest.approx(0.5 * math.log(math.pi), abs=1e-13)
-        # ln Gamma(10) = ln 9! via exact integer factorial
-        assert ln_gamma(10.0) == pytest.approx(math.log(362880), rel=1e-12)
-
-    def test_relative_error_over_range(self):
-        xs = np.geomspace(1e-3, 1e6, 4001)
-        for x in xs:
-            ref = math.lgamma(x)
-            assert abs(ln_gamma(float(x)) - ref) <= 1e-12 * max(1.0, abs(ref))
-
-    @pytest.mark.parametrize("bad", [0.0, -1.0, np.inf, np.nan])
-    def test_domain(self, bad):
-        with pytest.raises(ValueError):
-            ln_gamma(bad)
 
 
 class TestChi2Quantile:
@@ -58,29 +30,6 @@ class TestChi2Quantile:
     def test_domain(self, bad):
         with pytest.raises(ValueError):
             chi2_quantile_2dof(bad)
-
-
-class TestBisect:
-    def test_linear(self):
-        assert bisect_root(lambda x: x - 1.0, 0.0, 2.0, 1e-10) == pytest.approx(1.0, abs=1e-9)
-
-    def test_sqrt2(self):
-        assert bisect_root(lambda x: x * x - 2.0, 0.0, 2.0, 1e-12) == pytest.approx(
-            math.sqrt(2.0), abs=1e-11)
-
-    def test_beta_c_equation(self):
-        f = lambda b: 0.5 * (2.0 ** -b + 4.0 ** -b) - 0.5
-        root = bisect_root(f, 1e-6, 50.0, 1e-12)
-        assert root == pytest.approx(BETA_C_TWO_FOUR, abs=1e-10)
-        assert root == pytest.approx(0.6942419, abs=1e-6)
-
-    def test_no_sign_change(self):
-        with pytest.raises(BracketError):
-            bisect_root(lambda x: x * x + 1.0, -1.0, 1.0, 1e-8)
-
-    def test_bad_tol(self):
-        with pytest.raises(ValueError):
-            bisect_root(lambda x: x, -1.0, 1.0, 0.0)
 
 
 class TestFiniteDifferences:
@@ -122,29 +71,6 @@ class TestFiniteDifferences:
         assert h.a12 == pytest.approx(1.0, abs=1e-6)
         assert h.a11 == pytest.approx(0.0, abs=1e-6)
         assert h.a22 == pytest.approx(0.0, abs=1e-6)
-
-
-class TestSampleMoments:
-    def test_constant_vector(self):
-        mean, var = sample_moments([1.0, 1.0, 1.0, 1.0], upto=2)
-        assert (mean, var) == (1.0, 0.0)
-        with pytest.raises(ValueError):
-            sample_moments([1.0, 1.0, 1.0, 1.0], upto=4)
-
-    def test_two_points(self):
-        assert sample_moments([-1.0, 1.0], upto=2) == pytest.approx((0.0, 2.0))
-
-    def test_one_to_five(self):
-        mean, var, skew, kurt = sample_moments([1, 2, 3, 4, 5])
-        assert (mean, var) == pytest.approx((3.0, 2.5))
-        assert skew == pytest.approx(0.0, abs=1e-14)
-        assert kurt == pytest.approx(1.7)  # population m4/m2^2 of a uniform grid
-
-    def test_length_requirements(self):
-        with pytest.raises(ValueError):
-            sample_moments([1.0], upto=2)
-        with pytest.raises(ValueError):
-            sample_moments([1.0, 2.0, 3.0], upto=4)
 
 
 class TestNormalQuantile:
