@@ -214,6 +214,18 @@ class TestExistenceStats:
         assert st.beta_c == pytest.approx(0.69424, abs=1e-5)
         assert st.interior  # beta0 > beta_c
 
+    def test_beta_c_solves_equation(self):
+        # beta_C is the root of mean((x_i/x_L)^-beta) = 1/2.
+        f = lambda b: 0.5 * (2.0 ** -b + 4.0 ** -b) - 0.5
+        st_two_four = existence_stats(Sample(np.array([2.0, 4.0]), 1.0))
+        assert abs(f(st_two_four.beta_c)) <= 1e-12
+        for values, x_l in [([1.3, 2.0, 5.0, 11.0], 1.0), ([0.51, 0.6, 0.9], 0.5),
+                            ([12.0, 13.0, 40.0, 41.0, 1e3], 11.5)]:
+            s = Sample(np.array(values), x_l)
+            lw = s.log_values - math.log(x_l)
+            beta_c = existence_stats(s).beta_c
+            assert abs(float(np.mean(np.exp(-beta_c * lw))) - 0.5) <= 1e-12
+
     def test_equal_values_rejected(self):
         with pytest.raises(DegenerateSampleError):
             existence_stats(Sample(np.array([math.e, math.e]), 1.0))
@@ -338,8 +350,13 @@ class TestMcMoments:
         want = (x.mean(), np.sum(d * d) / (x.size - 1), np.mean(d ** 3) / m2 ** 1.5,
                 np.mean(d ** 4) / m2 ** 2)
         assert mc_moments(p, 1000, RngStream(11, 4)) == pytest.approx(want, rel=1e-12)
-        with pytest.raises(ValueError):
-            mc_moments(p, 3, RngStream(11, 4))
+
+    def test_length_requirements(self):
+        p = LTLLParams(2.0, 6.0, 1.0)
+        for n in (0, 1, 3):
+            with pytest.raises(ValueError):
+                mc_moments(p, n, RngStream(11, 4))
+        assert len(mc_moments(p, 4, RngStream(11, 4))) == 4
 
     def test_mean_nondecreasing_in_truncation(self):
         means = [mc_moments(LTLLParams(2.0, 3.0, xl), 50_000, RngStream(9, k))[0]

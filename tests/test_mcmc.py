@@ -51,6 +51,17 @@ class TestPriors:
         with pytest.raises(ValueError):
             PriorSpec(0.0, 1, 1, 1)
 
+    def test_gamma_logpdf_exact_anchors(self):
+        # Shapes whose ln Gamma has a closed form: Gamma(1/2) = sqrt(pi),
+        # Gamma(3) = 2 and Gamma(10) = 9!.  Each pair is checked through the
+        # alpha factor, with an Exp(1) beta factor of -1 at beta = 1.
+        for a, lgamma_a in [(0.5, 0.5 * math.log(math.pi)), (3.0, math.log(2.0)),
+                              (10.0, math.log(362880.0))]:
+            for b, x in [(1.0, 1.0), (0.4, 2.5), (3.0, 0.2)]:
+                want = a * math.log(b) + (a - 1.0) * math.log(x) - b * x - lgamma_a - 1.0
+                got = log_prior(x, 1.0, PriorSpec(a, b, 1, 1))
+                assert got == pytest.approx(want, rel=1e-13, abs=1e-13)
+
     def test_gamma_logpdf_non_integer_shapes(self):
         # Non-integer shapes keep ln Gamma(a) away from 0, so the normalizing
         # constant is visible (at a in {1, 2} it vanishes).
