@@ -51,8 +51,6 @@ from .numerics import (
     RngStream,
     SymMatrix2,
     chi2_quantile_2dof,
-    finite_diff_gradient,
-    finite_diff_hessian,
     normal_quantile,
 )
 from .simulation import (

@@ -17,7 +17,7 @@ import numpy as np
 
 from .datasets import BUNDLED_DATASETS, DatasetFile, apply_truncation, load_csv
 from .distribution import LTLLParams, log_likelihood, mc_moments
-from .mcmc import McmcConfig, PriorSpec, credible_ellipse, run_chain
+from .mcmc import MIN_DRAWS, McmcConfig, PriorSpec, _chain_start, credible_ellipse, run_chain
 from .mle import confidence_ellipse, fit_mle
 from .numerics import RngStream
 from .simulation import (
@@ -171,6 +171,17 @@ def _mcmc_config(args, seed: int) -> McmcConfig:
                       step_alpha=sa, step_beta=sb, seed=seed, chains=args.chains)
 
 
+def _posterior_config(args, seed: int) -> McmcConfig:
+    """Chain settings for a posterior summary, refused when it keeps too few draws."""
+    cfg = _mcmc_config(args, seed)
+    if cfg.chains * cfg.retained < MIN_DRAWS:
+        raise ValueError(
+            f"chains x retained draws = {cfg.chains} x {cfg.retained} is below the "
+            f"{MIN_DRAWS} draws posterior intervals need; raise --iters or --chains, "
+            "or lower --burnin or --thin")
+    return cfg
+
+
 def _prior(args) -> PriorSpec:
     a1, b1, a2, b2 = _float_list(args.prior)
     return PriorSpec(a1, b1, a2, b2)
@@ -201,13 +212,15 @@ def cmd_fit(args) -> int:
     trunc = apply_truncation(data, args.xl)
     sample = trunc.sample
     methods = ["mle", "bayes"] if args.method == "both" else [args.method]
+    cfg = _posterior_config(args, seed) if "bayes" in methods else None
 
+    # One MLE serves both the mle document and the chain start.
+    fit = fit_mle(sample)
     results = []
     boundary_only = True
     for method in methods:
         doc: dict = {"method": method}
         if method == "mle":
-            fit = fit_mle(sample)
             doc.update(
                 alpha=fit.alpha, beta=fit.beta,
                 ci_alpha=list(fit.ci_alpha) if fit.ci_alpha else None,
@@ -219,7 +232,8 @@ def cmd_fit(args) -> int:
             else:
                 boundary_only = False
         else:
-            res = run_chain(sample, prior=_prior(args), cfg=_mcmc_config(args, seed))
+            res = run_chain(sample, prior=_prior(args), cfg=cfg,
+                            init=_chain_start(sample, fit))
             doc.update(
                 alpha=res.mean[0], beta=res.mean[1],
                 ci_alpha=list(res.ci_alpha), ci_beta=list(res.ci_beta),
@@ -308,6 +322,7 @@ def cmd_ellipse(args) -> int:
     gamma = 1.0 - args.level
     methods = ["wald", "credible"] if args.method == "both" else [args.method]
     stem = args.out or "ellipse"
+    cfg = _posterior_config(args, seed) if "credible" in methods else None
 
     fit = fit_mle(sample)
     if fit.boundary:
@@ -318,7 +333,7 @@ def cmd_ellipse(args) -> int:
         if method == "wald":
             ell = confidence_ellipse(fit, gamma, args.npoints)
         else:
-            res = run_chain(sample, prior=_prior(args), cfg=_mcmc_config(args, seed))
+            res = run_chain(sample, prior=_prior(args), cfg=cfg, init=_chain_start(sample, fit))
             ell = credible_ellipse(res, gamma, args.npoints)
         rows = "\n".join(f"{p[0]:.10g},{p[1]:.10g}" for p in ell.points)
         atomic_write_text(f"{stem}_{method}.csv", "alpha,beta\n" + rows + "\n")

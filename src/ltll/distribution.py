@@ -18,7 +18,6 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
-from scipy.optimize import brentq
 
 from .numerics import RngStream
 
@@ -57,10 +56,15 @@ def _softplus(t):
 
 
 def _logistic(t):
-    """1 / (1 + e^-t), stable for any real t (returns an array, 0-d for scalars)."""
+    """sigma(t) = 1/(1 + e^-t) and its slope sigma(t)*(1 - sigma(t)).
+
+    Both come from one e^-|t|, so they stay accurate for any real t (arrays,
+    0-d for scalars).
+    """
     t = np.asarray(t, dtype=np.float64)
     e = np.exp(-np.abs(t))
-    return np.where(t >= 0.0, 1.0 / (1.0 + e), e / (1.0 + e))
+    r = 1.0 / (1.0 + e)
+    return np.where(t >= 0.0, r, e * r), e * r * r
 
 
 def _check_shape_scale(alpha, beta):
@@ -179,7 +183,7 @@ def ll_cdf(x, alpha: float, beta: float):
     x = np.asarray(x, dtype=np.float64)
     if np.any(x <= 0.0):
         raise ValueError("ll_cdf requires x > 0")
-    out = _logistic(beta * (np.log(x) - np.log(alpha)))
+    out = _logistic(beta * (np.log(x) - np.log(alpha)))[0]
     return out if out.ndim else float(out)
 
 
@@ -262,21 +266,25 @@ def _loglik_batch(lx, sumlx, n, ln_xl, lnalpha, lnbeta):
 
     lx: (B, n) log-data rows; lnalpha/lnbeta: (B,) parameter logs;
     ln_xl: scalar log truncation point or None when x_l = 0.  Shared by the
-    public scalar API and the MCMC hot loop so both evaluate one code path.
+    public scalar API, the MLE and the MCMC hot loop so all evaluate one code
+    path.  With t_i = beta*(ln x_i - ln alpha) and the symmetric form
+    softplus(t) = max(t, 0) + log1p(e^-|t|), the sum collapses to
+
+        n ln beta - sum ln x_i - sum |t_i| - 2 sum log1p(e^-|t_i|)
+        + n softplus(t_L),
+
+    which one scratch array evaluates in place.
     """
     beta = np.exp(lnbeta)
     t = lx - lnalpha[:, None]
-    t *= beta[:, None]
-    pos = np.maximum(t, 0.0)
     np.abs(t, out=t)
-    np.negative(t, out=t)
+    t *= -beta[:, None]
+    s_abs = t.sum(axis=1)
     np.exp(t, out=t)
     np.log1p(t, out=t)
-    t += pos
-    s1 = t.sum(axis=1)
-    ll = n * lnbeta + (beta - 1.0) * sumlx - n * beta * lnalpha - 2.0 * s1
+    ll = n * lnbeta - sumlx + s_abs - 2.0 * t.sum(axis=1)
     if ln_xl is not None:
-        ll = ll + n * _softplus(beta * (ln_xl - lnalpha))
+        ll += n * np.logaddexp(0.0, beta * (ln_xl - lnalpha))
     return ll
 
 
@@ -294,6 +302,41 @@ def log_likelihood(s: Sample, alpha: float, beta: float) -> float:
     return float(ll[0])
 
 
+def _derivatives_z(lx, ln_xl, z):
+    """Score and Hessian of the log-likelihood in z = (ln alpha, ln beta).
+
+    lx: 1-d log-data; ln_xl: log truncation point or None when x_l = 0.
+    With t_i = beta*(ln x_i - ln alpha), sigma_i = logistic(t_i) and
+    w_i = sigma_i*(1 - sigma_i) (subscript L for the truncation point):
+
+        g_a  = beta*(2 sum sigma_i - n - n sigma_L)
+        g_b  = n + sum t_i - 2 sum sigma_i t_i + n sigma_L t_L
+        H_aa = -2 beta^2 sum w_i + n beta^2 w_L
+        H_ab = g_a + 2 beta sum w_i t_i - n beta w_L t_L
+        H_bb = sum t_i - 2 sum (sigma_i t_i + w_i t_i^2) + n (sigma_L t_L + w_L t_L^2)
+
+    The truncation terms vanish when ln_xl is None.
+    """
+    n = lx.size
+    beta = float(np.exp(z[1]))
+    t = beta * (lx - z[0])
+    sig, w = _logistic(t)
+    wt = w * t
+    s_t, s_sig, s_sigt = float(np.sum(t)), float(np.sum(sig)), float(sig @ t)
+    s_w, s_wt, s_wtt = float(np.sum(w)), float(np.sum(wt)), float(wt @ t)
+    if ln_xl is None:
+        t_l = sig_l = w_l = 0.0
+    else:
+        t_l = beta * (ln_xl - z[0])
+        sig_l, w_l = (float(v) for v in _logistic(t_l))
+    g_a = beta * (2.0 * s_sig - n - n * sig_l)
+    g_b = n + s_t - 2.0 * s_sigt + n * sig_l * t_l
+    h_aa = beta * beta * (n * w_l - 2.0 * s_w)
+    h_ab = g_a + beta * (2.0 * s_wt - n * w_l * t_l)
+    h_bb = s_t - 2.0 * (s_sigt + s_wtt) + n * (sig_l * t_l + w_l * t_l * t_l)
+    return np.array([g_a, g_b]), np.array([[h_aa, h_ab], [h_ab, h_bb]])
+
+
 def score_gradient(s: Sample, alpha: float, beta: float):
     """Analytic score (d ell/d alpha, d ell/d beta) of the truncated sample.
 
@@ -301,63 +344,63 @@ def score_gradient(s: Sample, alpha: float, beta: float):
     t_L = beta*ln(x_l/alpha):
 
         d ell/d alpha = (beta/alpha) * (-n + 2*sum sig(t_i) - n*sig(t_L))
-        d ell/d beta  = n/beta + sum d_i - 2*sum sig(t_i)*d_i + n*sig(t_L)*d_L
+        d ell/d beta  = (n + sum t_i - 2*sum sig(t_i)*t_i + n*sig(t_L)*t_L) / beta
 
-    where d_i = ln(x_i/alpha).  The truncation terms vanish as x_l -> 0.
+    The truncation terms vanish as x_l -> 0.
     """
     _check_shape_scale(alpha, beta)
-    la = np.log(alpha)
-    d = s.log_values - la
-    sig = _logistic(beta * d)
-    n = s.n
-    if s.x_l > 0.0:
-        dl = np.log(s.x_l) - la
-        sig_l = float(_logistic(beta * dl))
-    else:
-        dl = 0.0
-        sig_l = 0.0
-    d_alpha = (beta / alpha) * (-n + 2.0 * float(np.sum(sig)) - n * sig_l)
-    d_beta = (n / beta + float(np.sum(d)) - 2.0 * float(np.sum(sig * d))
-              + n * sig_l * dl)
-    return float(d_alpha), float(d_beta)
+    ln_xl = None if s.x_l == 0.0 else np.log(s.x_l)
+    g, _ = _derivatives_z(s.log_values, ln_xl, (np.log(alpha), np.log(beta)))
+    return float(g[0] / alpha), float(g[1] / beta)
 
 
 # ---------------------------------------------------------------------------
 # Existence statistics and profile objective
 # ---------------------------------------------------------------------------
 
+# The Newton iteration for beta_C converges in under a dozen steps; the cap
+# only guarantees that the loop ends.
+_BETA_C_MAX_STEPS = 200
+
+
 def existence_stats(s: Sample) -> ExistenceStats:
     """Interior-maximum criterion statistics for a sample with x_l > 0.
 
     The data are first normalized by the truncation point; both statistics
-    are invariant under common rescaling of values and x_l.  Raises
+    are invariant under common rescaling of values and x_l.  The log-gaps
+    ln(x_i/x_l) are formed as log1p((x_i - x_l)/x_l), which keeps a few ulps
+    of relative precision however closely the values hug x_l.  Raises
     :class:`DegenerateSampleError` when the sample has fewer than two
-    distinct values, or when its log-gaps above x_l round to zero so often
-    that mean(X^-beta) never falls below 1/2.
+    distinct values, or when at least half its log-gaps sit within the
+    rounding error of the log values the likelihood works with: those values
+    cannot tell such points from x_l, and mean(X^-beta) would not fall below
+    1/2 until beta is a multiple of 1/eps.
     """
     if s.x_l <= 0.0:
         raise ValueError("existence statistics require x_l > 0")
     if s.n_distinct < 2:
         raise DegenerateSampleError("need at least two distinct values")
-    lw = s.log_values - np.log(s.x_l)
+    lw = np.log1p((s.values - s.x_l) / s.x_l)
+    resolution = 4.0 * np.finfo(np.float64).eps * (1.0 + abs(np.log(s.x_l)))
+    if 2 * int(np.count_nonzero(lw <= resolution)) >= s.n:
+        raise DegenerateSampleError(
+            "at least half the values are indistinguishable from x_l in log space")
     total = float(np.sum(lw))
-    if not total > 0.0:
-        raise DegenerateSampleError("values are indistinguishable from x_l in log space")
     beta0 = s.n / total
 
-    def half_gap(b):
-        return float(np.mean(np.exp(-b * lw))) - 0.5
-
-    # half_gap falls from 1/2 at b = 0 toward (share of zero log-gaps) - 1/2,
-    # so doubling from the data's own scale beta0 brackets the root if any.
-    lo, hi = 0.0, beta0
-    while half_gap(hi) >= 0.0:
-        lo, hi = hi, 2.0 * hi
-        if not np.isfinite(hi):
-            raise DegenerateSampleError(
-                "mean(X^-beta) = 1/2 has no root: at least half the log-gaps round to zero")
-    beta_c = brentq(half_gap, lo, hi, xtol=1e-12)
-    return ExistenceStats(beta0=beta0, beta_c=beta_c, s=total, n=s.n)
+    # h(b) = mean(e^(-b*lw)) - 1/2 is convex and decreasing with h(0) = 1/2,
+    # so Newton steps from b = 0 rise monotonically toward the root and
+    # never overshoot it: no bracket is needed.
+    b = 0.0
+    for _ in range(_BETA_C_MAX_STEPS):
+        e = np.exp(-b * lw)
+        step = (float(np.mean(e)) - 0.5) / float(np.mean(lw * e))
+        b += step
+        if abs(step) <= 1e-14 * b:
+            break
+    else:
+        raise DegenerateSampleError("mean(X^-beta) = 1/2 did not converge")
+    return ExistenceStats(beta0=beta0, beta_c=b, s=total, n=s.n)
 
 
 def phi_objective(lam: float, beta: float, s: Sample) -> float:

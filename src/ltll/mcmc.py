@@ -21,7 +21,7 @@ import numpy as np
 from scipy.special import gammaln
 
 from .distribution import Sample, _loglik_batch, _softplus, log_likelihood
-from .mle import EllipsePoints, _trace_ellipse, fit_mle
+from .mle import EllipsePoints, MleFit, _trace_ellipse, fit_mle
 from .numerics import RngStream, SymMatrix2, chi2_quantile_2dof, normal_quantile
 
 __all__ = [
@@ -42,6 +42,8 @@ _ADAPT_WINDOW = 100
 _ADAPT_FACTOR = 1.1
 _STEP_BOUNDS = (1e-6, 10.0)
 _RNG_BLOCK = 2048
+# Fewest retained draws that quantile intervals and density grids accept.
+MIN_DRAWS = 100
 
 
 @dataclass(frozen=True)
@@ -235,9 +237,12 @@ def _mh_chains(lx, ln_xl, prior: PriorSpec, cfg: McmcConfig, streams, init):
     return draws, acc_rate, np.column_stack([sa, sb])
 
 
-def _default_init(s: Sample):
-    """MLE start when the interior maximum exists, boundary start otherwise."""
-    fit = fit_mle(s)
+def _chain_start(s: Sample, fit: MleFit):
+    """MLE start when the interior maximum exists, boundary start otherwise.
+
+    A boundary fit has no scale, so the chain starts at the sample median and
+    the boundary exponent.
+    """
     if not fit.boundary:
         return fit.alpha, fit.beta
     return float(np.median(s.values)), fit.beta
@@ -256,7 +261,7 @@ def run_chain(s: Sample, prior: PriorSpec | None = None, cfg: McmcConfig | None 
     prior = PriorSpec.diffuse() if prior is None else prior
     cfg = McmcConfig() if cfg is None else cfg
     if init is None:
-        init = _default_init(s)
+        init = _chain_start(s, fit_mle(s))
     base_seed, base_id = (rng.master_seed, rng.stream_id) if rng is not None else (cfg.seed, 1)
     streams = [RngStream(base_seed, base_id + k) for k in range(cfg.chains)]
     lx = np.repeat(s.log_values[None, :], cfg.chains, axis=0)
@@ -300,8 +305,8 @@ def credible_intervals(res: PosteriorResult, gamma: float = 0.05):
     """
     if not (0.0 < gamma < 1.0):
         raise ValueError("gamma must lie in (0, 1)")
-    if res.draws.shape[0] < 100:
-        raise ValueError("need at least 100 retained draws for credible intervals")
+    if res.draws.shape[0] < MIN_DRAWS:
+        raise ValueError(f"need at least {MIN_DRAWS} retained draws for credible intervals")
     return _quantile_intervals(res.draws, gamma)
 
 
@@ -374,8 +379,8 @@ def posterior_density_grid(res: PosteriorResult, alpha_bounds=None, beta_bounds=
     Returns (alpha_grid, beta_grid, density) with density[i, j] at
     (alpha_grid[i], beta_grid[j]).
     """
-    if res.draws.shape[0] < 100:
-        raise ValueError("need at least 100 draws for a density grid")
+    if res.draws.shape[0] < MIN_DRAWS:
+        raise ValueError(f"need at least {MIN_DRAWS} draws for a density grid")
     na, nb = int(shape[0]), int(shape[1])
     if na < 2 or nb < 2:
         raise ValueError("grid must have at least 2 points per axis")

@@ -2,14 +2,14 @@
 
 The fit first evaluates the interior-maximum criterion on truncation-
 normalized data (``beta0 > beta_c``).  When it holds, the log-likelihood is
-maximized over (ln alpha, ln beta) by multi-start Nelder-Mead simplex descent
-followed by a Newton polish driven by the analytic score; when it fails, the
+maximized over (ln alpha, ln beta) by damped Newton with the analytic score
+and Hessian, started from (ln median, ln beta0); when it fails, the
 likelihood supremum sits on the boundary where the model degenerates to a
 Pareto density with exponent ``beta0`` and the scale is no longer identified.
 
-Uncertainty comes from the observed information (negative Hessian of the
-log-likelihood at the estimate): Wald intervals per parameter and joint
-confidence ellipses at the chi-squared(2 dof) threshold.
+Uncertainty comes from the observed information (the analytic negative
+Hessian of the log-likelihood at the estimate): Wald intervals per parameter
+and joint confidence ellipses at the chi-squared(2 dof) threshold.
 """
 
 from __future__ import annotations
@@ -18,18 +18,19 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import minimize
 
 from .distribution import (
     DegenerateSampleError,
     ExistenceStats,
     LTLLParams,
     Sample,
+    _derivatives_z,
+    _loglik_batch,
     existence_stats,
     log_likelihood,
     score_gradient,
 )
-from .numerics import SymMatrix2, chi2_quantile_2dof, finite_diff_hessian, normal_quantile
+from .numerics import SymMatrix2, chi2_quantile_2dof, normal_quantile
 
 __all__ = [
     "BoundaryFitError",
@@ -43,7 +44,12 @@ __all__ = [
 
 # Stationarity target: interior fits must satisfy ||score|| < SCORE_TOL*(1+|ll|).
 SCORE_TOL = 1e-5
-_POLISH_TARGET = 1e-8
+# Newton stops at ||score in z|| <= _NEWTON_TOL*(1 + |ll|) on the working scale.
+_NEWTON_TOL = 1e-8
+_MAX_NEWTON = 100
+_MAX_HALVINGS = 40
+# Largest Newton move per coordinate of z, so a far start cannot overflow e^z.
+_MAX_STEP = 3.0
 
 
 class BoundaryFitError(RuntimeError):
@@ -111,81 +117,58 @@ class EllipsePoints:
 # Fitting
 # ---------------------------------------------------------------------------
 
-def _loglik_working(s: Sample):
-    """Objective in z = (ln alpha, ln beta) on working-scale data."""
+def _newton_ascent(lx, ln_xl, z):
+    """Damped Newton on the log-likelihood in z = (ln alpha, ln beta).
 
-    def nll(z):
-        return -log_likelihood(s, float(np.exp(z[0])), float(np.exp(z[1])))
+    A Levenberg shift makes the step an ascent direction wherever -H is not
+    positive-definite, steps are capped at _MAX_STEP per coordinate, and each
+    one is halved until the log-likelihood does not decrease.  Stops once
+    ||g|| <= _NEWTON_TOL*(1 + |ll|).  Returns (z, iterations).
+    """
+    lx2 = lx[None, :]
+    sumlx = np.array([float(np.sum(lx))])
+    n = lx.size
 
-    return nll
+    def loglik(zz):
+        return float(_loglik_batch(lx2, sumlx, n, ln_xl,
+                                   np.array([zz[0]]), np.array([zz[1]]))[0])
 
-
-def _score_z(s: Sample, z):
-    """Gradient of the log-likelihood in (ln alpha, ln beta) coordinates."""
-    a, b = float(np.exp(z[0])), float(np.exp(z[1]))
-    da, db = score_gradient(s, a, b)
-    return np.array([a * da, b * db])
-
-
-def _newton_polish(s: Sample, z, max_iter: int = 30):
-    """Newton steps on the analytic score, with halving safeguards."""
     z = np.asarray(z, dtype=np.float64)
-    ll = log_likelihood(s, float(np.exp(z[0])), float(np.exp(z[1])))
-    used = 0
-    h = 1e-5
-    for _ in range(max_iter):
-        g = _score_z(s, z)
-        if np.linalg.norm(g) <= _POLISH_TARGET * (1.0 + abs(ll)):
-            break
-        # Hessian in z from central differences of the analytic score.
-        gpa = _score_z(s, (z[0] + h, z[1]))
-        gma = _score_z(s, (z[0] - h, z[1]))
-        gpb = _score_z(s, (z[0], z[1] + h))
-        gmb = _score_z(s, (z[0], z[1] - h))
-        hess = np.column_stack([(gpa - gma) / (2 * h), (gpb - gmb) / (2 * h)])
-        hess = 0.5 * (hess + hess.T)
-        try:
-            step = np.linalg.solve(hess, -g)
-        except np.linalg.LinAlgError:
-            break
+    ll = loglik(z)
+    for it in range(_MAX_NEWTON):
+        g, h = _derivatives_z(lx, ln_xl, z)
+        if not np.linalg.norm(g) > _NEWTON_TOL * (1.0 + abs(ll)):
+            return z, it
+        m = -h
+        mid = 0.5 * (m[0, 0] + m[1, 1])
+        lam_min = mid - math.hypot(0.5 * (m[0, 0] - m[1, 1]), m[0, 1])
+        floor = 1e-8 * (abs(m[0, 0]) + abs(m[1, 1])) or 1.0
+        if not lam_min > floor:
+            m = m + (floor - lam_min) * np.eye(2)
+        step = np.linalg.solve(m, g)
         if not np.all(np.isfinite(step)):
             break
-        improved = False
-        for _ in range(8):
-            z_new = z + step
-            ll_new = log_likelihood(s, float(np.exp(z_new[0])), float(np.exp(z_new[1])))
-            if ll_new >= ll - 1e-12:
-                g_new = _score_z(s, z_new)
-                if ll_new > ll or np.linalg.norm(g_new) < np.linalg.norm(g):
-                    z, ll = z_new, ll_new
-                    improved = True
-                    break
+        step *= min(1.0, _MAX_STEP / np.max(np.abs(step)))
+        for _ in range(_MAX_HALVINGS):
+            ll_new = loglik(z + step)
+            if ll_new >= ll:
+                break
             step *= 0.5
-        used += 1
-        if not improved:
+        else:
             break
-    return z, ll, used
+        z, ll = z + step, ll_new
+    return z, it + 1
 
 
-def _start_points(w: Sample, stats: ExistenceStats | None):
-    """Initial (ln alpha, ln beta) guesses on the working scale."""
+def _start_point(w: Sample, stats: ExistenceStats | None):
+    """(ln median, ln beta0) on the working scale; beta from the IQR when x_l = 0."""
     lmed = float(np.log(np.median(w.values)))
-    lgeo = float(np.mean(w.log_values))
     if stats is not None:
-        b0, bc = stats.beta0, stats.beta_c
-        return [
-            (lmed, np.log(b0)),
-            (lgeo, np.log(1.5 * b0)),
-            (lmed, np.log(1.2 * bc)),
-        ]
+        return lmed, math.log(stats.beta0)
     # Untruncated: shape guess from the interquartile ratio (q75/q25 = 9^(1/beta)).
     q25, q75 = np.quantile(w.values, [0.25, 0.75])
     b_iqr = np.log(9.0) / np.log(q75 / q25) if q75 > q25 else 1.0
-    return [
-        (lmed, np.log(b_iqr)),
-        (lgeo, np.log(1.5 * b_iqr)),
-        (lmed, np.log(0.75 * b_iqr)),
-    ]
+    return lmed, math.log(b_iqr)
 
 
 def fit_mle(s: Sample) -> MleFit:
@@ -217,22 +200,12 @@ def fit_mle(s: Sample) -> MleFit:
         w = Sample(s.values / scale, 0.0)
         stats = None
 
-    nll = _loglik_working(w)
-    best_z, best_ll, total_iter = None, -np.inf, 0
-    for z0 in _start_points(w, stats):
-        res = minimize(
-            nll, np.asarray(z0), method="Nelder-Mead",
-            options={"xatol": 1e-8, "fatol": 1e-10, "maxiter": 2000, "maxfev": 4000},
-        )
-        total_iter += res.nit
-        z, ll, polish_iter = _newton_polish(w, res.x)
-        total_iter += polish_iter
-        if ll > best_ll:
-            best_z, best_ll = z, ll
+    ln_xl = None if s.x_l == 0.0 else 0.0  # working data are normalized to x_l = 1
+    z, iterations = _newton_ascent(w.log_values, ln_xl, _start_point(w, stats))
 
-    alpha = float(np.exp(best_z[0])) * scale
-    beta = float(np.exp(best_z[1]))
-    loglik = best_ll - s.n * np.log(scale)
+    alpha = float(np.exp(z[0])) * scale
+    beta = float(np.exp(z[1]))
+    loglik = log_likelihood(s, alpha, beta)
     g = score_gradient(s, alpha, beta)
     score_norm = float(np.hypot(*g))
     converged = score_norm < SCORE_TOL * (1.0 + abs(loglik))
@@ -241,13 +214,13 @@ def fit_mle(s: Sample) -> MleFit:
     ci_alpha = ci_beta = None
     if info.is_positive_definite:
         fit_tmp = MleFit(alpha, beta, s.x_l, s.n, False, loglik, info,
-                         None, None, converged, total_iter, score_norm, stats)
+                         None, None, converged, iterations, score_norm, stats)
         ci_alpha, ci_beta = wald_intervals(fit_tmp, 0.05)
 
     return MleFit(
         alpha=alpha, beta=beta, x_l=s.x_l, n=s.n, boundary=False,
         loglik=loglik, info=info, ci_alpha=ci_alpha, ci_beta=ci_beta,
-        converged=converged, iterations=total_iter, score_norm=score_norm,
+        converged=converged, iterations=iterations, score_norm=score_norm,
         stats=stats,
     )
 
@@ -259,20 +232,16 @@ def fit_mle(s: Sample) -> MleFit:
 def observed_information(s: Sample, theta) -> SymMatrix2:
     """Observed information: negative Hessian of the log-likelihood at theta.
 
-    Computed by symmetric finite differences of function values only, so it
-    stays an independent check on anything derived from the analytic score.
-    Positive definiteness is the caller's concern: an indefinite result flags
-    a near-boundary or misconverged estimate.
+    Analytic, from the Hessian H_z and score g_z in z = (ln alpha, ln beta):
+    J = -D^-1 (H_z - diag g_z) D^-1 with D = diag(alpha, beta).  Positive
+    definiteness is the caller's concern: an indefinite result flags a
+    near-boundary or misconverged estimate.
     """
     alpha, beta = float(theta[0]), float(theta[1])
-
-    def nll(th):
-        a, b = th
-        if a <= 0.0 or b <= 0.0:
-            return np.inf
-        return -log_likelihood(s, a, b)
-
-    return finite_diff_hessian(nll, (alpha, beta))
+    ln_xl = None if s.x_l == 0.0 else math.log(s.x_l)
+    g, h = _derivatives_z(s.log_values, ln_xl, (math.log(alpha), math.log(beta)))
+    d = np.array([alpha, beta])
+    return SymMatrix2.from_array((np.diag(g) - h) / np.outer(d, d))
 
 
 def wald_intervals(fit: MleFit, gamma: float = 0.05):

@@ -1,9 +1,9 @@
 """Small numerics shared by the layers, plus a splittable random-number source.
 
-Special functions and root finding come from scipy; this module keeps only
-what scipy does not provide in the shape the package needs: a counter-based
-uniform generator, the closed-form chi-squared(2) quantile, central
-differences on R^2, and a symmetric 2x2 matrix type.
+Special functions come from scipy; this module keeps only what scipy does
+not provide in the shape the package needs: a counter-based uniform
+generator, the closed-form chi-squared(2) quantile, and a symmetric 2x2
+matrix type.
 
 Everything here is deterministic: functions are pure, and random draws are a
 pure function of (master_seed, stream_id, counter).  The generator is
@@ -22,8 +22,6 @@ __all__ = [
     "RngStream",
     "SymMatrix2",
     "chi2_quantile_2dof",
-    "finite_diff_gradient",
-    "finite_diff_hessian",
     "normal_quantile",
 ]
 
@@ -119,55 +117,6 @@ def normal_quantile(p):
         raise ValueError("normal_quantile requires 0 < p < 1")
     out = ndtri(p)
     return out if out.ndim else float(out)
-
-
-# ---------------------------------------------------------------------------
-# Finite differences
-# ---------------------------------------------------------------------------
-
-def _default_steps(theta, scale):
-    return tuple(max(scale, scale * abs(t)) for t in theta)
-
-
-def finite_diff_gradient(f, theta, h=None):
-    """Central-difference gradient of f: R^2 -> R at theta, O(h^2) accurate."""
-    t1, t2 = float(theta[0]), float(theta[1])
-    h1, h2 = _default_steps((t1, t2), 1e-6) if h is None else (float(h[0]), float(h[1]))
-    vals = (
-        f((t1 + h1, t2)), f((t1 - h1, t2)),
-        f((t1, t2 + h2)), f((t1, t2 - h2)),
-    )
-    if not all(np.isfinite(v) for v in vals):
-        raise ValueError("function not finite at a gradient stencil point")
-    return (vals[0] - vals[1]) / (2.0 * h1), (vals[2] - vals[3]) / (2.0 * h2)
-
-
-def finite_diff_hessian(f, theta, h=None) -> "SymMatrix2":
-    """Symmetric central-difference Hessian of f: R^2 -> R at theta.
-
-    The cross term is averaged over the two stencil orientations, so the
-    result is symmetric by construction.  Steps default to 1e-4*max(1,|theta|)
-    per coordinate: second differences need a larger step than gradients to
-    keep cancellation error below truncation error.
-    """
-    t1, t2 = float(theta[0]), float(theta[1])
-    h1, h2 = _default_steps((t1, t2), 1e-4) if h is None else (float(h[0]), float(h[1]))
-    f0 = f((t1, t2))
-    fpp = f((t1 + h1, t2 + h2))
-    fpm = f((t1 + h1, t2 - h2))
-    fmp = f((t1 - h1, t2 + h2))
-    fmm = f((t1 - h1, t2 - h2))
-    fp0 = f((t1 + h1, t2))
-    fm0 = f((t1 - h1, t2))
-    f0p = f((t1, t2 + h2))
-    f0m = f((t1, t2 - h2))
-    vals = (f0, fpp, fpm, fmp, fmm, fp0, fm0, f0p, f0m)
-    if not all(np.isfinite(v) for v in vals):
-        raise ValueError("function not finite at a Hessian stencil point")
-    d11 = (fp0 - 2.0 * f0 + fm0) / (h1 * h1)
-    d22 = (f0p - 2.0 * f0 + f0m) / (h2 * h2)
-    d12 = (fpp - fpm - fmp + fmm) / (4.0 * h1 * h2)
-    return SymMatrix2(d11, d12, d22)
 
 
 # ---------------------------------------------------------------------------

@@ -23,7 +23,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .distribution import LTLLParams, draw_ltll
-from .mcmc import McmcConfig, PriorSpec, _ess, _mh_chains
+from .mcmc import McmcConfig, PriorSpec, _chain_start, _ess, _mh_chains
 from .mle import fit_mle
 from .numerics import RngStream, normal_quantile
 
@@ -175,12 +175,7 @@ def _run_chunk(sc: Scenario, lo: int, hi: int) -> list[ReplicateResult]:
     samples = [draw_ltll(sc.n, sc.true_params, _data_stream(sc, r)) for r in idx]
     fits = [fit_mle(s) for s in samples]
 
-    inits = np.empty((len(samples), 2))
-    for i, (s, f) in enumerate(zip(samples, fits)):
-        if f.boundary:
-            inits[i] = (float(np.median(s.values)), f.beta)
-        else:
-            inits[i] = (f.alpha, f.beta)
+    inits = np.array([_chain_start(s, f) for s, f in zip(samples, fits)])
     lx = np.stack([s.log_values for s in samples])
     ln_xl = None if sc.true_params.x_l == 0.0 else np.log(sc.true_params.x_l)
     streams = [_chain_stream(sc, r) for r in idx]

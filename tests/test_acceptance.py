@@ -47,7 +47,7 @@ from ltll.distribution import (
 )
 from ltll.mcmc import McmcConfig, PriorSpec, credible_ellipse, log_posterior, run_chain
 from ltll.mle import fit_mle
-from ltll.numerics import RngStream, chi2_quantile_2dof, finite_diff_gradient
+from ltll.numerics import RngStream, chi2_quantile_2dof
 from ltll.simulation import (
     TRUNCATION_GRID,
     Scenario,
@@ -55,6 +55,8 @@ from ltll.simulation import (
     run_scenario,
     sample_size_sweep,
 )
+
+from finite_diff import finite_diff_gradient
 
 MASTER_SEED = 20240
 

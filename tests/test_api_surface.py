@@ -8,6 +8,9 @@ otherwise surface only in a traced benchmark run.
 import ast
 import importlib
 import importlib.util
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -58,3 +61,14 @@ def test_fit_info_has_definiteness_flag():
     fit = fit_mle(Sample(np.array([2.0, 3.0, 5.0, 8.0, 13.0]), 1.0))
     assert not fit.boundary
     assert fit.info.is_positive_definite
+
+
+def test_cli_import_leaves_out_scipy_optimize_and_stats():
+    # Either subpackage adds about a tenth of a second to every CLI start.
+    code = ("import sys, ltll.cli; print(sorted(m for m in sys.modules "
+            "if m.split('.')[:2] in (['scipy', 'optimize'], ['scipy', 'stats'])))")
+    src = str(Path(ltll.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True)
+    assert out.stdout.strip() == "[]"

@@ -1,11 +1,14 @@
 import json
 import math
 import os
+import warnings
 from importlib import resources
 
 import numpy as np
 import pytest
 
+import ltll.cli
+import ltll.mcmc
 from ltll.cli import EXIT_BOUNDARY, EXIT_ERROR, EXIT_OK, main
 from ltll.datasets import apply_truncation, load_bladder_cancer, load_csv
 from ltll.distribution import DegenerateSampleError
@@ -157,6 +160,42 @@ class TestFitCommand:
         monkeypatch.delenv("LTLL_SEED")
         assert main(base + ["--seed", "99", "--out", out2]) == EXIT_OK
         assert open(out1).read() == open(out2).read()
+
+    def test_both_methods_fit_once(self, tmp_path, monkeypatch):
+        calls = []
+
+        def counting(fit):
+            def wrapped(sample):
+                calls.append(sample.n)
+                return fit(sample)
+            return wrapped
+
+        monkeypatch.setattr(ltll.cli, "fit_mle", counting(ltll.cli.fit_mle))
+        monkeypatch.setattr(ltll.mcmc, "fit_mle", counting(ltll.mcmc.fit_mle))
+        out = os.path.join(tmp_path, "fit.json")
+        assert main(["fit", "--data", "bladder_cancer", "--xl", "1.0", "--method", "both",
+                     "--iters", "600", "--burnin", "100", "--thin", "1", "--out", out]) == EXIT_OK
+        assert calls == [json.load(open(out))[0]["n"]]
+
+    @pytest.mark.parametrize("command, method", [("fit", "bayes"), ("fit", "both"),
+                                                 ("ellipse", "credible")])
+    def test_too_few_draws_refused(self, tmp_path, capsys, command, method):
+        args = [command, "--data", "bladder_cancer", "--xl", "1.0", "--method", method,
+                "--iters", "2", "--burnin", "1", "--thin", "1",
+                "--out", os.path.join(tmp_path, "out")]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(args) == EXIT_ERROR
+        err = capsys.readouterr().err
+        assert err.startswith("ltll: error:") and "100" in err
+        assert os.listdir(tmp_path) == []
+
+    def test_draw_minimum_counts_all_chains(self, tmp_path):
+        # 2 chains x 49 retained draws is still short; 2 x 50 is enough.
+        short = ["fit", "--data", "bladder_cancer", "--xl", "1.0", "--method", "bayes",
+                 "--chains", "2", "--burnin", "50", "--thin", "1"]
+        assert main(short + ["--iters", "99"]) == EXIT_ERROR
+        assert main(short + ["--iters", "100", "--out", os.path.join(tmp_path, "ok")]) == EXIT_OK
 
     def test_config_file_mirrors_flags(self, tmp_path):
         cfg = write(tmp_path, "cfg.json",

@@ -1,4 +1,5 @@
 import math
+from decimal import Decimal, localcontext
 
 import numpy as np
 import pytest
@@ -8,6 +9,7 @@ from scipy.integrate import quad
 
 from ltll.distribution import (
     DegenerateSampleError,
+    _loglik_batch,
     LTLLParams,
     Sample,
     draw_ltll,
@@ -23,10 +25,25 @@ from ltll.distribution import (
     phi_objective,
     score_gradient,
 )
-from ltll.numerics import RngStream, finite_diff_gradient
+from ltll.numerics import RngStream
+
+from finite_diff import finite_diff_gradient
 
 BETA0_TWO_FOUR = 2.0 / (3.0 * math.log(2.0))
 BETA_C_TWO_FOUR = -math.log((math.sqrt(5.0) - 1.0) / 2.0) / math.log(2.0)
+
+
+def exact_half_gap(values, x_l, beta):
+    """mean((x_i/x_l)^-beta) - 1/2 in 40-digit decimal arithmetic.
+
+    The float inputs convert to Decimal exactly, so the log-gaps carry no
+    rounding from the float logs the package works with.
+    """
+    with localcontext() as ctx:
+        ctx.prec = 40
+        b, xl = Decimal(float(beta)), Decimal(float(x_l))
+        total = sum((-b * (Decimal(float(v)) / xl).ln()).exp() for v in values)
+        return float(total / len(values) - Decimal("0.5"))
 
 
 def random_params(rng, with_trunc=True):
@@ -177,6 +194,32 @@ class TestLikelihood:
         direct = float(np.sum(np.log(ll_pdf(s.values, 1.7, 2.4))))
         assert ll == pytest.approx(direct, abs=1e-9)
 
+    @pytest.mark.parametrize("x_l", [0.0, 0.5])
+    def test_batch_kernel_matches_softplus_formula(self, x_l):
+        # Each row's log-likelihood written term by term with a two-sided
+        # softplus, summed exactly; shapes up to 1e4 push |t| far past 745,
+        # where e^-|t| underflows.
+        def softplus(t):
+            return t + math.log1p(math.exp(-t)) if t > 0.0 else math.log1p(math.exp(t))
+
+        values = draw_ltll(60, LTLLParams(2.0, 3.0, x_l), RngStream(13, 1)).values
+        lx = np.log(values)
+        alphas = np.array([0.3, 2.0, 2.0, 9.0, 1.7, 2.5])
+        betas = np.array([0.05, 1.0, 3.0, 40.0, 1e3, 1e4])
+        ln_xl = None if x_l == 0.0 else math.log(x_l)
+        got = _loglik_batch(np.tile(lx, (alphas.size, 1)), np.full(alphas.size, lx.sum()),
+                            lx.size, ln_xl, np.log(alphas), np.log(betas))
+        assert max(b * abs(v - math.log(a)) for a, b in zip(alphas, betas) for v in lx) > 745.0
+        for k, (a, b) in enumerate(zip(alphas, betas)):
+            terms = []
+            for v in lx:
+                t = b * (v - math.log(a))
+                terms.append(math.log(b / a) + (b - 1.0) * (v - math.log(a)) - 2.0 * softplus(t))
+            if ln_xl is not None:
+                terms.extend([softplus(b * (ln_xl - math.log(a)))] * lx.size)
+            want = math.fsum(terms)
+            assert got[k] == pytest.approx(want, rel=1e-12, abs=1e-13 * math.fsum(map(abs, terms)))
+
     def test_finite_everywhere_valid(self):
         s = draw_ltll(50, LTLLParams(2.0, 3.0, 1.0), RngStream(6, 2))
         for a, b in [(1e-6, 0.1), (1e6, 0.1), (1e-6, 50.0), (1e6, 50.0)]:
@@ -259,8 +302,7 @@ class TestExistenceStats:
         except DegenerateSampleError:
             assert s.n_distinct < 2
             return
-        lw = s.log_values - math.log(x_l)
-        assert abs(float(np.mean(np.exp(-stats.beta_c * lw))) - 0.5) <= 1e-9
+        assert abs(exact_half_gap(values, x_l, stats.beta_c)) <= 1e-9
 
         # Each log-gap is a difference of two logs, so it carries an absolute
         # rounding error of a few eps*(1 + |ln x_L|); beta_C inherits that
@@ -282,6 +324,20 @@ class TestExistenceStats:
         # Two of three gaps are zero, so mean(X^-beta) never falls below 2/3.
         with pytest.raises(DegenerateSampleError):
             existence_stats(Sample(np.array([v1, v2, 9.0]), x_l))
+
+    @pytest.mark.parametrize("x_l", [1e3, 1e-3])
+    def test_beta_c_exact_under_power_of_two_rescaling(self, x_l):
+        # Rescaling values and x_L by 2^k is exact in floating point, and so
+        # are the log-gaps log1p((x - x_L)/x_L): beta_C may not move a bit.
+        rng = np.random.default_rng(41)
+        for _ in range(25):
+            fractions = rng.uniform(0.01, 1.0, size=int(rng.integers(2, 40)))
+            values = x_l * (1.0 + 1e-9 * fractions)
+            beta_c = existence_stats(Sample(values, x_l)).beta_c
+            assert abs(exact_half_gap(values, x_l, beta_c)) <= 1e-12
+            for k in (-40, -3, 1, 9, 60):
+                c = 2.0 ** k
+                assert existence_stats(Sample(values * c, x_l * c)).beta_c == beta_c
 
     def test_criterion_function_monotone(self):
         lw = np.log(np.array([1.3, 2.0, 5.0, 11.0]))

@@ -2,11 +2,14 @@ import math
 
 import numpy as np
 import pytest
+from scipy.optimize import minimize
+from scipy.stats import fisk
 
 from ltll.distribution import (
     DegenerateSampleError,
     LTLLParams,
     Sample,
+    _derivatives_z,
     draw_ltll,
     log_likelihood,
     score_gradient,
@@ -21,6 +24,8 @@ from ltll.mle import (
     wald_intervals,
 )
 from ltll.numerics import RngStream, SymMatrix2, chi2_quantile_2dof
+
+from finite_diff import finite_diff_gradient, finite_diff_hessian
 
 
 @pytest.fixture(scope="module")
@@ -108,6 +113,14 @@ class TestFitMle:
         with pytest.raises(DegenerateSampleError):
             fit_mle(Sample(np.array([2.0, 2.0, 2.0]), 1.0))
 
+    def test_gaps_below_log_resolution_are_degenerate(self):
+        # One and two ulps above x_L = 6: ln x cannot tell either value from
+        # ln x_L, so no likelihood surface exists to maximize.
+        v1 = np.nextafter(6.0, 7.0)
+        v2 = np.nextafter(v1, 7.0)
+        with pytest.raises(DegenerateSampleError):
+            fit_mle(Sample(np.array([v1, v2]), 6.0))
+
     def test_consistency_trend(self):
         # Mean absolute error strictly decreases along the sample sizes.
         sizes = (50, 100, 500, 1000)
@@ -129,6 +142,45 @@ class TestFitMle:
             err_b.append(eb / used)
         assert all(b < a for a, b in zip(err_a, err_a[1:]))
         assert all(b < a for a, b in zip(err_b, err_b[1:]))
+
+
+def _fisk_oracle(values, x_l):
+    """Independent MLE: scipy.stats.fisk logpdf - logsf(x_L), Nelder-Mead in logs.
+
+    It starts from the best point of its own coarse grid, never from ltll's fit.
+    """
+    lx = np.log(values)
+
+    def nll(th):
+        a, b = math.exp(th[0]), math.exp(th[1])
+        ll = float(np.sum(fisk.logpdf(values, b, scale=a)))
+        if x_l > 0.0:
+            ll -= values.size * float(fisk.logsf(x_l, b, scale=a))
+        return -ll
+
+    grid = [(la, lb) for la in np.linspace(lx.min(), lx.max(), 21)
+            for lb in np.linspace(math.log(0.2), math.log(20.0), 21)]
+    res = minimize(nll, np.array(min(grid, key=nll)), method="Nelder-Mead",
+                   options={"xatol": 1e-11, "fatol": 1e-13, "maxiter": 10000,
+                            "maxfev": 20000})
+    return math.exp(res.x[0]), math.exp(res.x[1])
+
+
+class TestFiskOracle:
+    @pytest.mark.parametrize("x_l", [0.0, 0.1, 1.0])
+    @pytest.mark.parametrize("n", [39, 1000])
+    def test_matches_independent_maximizer(self, n, x_l):
+        interior = 0
+        for r in range(3):
+            s = draw_ltll(n, LTLLParams(2.0, 3.0, x_l), RngStream(71, 10 * n + r))
+            fit = fit_mle(s)
+            if fit.boundary:
+                continue
+            interior += 1
+            alpha_o, beta_o = _fisk_oracle(s.values, x_l)
+            assert fit.alpha == pytest.approx(alpha_o, rel=1e-6)
+            assert fit.beta == pytest.approx(beta_o, rel=1e-6)
+        assert interior >= 2
 
 
 class TestObservedInformation:
@@ -159,6 +211,37 @@ class TestObservedInformation:
         assert j.a11 == pytest.approx(-d_a[0], rel=1e-4)
         assert j.a22 == pytest.approx(-d_b[1], rel=1e-4)
         assert j.a12 == pytest.approx(-0.5 * (d_a[1] + d_b[0]), rel=1e-4)
+
+
+    @pytest.mark.parametrize("x_l", [0.0, 1.0])
+    def test_matches_finite_difference_hessian(self, x_l):
+        s = draw_ltll(300, LTLLParams(2.0, 3.0, x_l), RngStream(17, 3))
+        fit = fit_mle(s)
+        for theta in [(fit.alpha, fit.beta), (1.6, 3.5), (2.6, 2.2)]:
+            j = observed_information(s, theta)
+            want = finite_diff_hessian(lambda th: -log_likelihood(s, th[0], th[1]), theta)
+            scale = abs(want.a11) + abs(want.a22)
+            for name in ("a11", "a12", "a22"):
+                assert getattr(j, name) == pytest.approx(getattr(want, name), abs=1e-6 * scale)
+
+    @pytest.mark.parametrize("x_l", [0.0, 1.0])
+    def test_log_space_score_and_hessian(self, x_l):
+        s = draw_ltll(300, LTLLParams(2.0, 3.0, x_l), RngStream(17, 4))
+        ln_xl = math.log(x_l) if x_l > 0.0 else None
+
+        def ll_z(z):
+            return log_likelihood(s, math.exp(z[0]), math.exp(z[1]))
+
+        for z in [(math.log(2.0), math.log(3.0)), (0.2, 1.6), (1.1, 0.4)]:
+            g, h = _derivatives_z(s.log_values, ln_xl, z)
+            want_g = finite_diff_gradient(ll_z, z)
+            want_h = finite_diff_hessian(ll_z, z)
+            assert g == pytest.approx(want_g, abs=1e-6 * (1.0 + max(map(abs, want_g))))
+            scale = abs(want_h.a11) + abs(want_h.a22)
+            assert h[0, 1] == h[1, 0]
+            assert h[0, 0] == pytest.approx(want_h.a11, abs=1e-6 * scale)
+            assert h[0, 1] == pytest.approx(want_h.a12, abs=1e-6 * scale)
+            assert h[1, 1] == pytest.approx(want_h.a22, abs=1e-6 * scale)
 
 
 def _unit_info_fit():

@@ -4,13 +4,9 @@ import numpy as np
 import pytest
 from scipy.special import ndtri
 
-from ltll.numerics import (
-    SymMatrix2,
-    chi2_quantile_2dof,
-    finite_diff_gradient,
-    finite_diff_hessian,
-    normal_quantile,
-)
+from ltll.numerics import SymMatrix2, chi2_quantile_2dof, normal_quantile
+
+from finite_diff import finite_diff_gradient, finite_diff_hessian
 
 
 class TestChi2Quantile:
@@ -33,6 +29,8 @@ class TestChi2Quantile:
 
 
 class TestFiniteDifferences:
+    # The tests' own finite-difference oracle (tests/finite_diff.py), checked
+    # on functions with known derivatives before it checks the package.
     def test_gradient_quadratic(self):
         g = finite_diff_gradient(lambda th: th[0] ** 2 + th[1] ** 2, (1.0, 2.0))
         assert g == pytest.approx((2.0, 4.0), abs=1e-8)
