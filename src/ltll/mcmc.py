@@ -8,20 +8,36 @@ makes them symmetric, at the cost of a Jacobian term ln(alpha* beta* /
 during burn-in (targeting acceptance in [0.2, 0.5]) and are frozen afterwards
 so the retained draws come from a fixed kernel.
 
+Chains that start at an interior MLE of a large enough sample run
+delayed-acceptance MH (Christen & Fox 2005, "MCMC using an approximation").
+Stage 1 prices a proposal on q, the Laplace quadratic of the log-target about
+the start, and passes it when ln u < min(0, dq).  Only passing chains
+evaluate the full likelihood, and they accept when
+ln u < min(0, dq) + min(0, dpi - dq).  Given a pass, u / e^min(0, dq) is
+uniform on (0, 1), so the one accept uniform serves both stages and a step
+still consumes three uniforms.  The two-stage kernel is reversible with
+respect to the exact posterior whatever q is: a poor quadratic costs mixing,
+never correctness.  A chain gets q only when its sample has at least
+_SCREEN_MIN_N values, its start is stationary and the information there is
+positive-definite; the quadratic screens small, skewed samples too poorly
+to pay off.  Every other chain (small samples, boundary and off-mode
+starts) runs plain MH, ln u < dpi, bit for bit.
+
 The same vectorized core drives a single chain and whole banks of chains in
-the simulation harness; every chain draws from its own counter-based stream,
-so results never depend on how chains are grouped or scheduled.
+the simulation harness; every chain draws from its own counter-based stream
+and the screen gate reads only its own chain's sample and start, so results
+never depend on how chains are grouped or scheduled.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 from scipy.special import gammaln
 
-from .distribution import Sample, _loglik_batch, _softplus, log_likelihood
-from .mle import EllipsePoints, MleFit, _trace_ellipse, fit_mle
+from .distribution import Sample, _derivatives_z, _loglik_batch, _softplus, log_likelihood
+from .mle import SCORE_TOL, EllipsePoints, MleFit, _trace_ellipse, fit_mle
 from .numerics import RngStream, SymMatrix2, chi2_quantile_2dof, normal_quantile
 
 __all__ = [
@@ -42,6 +58,8 @@ _ADAPT_WINDOW = 100
 _ADAPT_FACTOR = 1.1
 _STEP_BOUNDS = (1e-6, 10.0)
 _RNG_BLOCK = 2048
+# Smallest sample whose chains are screened by a Laplace quadratic.
+_SCREEN_MIN_N = 500
 # Fewest retained draws that quantile intervals and density grids accept.
 MIN_DRAWS = 100
 
@@ -127,6 +145,10 @@ class PosteriorResult:
     ess_alpha: float
     ess_beta: float
     n_chains: int = 1
+    # Per chain: final proposal steps (chains, 2) and the share of proposals
+    # that reached the full likelihood (1 for plain MH); None when unknown.
+    steps: np.ndarray | None = None
+    screen_pass: np.ndarray | None = None
 
 
 # ---------------------------------------------------------------------------
@@ -171,13 +193,52 @@ def _log_target_z(lna, lnb, prior: PriorSpec, c1: float, c2: float):
 # Metropolis-Hastings core
 # ---------------------------------------------------------------------------
 
+def _laplace_screens(lx, ln_xl, prior: PriorSpec, lna, lnb, ll):
+    """Per-chain Laplace quadratic of the log-target about its start.
+
+    A chain gets one only when its sample has at least _SCREEN_MIN_N values,
+    its start is stationary (||g_z|| <= SCORE_TOL*(1 + |ll|)) and -H_z there
+    is positive-definite; every test reads that chain's own row only.  The
+    quadratic is the second-order expansion, in z = (ln alpha, ln beta), of
+    the log-likelihood plus the prior and Jacobian (_log_target_z), written
+    about its own maximum c: (1/2) (z - c)^T H (z - c).  Returns None when
+    no chain qualifies, else (has (B,), c (2, B), coefficients (3, B) of
+    d_a^2, d_a d_b and d_b^2); chains without a quadratic hold zeros.
+    """
+    b_chains, n = lx.shape
+    if n < _SCREEN_MIN_N:
+        return None
+    has = np.zeros(b_chains, dtype=bool)
+    centre = np.zeros((2, b_chains))
+    coef = np.zeros((3, b_chains))
+    for k in range(b_chains):
+        g, h = _derivatives_z(lx[k], ln_xl, (lna[k], lnb[k]))
+        stationary = np.hypot(*g) <= SCORE_TOL * (1.0 + abs(ll[k]))
+        if not (stationary and h[0, 0] < 0.0 and h[0, 0] * h[1, 1] > h[0, 1] ** 2):
+            continue
+        # d/dz of a*z - b*e^z is a - b*e^z; its second derivative is -b*e^z.
+        scaled = np.array([prior.b1 * np.exp(lna[k]), prior.b2 * np.exp(lnb[k])])
+        g = g + np.array([prior.a1, prior.a2]) - scaled
+        h = h - np.diag(scaled)
+        has[k] = True
+        centre[:, k] = (lna[k], lnb[k]) - np.linalg.solve(h, g)
+        coef[:, k] = 0.5 * h[0, 0], h[0, 1], 0.5 * h[1, 1]
+    if not has.any():
+        return None
+    return has, centre, coef
+
+
 def _mh_chains(lx, ln_xl, prior: PriorSpec, cfg: McmcConfig, streams, init):
     """Run one MH chain per row of ``lx``; vectorized across chains.
 
     lx: (B, n) log-data; streams: B counter-based streams, one per chain
     (each step consumes three uniforms per chain: two normals for the
     proposal, one for the accept decision); init: (B, 2) start states.
-    Returns (draws (B, retained, 2), acceptance_rate (B,), steps (B, 2)).
+    Chains with a Laplace screen (see ``_laplace_screens``) run delayed
+    acceptance; the others run plain MH.  Returns (draws (B, retained, 2),
+    acceptance_rate (B,), steps (B, 2), screen_pass (B,)), where
+    screen_pass is the share of proposals that reached the full likelihood
+    (1 for plain chains).
     """
     lx = np.ascontiguousarray(lx, dtype=np.float64)
     b_chains, n = lx.shape
@@ -186,14 +247,27 @@ def _mh_chains(lx, ln_xl, prior: PriorSpec, cfg: McmcConfig, streams, init):
 
     lna = np.log(np.ascontiguousarray(init[:, 0], dtype=np.float64))
     lnb = np.log(np.ascontiguousarray(init[:, 1], dtype=np.float64))
-    target = (_loglik_batch(lx, sumlx, n, ln_xl, lna, lnb)
-              + _log_target_z(lna, lnb, prior, c1, c2))
+    ll = _loglik_batch(lx, sumlx, n, ln_xl, lna, lnb)
+    target = ll + _log_target_z(lna, lnb, prior, c1, c2)
+
+    screens = _laplace_screens(lx, ln_xl, prior, lna, lnb, ll)
+    if screens is not None:
+        has, (ca, cb), (qaa, qab, qbb) = screens
+        mixed = not has.all()
+
+        def quadratic(la, lb):
+            da = la - ca
+            db = lb - cb
+            return da * (qaa * da + qab * db) + qbb * db * db
+
+        q = quadratic(lna, lnb)
 
     sa = np.full(b_chains, cfg.step_alpha)
     sb = np.full(b_chains, cfg.step_beta)
     retained = cfg.retained
     draws = np.empty((b_chains, retained, 2))
     accepted_total = np.zeros(b_chains, dtype=np.int64)
+    passed_total = np.zeros(b_chains, dtype=np.int64)
     window_hits = np.zeros(b_chains, dtype=np.int64)
 
     t = 0
@@ -210,23 +284,47 @@ def _mh_chains(lx, ln_xl, prior: PriorSpec, cfg: McmcConfig, streams, init):
             t += 1
             lna_p = lna + sa * z[:, i, 0]
             lnb_p = lnb + sb * z[:, i, 1]
-            target_p = (_loglik_batch(lx, sumlx, n, ln_xl, lna_p, lnb_p)
-                        + _log_target_z(lna_p, lnb_p, prior, c1, c2))
-            accept = ln_u[:, i] < target_p - target
-            lna = np.where(accept, lna_p, lna)
-            lnb = np.where(accept, lnb_p, lnb)
-            target = np.where(accept, target_p, target)
-            accepted_total += accept
+            if screens is None:
+                target_p = (_loglik_batch(lx, sumlx, n, ln_xl, lna_p, lnb_p)
+                            + _log_target_z(lna_p, lnb_p, prior, c1, c2))
+                accept = ln_u[:, i] < target_p - target
+            else:
+                # Stage 1 prices the move on the quadratic alone.
+                q_p = quadratic(lna_p, lnb_p)
+                dq = q_p - q
+                if mixed:
+                    dq = np.where(has, dq, 0.0)
+                bound = np.minimum(dq, 0.0)
+                screen = ln_u[:, i] < bound
+                passed_total += screen
+                npass = np.count_nonzero(screen)
+                accept = None
+                if npass:
+                    # Stage 2 reuses the uniform: given ln u < min(0, dq),
+                    # u / e^min(0, dq) is uniform on (0, 1).
+                    rows = slice(None) if npass == b_chains else np.flatnonzero(screen)
+                    la, lb = lna_p[rows], lnb_p[rows]
+                    target_p = target.copy()
+                    target_p[rows] = (_loglik_batch(lx[rows], sumlx[rows], n, ln_xl, la, lb)
+                                      + _log_target_z(la, lb, prior, c1, c2))
+                    accept = screen & (ln_u[:, i] < bound
+                                       + np.minimum(target_p - target - dq, 0.0))
+                    q = np.where(accept, q_p, q)
+            if accept is not None:
+                lna = np.where(accept, lna_p, lna)
+                lnb = np.where(accept, lnb_p, lnb)
+                target = np.where(accept, target_p, target)
+                accepted_total += accept
+                if cfg.adapt and t <= cfg.burn_in:
+                    window_hits += accept
 
-            if cfg.adapt and t <= cfg.burn_in:
-                window_hits += accept
-                if t % _ADAPT_WINDOW == 0:
-                    rate = window_hits / _ADAPT_WINDOW
-                    factor = np.where(rate > 0.5, _ADAPT_FACTOR,
-                                      np.where(rate < 0.2, 1.0 / _ADAPT_FACTOR, 1.0))
-                    sa = np.clip(sa * factor, *_STEP_BOUNDS)
-                    sb = np.clip(sb * factor, *_STEP_BOUNDS)
-                    window_hits[:] = 0
+            if cfg.adapt and t <= cfg.burn_in and t % _ADAPT_WINDOW == 0:
+                rate = window_hits / _ADAPT_WINDOW
+                factor = np.where(rate > 0.5, _ADAPT_FACTOR,
+                                  np.where(rate < 0.2, 1.0 / _ADAPT_FACTOR, 1.0))
+                sa = np.clip(sa * factor, *_STEP_BOUNDS)
+                sb = np.clip(sb * factor, *_STEP_BOUNDS)
+                window_hits[:] = 0
 
             if t > cfg.burn_in and (t - cfg.burn_in) % cfg.thin == 0:
                 draws[:, kept, 0] = np.exp(lna)
@@ -234,7 +332,11 @@ def _mh_chains(lx, ln_xl, prior: PriorSpec, cfg: McmcConfig, streams, init):
                 kept += 1
 
     acc_rate = accepted_total / cfg.iterations
-    return draws, acc_rate, np.column_stack([sa, sb])
+    if screens is None:
+        screen_pass = np.ones(b_chains)
+    else:
+        screen_pass = np.where(has, passed_total / cfg.iterations, 1.0)
+    return draws, acc_rate, np.column_stack([sa, sb]), screen_pass
 
 
 def _chain_start(s: Sample, fit: MleFit):
@@ -268,11 +370,13 @@ def run_chain(s: Sample, prior: PriorSpec | None = None, cfg: McmcConfig | None 
     ln_xl = None if s.x_l == 0.0 else np.log(s.x_l)
     init_arr = np.tile(np.asarray(init, dtype=np.float64), (cfg.chains, 1))
 
-    draws_by_chain, acc, _ = _mh_chains(lx, ln_xl, prior, cfg, streams, init_arr)
+    draws_by_chain, acc, steps, screen_pass = _mh_chains(lx, ln_xl, prior, cfg, streams,
+                                                         init_arr)
     draws = draws_by_chain.reshape(-1, 2)
     ess_a = float(sum(_ess(draws_by_chain[k, :, 0]) for k in range(cfg.chains)))
     ess_b = float(sum(_ess(draws_by_chain[k, :, 1]) for k in range(cfg.chains)))
-    return summarize_draws(draws, float(np.mean(acc)), ess_a, ess_b, cfg.chains)
+    res = summarize_draws(draws, float(np.mean(acc)), ess_a, ess_b, cfg.chains)
+    return replace(res, steps=steps, screen_pass=screen_pass)
 
 
 def summarize_draws(draws: np.ndarray, acceptance_rate: float, ess_a: float,

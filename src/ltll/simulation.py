@@ -179,7 +179,7 @@ def _run_chunk(sc: Scenario, lo: int, hi: int) -> list[ReplicateResult]:
     lx = np.stack([s.log_values for s in samples])
     ln_xl = None if sc.true_params.x_l == 0.0 else np.log(sc.true_params.x_l)
     streams = [_chain_stream(sc, r) for r in idx]
-    draws, acc, _ = _mh_chains(lx, ln_xl, sc.prior, sc.mcmc, streams, inits)
+    draws, acc, _, _ = _mh_chains(lx, ln_xl, sc.prior, sc.mcmc, streams, inits)
 
     out = []
     for i, r in enumerate(idx):

@@ -3,6 +3,8 @@ import math
 import numpy as np
 import pytest
 
+from ltll import mcmc
+from ltll.datasets import apply_truncation, load_bladder_cancer
 from ltll.distribution import LTLLParams, Sample, draw_ltll, log_likelihood
 from ltll.mcmc import (
     McmcConfig,
@@ -234,6 +236,153 @@ class TestRunChain:
             McmcConfig(step_alpha=0.0)
         with pytest.raises(ValueError):
             McmcConfig(chains=0)
+
+
+def _plain_mh(s, prior, cfg, stream, start):
+    """Reference random-walk MH on (ln alpha, ln beta), one step at a time.
+
+    Each step takes three uniforms: two proposal normals, then the accept
+    draw.  Steps adapt by x1.1 per 100 burn-in iterations outside [0.2, 0.5].
+    Returns (retained draws, final steps).
+    """
+    def target(z):
+        return log_posterior(s, np.exp(z[0]), np.exp(z[1]), prior) + z[0] + z[1]
+
+    z = np.log(np.asarray(start, dtype=np.float64))
+    cur = target(z)
+    step = np.array([cfg.step_alpha, cfg.step_beta])
+    kept, hits = [], 0
+    for t in range(1, cfg.iterations + 1):
+        u = stream.uniforms(3)
+        prop = z + step * normal_quantile(u[:2])
+        new = target(prop)
+        accepted = np.log(u[2]) < new - cur
+        if accepted:
+            z, cur = prop, new
+        if cfg.adapt and t <= cfg.burn_in:
+            hits += accepted
+            if t % 100 == 0:
+                rate = hits / 100
+                factor = 1.1 if rate > 0.5 else (1.0 / 1.1 if rate < 0.2 else 1.0)
+                step = np.clip(step * factor, 1e-6, 10.0)
+                hits = 0
+        if t > cfg.burn_in and (t - cfg.burn_in) % cfg.thin == 0:
+            kept.append(z)
+    return np.exp(np.array(kept)), step
+
+
+def _pareto_sample(n, seed):
+    # Pareto(2.5) above x_L = 1, where the MLE often falls on the boundary.
+    return Sample(RngStream(seed, 0).uniforms(n) ** (-1.0 / 2.5), 1.0)
+
+
+class TestPlainPath:
+    """Chains without a Laplace screen run plain MH, bit for bit."""
+
+    CFG = McmcConfig(iterations=3000, burn_in=1000, thin=2)
+
+    def _check(self, s, start, seed):
+        prior = PriorSpec.diffuse()
+        res = run_chain(s, prior, self.CFG, rng=RngStream(seed, 5), init=start)
+        want, steps = _plain_mh(s, prior, self.CFG, RngStream(seed, 5), start)
+        assert np.array_equal(res.draws, want)
+        assert np.array_equal(res.steps, steps[None, :])
+        assert np.array_equal(res.screen_pass, [1.0])
+
+    def test_below_floor(self):
+        s = apply_truncation(load_bladder_cancer(), 1.0).sample
+        assert s.n < mcmc._SCREEN_MIN_N
+        self._check(s, mcmc._chain_start(s, fit_mle(s)), 11)
+
+    def test_off_mode_start(self, sample_n1000):
+        assert sample_n1000.n >= mcmc._SCREEN_MIN_N
+        self._check(sample_n1000, (1.9, 2.7), 12)
+
+    def test_boundary_start(self):
+        s = _pareto_sample(1000, 1)
+        fit = fit_mle(s)
+        assert fit.boundary
+        self._check(s, mcmc._chain_start(s, fit), 13)
+
+
+def _batch_mcse(values, n_chains, batches=40):
+    """Mean over chains and the batch-means standard error of that mean."""
+    b = values.reshape(n_chains * batches, -1).mean(axis=1)
+    return float(values.mean()), float(b.std(ddof=1) / math.sqrt(b.size))
+
+
+class TestDelayedAcceptanceExactness:
+    """A screened chain samples the exact posterior: compare with a dense grid.
+
+    The sample sits at x_L = 1 and n at the screen floor, where the Laplace
+    quadratic is least accurate.  The oracle is a 301 x 301 grid over
+    (ln alpha, ln beta) of log_posterior plus the Jacobian ln alpha + ln beta.
+    """
+
+    CFG = McmcConfig(iterations=42000, burn_in=2000, thin=1, seed=8, chains=4)
+
+    @pytest.fixture(scope="class")
+    def case(self):
+        s = draw_ltll(mcmc._SCREEN_MIN_N, LTLLParams(2.0, 3.0, 1.0), RngStream(31, 0))
+        fit = fit_mle(s)
+        prior = PriorSpec.diffuse()
+        z0 = np.log([fit.alpha, fit.beta])
+        half = 10.0 * np.array([np.log(fit.ci_alpha[1] / fit.ci_alpha[0]),
+                               np.log(fit.ci_beta[1] / fit.ci_beta[0])]) / (2 * 1.96)
+        za = np.linspace(z0[0] - half[0], z0[0] + half[0], 301)
+        zb = np.linspace(z0[1] - half[1], z0[1] + half[1], 301)
+        lp = np.array([[log_posterior(s, math.exp(a), math.exp(b), prior) + a + b
+                        for b in zb] for a in za])
+        w = np.exp(lp - lp.max())
+        w /= w.sum()
+        exact = {}
+        for j, (grid, marg) in enumerate([(za, w.sum(axis=1)), (zb, w.sum(axis=0))]):
+            assert max(marg[0], marg[-1]) < 1e-9  # the grid holds the posterior
+            theta = np.exp(grid)
+            mean = float(marg @ theta)
+            var = float(marg @ (theta - mean) ** 2)
+            # Marginal CDF by the trapezoid rule, inverted linearly.
+            cdf = np.concatenate([[0.0], np.cumsum(0.5 * (marg[1:] + marg[:-1]))])
+            cdf /= cdf[-1]
+            q = [float(np.exp(np.interp(p, cdf, grid))) for p in (0.025, 0.975)]
+            exact[j] = (mean, var, q)
+        zsd = [math.sqrt(float(w.sum(axis=1) @ (za - z0[0]) ** 2)),
+               math.sqrt(float(w.sum(axis=0) @ (zb - z0[1]) ** 2))]
+        return s, prior, exact, np.array(zsd)
+
+    def _check_against_grid(self, res, exact):
+        draws = res.draws.reshape(self.CFG.chains, -1, 2)
+        for j in (0, 1):
+            mean, var, (q_lo, q_hi) = exact[j]
+            x = draws[:, :, j]
+            # Mean; variance about the exact mean (so the sd); the CDF at
+            # the exact 2.5% and 97.5% quantiles.
+            for values, want in [(x, mean), ((x - mean) ** 2, var),
+                                 ((x <= q_lo).astype(float), 0.025),
+                                 ((x <= q_hi).astype(float), 0.975)]:
+                got, se = _batch_mcse(values, self.CFG.chains)
+                assert abs(got - want) <= 4.0 * se, (j, got, want, se)
+
+    def test_matches_grid_posterior(self, case):
+        s, prior, exact, _ = case
+        res = run_chain(s, prior, self.CFG)
+        assert np.all(res.screen_pass < 0.6)  # the screen is engaged
+        self._check_against_grid(res, exact)
+
+    def test_shifted_quadratic_still_exact(self, case, monkeypatch):
+        # Any fixed screen keeps the chain exact; a poor one only costs mixing.
+        s, prior, exact, zsd = case
+        good = run_chain(s, prior, self.CFG)
+        laplace = mcmc._laplace_screens
+
+        def shifted(*args):
+            has, centre, coef = laplace(*args)
+            return has, centre + 2.0 * zsd[:, None], coef
+
+        monkeypatch.setattr(mcmc, "_laplace_screens", shifted)
+        res = run_chain(s, prior, self.CFG)
+        self._check_against_grid(res, exact)
+        assert min(res.ess_alpha, res.ess_beta) < min(good.ess_alpha, good.ess_beta)
 
 
 class TestCredibleIntervals:

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from ltll.distribution import LTLLParams
-from ltll.mcmc import McmcConfig, PriorSpec
+from ltll.mcmc import _SCREEN_MIN_N, McmcConfig, PriorSpec
 from ltll.simulation import (
     Scenario,
     atomic_write_text,
@@ -72,6 +72,21 @@ class TestReplicates:
             tiny_scenario(replicates=1)
         with pytest.raises(ValueError):
             tiny_scenario(n=5)
+
+    def test_replicate_matches_its_chunk(self):
+        # A replicate recomputed alone equals the one its 50-replicate chunk
+        # produced, also at n where chains run the delayed-acceptance screen:
+        # whether a chain is screened depends on its own sample, never on
+        # the bank.  r = 7 sits in the full chunk 0..49, r = 51 in the
+        # trailing chunk 50..52.
+        sc = Scenario(
+            true_params=LTLLParams(2.0, 3.0, 1.0), n=_SCREEN_MIN_N, replicates=53,
+            prior=PriorSpec.diffuse(), mcmc=McmcConfig(iterations=400, burn_in=100, thin=2),
+            master_seed=271,
+        )
+        recs = run_scenario(sc)
+        for r in (7, 51):
+            assert run_replicate(sc, r) == recs[r]
 
     def test_estimates_near_truth(self):
         rec = run_replicate(tiny_scenario(n=400), 0)
