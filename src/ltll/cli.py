@@ -85,7 +85,6 @@ def build_parser() -> _Parser:
         p.add_argument("--thin", type=int, default=5)
         p.add_argument("--steps", default="0.1,0.1",
                        help="log-space proposal std devs: step_alpha,step_beta")
-        p.add_argument("--chains", type=int, default=1)
 
     p_fit = sub.add_parser("fit", help="fit the distribution to a dataset")
     add_data(p_fit)
@@ -117,6 +116,10 @@ def build_parser() -> _Parser:
     p_ell.add_argument("--npoints", type=int, default=256)
     add_common(p_ell)
 
+    # Sweeps run one chain per replicate; only the dataset commands take --chains.
+    for p in (p_fit, p_ell):
+        p.add_argument("--chains", type=int, default=1)
+
     p_mom = sub.add_parser("moments", help="Monte Carlo moment surfaces over a parameter grid")
     p_mom.add_argument("--alpha-grid", default="1.0:4.0:7", help="lo:hi:count")
     p_mom.add_argument("--beta-grid", default="1.5:5.0:8", help="lo:hi:count")
@@ -128,10 +131,16 @@ def build_parser() -> _Parser:
 
 
 def _apply_config(argv):
-    """Expand --config JSON into synthetic flags; explicit flags win."""
-    if "--config" not in argv:
+    """Insert the flags of a --config JSON file right after the command word.
+
+    argparse keeps the last occurrence of a flag, so explicit flags win in
+    either spelling (``--seed 5`` or ``--seed=5``).
+    """
+    pre = _Parser(prog="ltll", usage=argparse.SUPPRESS, add_help=False)
+    pre.add_argument("--config")
+    path = pre.parse_known_args(argv)[0].config
+    if path is None:
         return argv
-    path = argv[argv.index("--config") + 1]
     with open(path, encoding="utf-8") as fh:
         cfg = json.load(fh)
     if not isinstance(cfg, dict):
@@ -139,14 +148,12 @@ def _apply_config(argv):
     extra = []
     for key, value in cfg.items():
         flag = "--" + str(key).replace("_", "-")
-        if flag in argv:
-            continue
         if isinstance(value, bool):
             if value:
                 extra.append(flag)
         else:
             extra.extend([flag, str(value)])
-    return argv + extra
+    return argv[:1] + extra + argv[1:]
 
 
 def _seed_of(args) -> int:
@@ -166,18 +173,15 @@ def _load_dataset(args) -> DatasetFile:
 
 
 def _mcmc_config(args, seed: int) -> McmcConfig:
-    sa, sb = _float_list(args.steps)
-    return McmcConfig(iterations=args.iters, burn_in=args.burnin, thin=args.thin,
-                      step_alpha=sa, step_beta=sb, seed=seed, chains=args.chains)
-
-
-def _posterior_config(args, seed: int) -> McmcConfig:
     """Chain settings for a posterior summary, refused when it keeps too few draws."""
-    cfg = _mcmc_config(args, seed)
+    sa, sb = _float_list(args.steps)
+    cfg = McmcConfig(iterations=args.iters, burn_in=args.burnin, thin=args.thin,
+                     step_alpha=sa, step_beta=sb, seed=seed,
+                     chains=getattr(args, "chains", 1))
     if cfg.chains * cfg.retained < MIN_DRAWS:
         raise ValueError(
-            f"chains x retained draws = {cfg.chains} x {cfg.retained} is below the "
-            f"{MIN_DRAWS} draws posterior intervals need; raise --iters or --chains, "
+            f"{cfg.chains} chain(s) x {cfg.retained} retained draws is below the "
+            f"{MIN_DRAWS} draws posterior intervals need; raise --iters, "
             "or lower --burnin or --thin")
     return cfg
 
@@ -212,7 +216,7 @@ def cmd_fit(args) -> int:
     trunc = apply_truncation(data, args.xl)
     sample = trunc.sample
     methods = ["mle", "bayes"] if args.method == "both" else [args.method]
-    cfg = _posterior_config(args, seed) if "bayes" in methods else None
+    cfg = _mcmc_config(args, seed) if "bayes" in methods else None
 
     # One MLE serves both the mle document and the chain start.
     fit = fit_mle(sample)
@@ -284,6 +288,8 @@ def _fit_csv(results) -> str:
 
 
 def cmd_simulate(args) -> int:
+    if args.workers < 1:
+        raise ValueError(f"--workers must be >= 1, got {args.workers}")
     seed = _seed_of(args)
     alpha, beta = _float_list(args.truth)
     replicates = 200 if args.fast else args.replicates
@@ -322,7 +328,7 @@ def cmd_ellipse(args) -> int:
     gamma = 1.0 - args.level
     methods = ["wald", "credible"] if args.method == "both" else [args.method]
     stem = args.out or "ellipse"
-    cfg = _posterior_config(args, seed) if "credible" in methods else None
+    cfg = _mcmc_config(args, seed) if "credible" in methods else None
 
     fit = fit_mle(sample)
     if fit.boundary:

@@ -4,9 +4,9 @@ Independent Gamma priors on scale and shape combine with the truncated
 likelihood into an unnormalized posterior.  Sampling uses a Gaussian random
 walk on (ln alpha, ln beta): the log transform keeps proposals positive and
 makes them symmetric, at the cost of a Jacobian term ln(alpha* beta* /
-(alpha beta)) in the acceptance ratio.  Chains can adapt their step sizes
-during burn-in (targeting acceptance in [0.2, 0.5]) and are frozen afterwards
-so the retained draws come from a fixed kernel.
+(alpha beta)) in the acceptance ratio.  Every chain adapts its step sizes
+during burn-in (targeting acceptance in [0.2, 0.5]) and freezes them
+afterwards so the retained draws come from a fixed kernel.
 
 Chains that start at an interior MLE of a large enough sample run
 delayed-acceptance MH (Christen & Fox 2005, "MCMC using an approximation").
@@ -100,9 +100,9 @@ class PriorSpec:
 class McmcConfig:
     """Metropolis-Hastings run settings.
 
-    Step sizes are proposal standard deviations in log-space.  With ``adapt``
-    on, both steps are rescaled by x1.1 every 100 burn-in iterations while
-    the window acceptance rate sits outside [0.2, 0.5], then frozen.
+    Step sizes are proposal standard deviations in log-space.  Both steps are
+    rescaled by x1.1 every 100 burn-in iterations while the window
+    acceptance rate sits outside [0.2, 0.5], then frozen.
     """
 
     iterations: int = 20000
@@ -110,7 +110,6 @@ class McmcConfig:
     thin: int = 5
     step_alpha: float = 0.1
     step_beta: float = 0.1
-    adapt: bool = True
     seed: int = 1
     chains: int = 1
 
@@ -121,8 +120,8 @@ class McmcConfig:
             raise ValueError("thin must be >= 1")
         if self.iterations - self.burn_in < self.thin:
             raise ValueError("no draws would be retained after burn-in and thinning")
-        if not (self.step_alpha > 0.0 and self.step_beta > 0.0):
-            raise ValueError("proposal steps must be positive")
+        if not (0.0 < self.step_alpha < np.inf and 0.0 < self.step_beta < np.inf):
+            raise ValueError("proposal steps must be positive and finite")
         if self.chains < 1:
             raise ValueError("chains must be >= 1")
 
@@ -144,7 +143,6 @@ class PosteriorResult:
     cov: SymMatrix2
     ess_alpha: float
     ess_beta: float
-    n_chains: int = 1
     # Per chain: final proposal steps (chains, 2) and the share of proposals
     # that reached the full likelihood (1 for plain MH); None when unknown.
     steps: np.ndarray | None = None
@@ -202,13 +200,13 @@ def _laplace_screens(lx, ln_xl, prior: PriorSpec, lna, lnb, ll):
     quadratic is the second-order expansion, in z = (ln alpha, ln beta), of
     the log-likelihood plus the prior and Jacobian (_log_target_z), written
     about its own maximum c: (1/2) (z - c)^T H (z - c).  Returns None when
-    no chain qualifies, else (has (B,), c (2, B), coefficients (3, B) of
-    d_a^2, d_a d_b and d_b^2); chains without a quadratic hold zeros.
+    no chain qualifies, else (c (2, B), coefficients (3, B) of d_a^2,
+    d_a d_b and d_b^2); a chain without a quadratic holds zeros, so its q is
+    0, stage 1 passes every proposal and stage 2 is plain MH, ln u < dpi.
     """
     b_chains, n = lx.shape
     if n < _SCREEN_MIN_N:
         return None
-    has = np.zeros(b_chains, dtype=bool)
     centre = np.zeros((2, b_chains))
     coef = np.zeros((3, b_chains))
     for k in range(b_chains):
@@ -220,12 +218,11 @@ def _laplace_screens(lx, ln_xl, prior: PriorSpec, lna, lnb, ll):
         scaled = np.array([prior.b1 * np.exp(lna[k]), prior.b2 * np.exp(lnb[k])])
         g = g + np.array([prior.a1, prior.a2]) - scaled
         h = h - np.diag(scaled)
-        has[k] = True
         centre[:, k] = (lna[k], lnb[k]) - np.linalg.solve(h, g)
         coef[:, k] = 0.5 * h[0, 0], h[0, 1], 0.5 * h[1, 1]
-    if not has.any():
+    if not coef.any():
         return None
-    return has, centre, coef
+    return centre, coef
 
 
 def _mh_chains(lx, ln_xl, prior: PriorSpec, cfg: McmcConfig, streams, init):
@@ -252,8 +249,7 @@ def _mh_chains(lx, ln_xl, prior: PriorSpec, cfg: McmcConfig, streams, init):
 
     screens = _laplace_screens(lx, ln_xl, prior, lna, lnb, ll)
     if screens is not None:
-        has, (ca, cb), (qaa, qab, qbb) = screens
-        mixed = not has.all()
+        (ca, cb), (qaa, qab, qbb) = screens
 
         def quadratic(la, lb):
             da = la - ca
@@ -292,8 +288,6 @@ def _mh_chains(lx, ln_xl, prior: PriorSpec, cfg: McmcConfig, streams, init):
                 # Stage 1 prices the move on the quadratic alone.
                 q_p = quadratic(lna_p, lnb_p)
                 dq = q_p - q
-                if mixed:
-                    dq = np.where(has, dq, 0.0)
                 bound = np.minimum(dq, 0.0)
                 screen = ln_u[:, i] < bound
                 passed_total += screen
@@ -315,10 +309,10 @@ def _mh_chains(lx, ln_xl, prior: PriorSpec, cfg: McmcConfig, streams, init):
                 lnb = np.where(accept, lnb_p, lnb)
                 target = np.where(accept, target_p, target)
                 accepted_total += accept
-                if cfg.adapt and t <= cfg.burn_in:
+                if t <= cfg.burn_in:
                     window_hits += accept
 
-            if cfg.adapt and t <= cfg.burn_in and t % _ADAPT_WINDOW == 0:
+            if t <= cfg.burn_in and t % _ADAPT_WINDOW == 0:
                 rate = window_hits / _ADAPT_WINDOW
                 factor = np.where(rate > 0.5, _ADAPT_FACTOR,
                                   np.where(rate < 0.2, 1.0 / _ADAPT_FACTOR, 1.0))
@@ -332,10 +326,7 @@ def _mh_chains(lx, ln_xl, prior: PriorSpec, cfg: McmcConfig, streams, init):
                 kept += 1
 
     acc_rate = accepted_total / cfg.iterations
-    if screens is None:
-        screen_pass = np.ones(b_chains)
-    else:
-        screen_pass = np.where(has, passed_total / cfg.iterations, 1.0)
+    screen_pass = np.ones(b_chains) if screens is None else passed_total / cfg.iterations
     return draws, acc_rate, np.column_stack([sa, sb]), screen_pass
 
 
@@ -351,21 +342,19 @@ def _chain_start(s: Sample, fit: MleFit):
 
 
 def run_chain(s: Sample, prior: PriorSpec | None = None, cfg: McmcConfig | None = None,
-              rng: RngStream | None = None, init=None) -> PosteriorResult:
+              init=None) -> PosteriorResult:
     """Sample the posterior of (alpha, beta) and summarize it.
 
     Chains start at the MLE when it exists (at the sample median and the
     boundary exponent otherwise).  Chain k draws from the stream
-    (master_seed, stream_id + k) where the base is taken from ``rng`` or,
-    when absent, from (cfg.seed, 1); counters always start at zero, so a
-    given seed replays exactly.  Multiple chains are merged in chain order.
+    (cfg.seed, 1 + k) with its counter at zero, so a given seed replays
+    exactly.  Multiple chains are merged in chain order.
     """
     prior = PriorSpec.diffuse() if prior is None else prior
     cfg = McmcConfig() if cfg is None else cfg
     if init is None:
         init = _chain_start(s, fit_mle(s))
-    base_seed, base_id = (rng.master_seed, rng.stream_id) if rng is not None else (cfg.seed, 1)
-    streams = [RngStream(base_seed, base_id + k) for k in range(cfg.chains)]
+    streams = [RngStream(cfg.seed, 1 + k) for k in range(cfg.chains)]
     lx = np.repeat(s.log_values[None, :], cfg.chains, axis=0)
     ln_xl = None if s.x_l == 0.0 else np.log(s.x_l)
     init_arr = np.tile(np.asarray(init, dtype=np.float64), (cfg.chains, 1))
@@ -375,12 +364,12 @@ def run_chain(s: Sample, prior: PriorSpec | None = None, cfg: McmcConfig | None 
     draws = draws_by_chain.reshape(-1, 2)
     ess_a = float(sum(_ess(draws_by_chain[k, :, 0]) for k in range(cfg.chains)))
     ess_b = float(sum(_ess(draws_by_chain[k, :, 1]) for k in range(cfg.chains)))
-    res = summarize_draws(draws, float(np.mean(acc)), ess_a, ess_b, cfg.chains)
+    res = summarize_draws(draws, float(np.mean(acc)), ess_a, ess_b)
     return replace(res, steps=steps, screen_pass=screen_pass)
 
 
 def summarize_draws(draws: np.ndarray, acceptance_rate: float, ess_a: float,
-                    ess_b: float, n_chains: int = 1) -> PosteriorResult:
+                    ess_b: float) -> PosteriorResult:
     """Posterior summaries from retained draws (means, medians, 95% CIs)."""
     mean = (float(np.mean(draws[:, 0])), float(np.mean(draws[:, 1])))
     median = (float(np.median(draws[:, 0])), float(np.median(draws[:, 1])))
@@ -389,7 +378,6 @@ def summarize_draws(draws: np.ndarray, acceptance_rate: float, ess_a: float,
     return PosteriorResult(
         draws=draws, acceptance_rate=acceptance_rate, mean=mean, median=median,
         ci_alpha=ci_a, ci_beta=ci_b, cov=cov, ess_alpha=ess_a, ess_beta=ess_b,
-        n_chains=n_chains,
     )
 
 

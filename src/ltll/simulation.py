@@ -23,7 +23,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .distribution import LTLLParams, draw_ltll
-from .mcmc import McmcConfig, PriorSpec, _chain_start, _ess, _mh_chains
+from .mcmc import McmcConfig, PriorSpec, _chain_start, _ess, _mh_chains, _quantile_intervals
 from .mle import fit_mle
 from .numerics import RngStream, normal_quantile
 
@@ -71,6 +71,8 @@ class Scenario:
             raise ValueError("need at least 2 replicates")
         if self.n < 10:
             raise ValueError("need sample size >= 10")
+        if self.mcmc.chains != 1:
+            raise ValueError("a scenario runs one chain per replicate; set mcmc.chains to 1")
 
 
 @dataclass(frozen=True)
@@ -184,8 +186,7 @@ def _run_chunk(sc: Scenario, lo: int, hi: int) -> list[ReplicateResult]:
     out = []
     for i, r in enumerate(idx):
         d = draws[i]
-        qa = np.quantile(d[:, 0], [0.025, 0.975], method="hazen")
-        qb = np.quantile(d[:, 1], [0.025, 0.975], method="hazen")
+        ci_a, ci_b = _quantile_intervals(d, 0.05)
         f = fits[i]
         out.append(ReplicateResult(
             r=r,
@@ -197,8 +198,8 @@ def _run_chunk(sc: Scenario, lo: int, hi: int) -> list[ReplicateResult]:
             mle_ci_beta=f.ci_beta,
             bayes_alpha=float(np.mean(d[:, 0])),
             bayes_beta=float(np.mean(d[:, 1])),
-            bayes_ci_alpha=(float(qa[0]), float(qa[1])),
-            bayes_ci_beta=(float(qb[0]), float(qb[1])),
+            bayes_ci_alpha=ci_a,
+            bayes_ci_beta=ci_b,
             acceptance_rate=float(acc[i]),
             ess_alpha=_ess(d[:, 0]),
             ess_beta=_ess(d[:, 1]),
@@ -217,9 +218,10 @@ def run_scenario(sc: Scenario, workers: int = 1) -> list[ReplicateResult]:
     """All replicates of a scenario, in replicate order.
 
     Work is cut into fixed chunks of, at most, 50 replicates; ``workers`` only
-    chooses how many chunks run concurrently.
+    chooses how many chunks run concurrently, capped at the chunk count.
     """
     bounds = [(lo, min(lo + _CHUNK, sc.replicates)) for lo in range(0, sc.replicates, _CHUNK)]
+    workers = min(workers, len(bounds))
     if workers <= 1:
         chunks = [_run_chunk(sc, lo, hi) for lo, hi in bounds]
     else:

@@ -1,13 +1,17 @@
-"""The package's public names and the call sites the benchmark tracer rebinds.
+"""The package's public names, the call sites the benchmark tracer rebinds,
+and the names the demos use.
 
 ``perfbench/spans.py`` wraps entry points by rebinding module attributes, and
 the test suite does not collect ``perfbench/``; a renamed or deleted name would
-otherwise surface only in a traced benchmark run.
+otherwise surface only in a traced benchmark run.  The demos are not run by
+the suite either, so their imports and keyword arguments are checked
+statically.
 """
 
 import ast
 import importlib
 import importlib.util
+import inspect
 import os
 import subprocess
 import sys
@@ -22,6 +26,7 @@ from ltll.mle import fit_mle
 
 MODULES = ("datasets", "distribution", "mcmc", "mle", "numerics", "simulation")
 SPANS = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
+DEMOS = sorted((Path(__file__).resolve().parents[1] / "demos").glob("*.py"))
 
 
 def _load_spans():
@@ -54,6 +59,29 @@ def test_tracer_call_sites_resolve():
     missing = [(target, attr) for target, attr, _, _ in spans.CALL_SITES
                if not hasattr(spans.resolve(target), attr)]
     assert not missing
+
+
+@pytest.mark.parametrize("path", DEMOS, ids=lambda p: p.name)
+def test_demo_uses_existing_api(path):
+    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+    compile(tree, str(path), "exec")
+    imported = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[0] == "ltll":
+            mod = importlib.import_module(node.module)
+            for alias in node.names:
+                assert hasattr(mod, alias.name), f"{node.module}.{alias.name}"
+                imported[alias.asname or alias.name] = getattr(mod, alias.name)
+    assert imported
+    for node in ast.walk(tree):
+        if not (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+                and node.func.id in imported):
+            continue
+        params = inspect.signature(imported[node.func.id]).parameters
+        if any(p.kind is p.VAR_KEYWORD for p in params.values()):
+            continue
+        unknown = [kw.arg for kw in node.keywords if kw.arg and kw.arg not in params]
+        assert not unknown, f"{path.name}:{node.lineno} {node.func.id}({unknown})"
 
 
 def test_fit_info_has_definiteness_flag():

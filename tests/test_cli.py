@@ -207,6 +207,26 @@ class TestFitCommand:
                      "--out", out2]) == EXIT_OK
         assert open(out1).read() == open(out2).read()
 
+    def test_config_equals_spelling_is_read(self, tmp_path):
+        cfg = write(tmp_path, "cfg.json", json.dumps({"data": "bladder_cancer", "method": "mle"}))
+        out = os.path.join(tmp_path, "c.json")
+        assert main(["fit", f"--config={cfg}", "--out", out]) == EXIT_OK
+        assert json.load(open(out))["method"] == "mle"
+
+    @pytest.mark.parametrize("spelling", [["--seed=5"], ["--seed", "5"]])
+    def test_explicit_flag_beats_config_in_any_spelling(self, tmp_path, spelling):
+        cfg = write(tmp_path, "cfg.json",
+                    json.dumps({"data": "bladder_cancer", "method": "mle", "seed": 7}))
+        out = os.path.join(tmp_path, "c.json")
+        assert main(["fit", "--config", cfg, *spelling, "--out", out]) == EXIT_OK
+        assert json.load(open(out))["seed"] == 5
+
+    def test_config_without_path_is_usage_error(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["fit", "--data", "bladder_cancer", "--config"])
+        assert exc.value.code == EXIT_ERROR
+        assert "--config" in capsys.readouterr().err
+
 
 class TestSimulateCommand:
     def test_truncation_outputs(self, tmp_path, capsys):
@@ -237,6 +257,27 @@ class TestSimulateCommand:
         assert t3.startswith("n,method,bias_alpha,var_alpha,rmse_alpha,bias_beta,var_beta,rmse_beta\n")
         assert main(args) == EXIT_OK
         assert open(os.path.join(tmp_path, "table3_sample_size.csv")).read() == t3
+
+    @pytest.mark.parametrize("flags, reason", [
+        # One retained draw; the hint must not offer --chains, which simulate lacks.
+        (["--iters", "2", "--burnin", "1", "--thin", "1"], "below the 100 draws"),
+        (["--chains", "2"], "unrecognized arguments: --chains"),
+        (["--steps", "inf,0.1"], "positive and finite"),
+        (["--workers", "0"], "--workers must be >= 1"),
+    ])
+    def test_refused(self, tmp_path, capsys, flags, reason):
+        out = os.path.join(tmp_path, "out")
+        args = ["simulate", "--sweep", "n", "--replicates", "2", "--sizes", "50",
+                "--out", out, *flags]
+        try:
+            code = main(args)
+        except SystemExit as exc:  # usage errors leave through argparse
+            code = exc.code
+        assert code == EXIT_ERROR
+        err = capsys.readouterr().err
+        assert "ltll: error: " in err and reason in err
+        assert err.count("--chains") == flags.count("--chains")
+        assert not os.path.exists(out)
 
 
 class TestEllipseCommand:

@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -109,12 +110,13 @@ class TestLogPosterior:
         assert abs(betas[ib] - fit.beta) <= betas[1] - betas[0]
 
 
-# One Metropolis-Hastings transition: a single unadapted iteration, retained.
-ONE_STEP = McmcConfig(iterations=1, burn_in=0, thin=1, adapt=False)
+# One Metropolis-Hastings transition: a single iteration, retained (with no
+# burn-in, the steps never adapt).  The chain draws from stream (seed, 1).
+ONE_STEP = McmcConfig(iterations=1, burn_in=0, thin=1)
 
 
 def _one_step(state, s, prior, seed):
-    res = run_chain(s, prior, ONE_STEP, rng=RngStream(seed, 3), init=state)
+    res = run_chain(s, prior, replace(ONE_STEP, seed=seed), init=state)
     return tuple(res.draws[0]), res.acceptance_rate == 1.0
 
 
@@ -140,7 +142,7 @@ class TestMhStep:
         start = (1.9, 2.7)  # off the mode so uphill proposals are frequent
         checked = 0
         for seed in range(40):
-            z = normal_quantile(RngStream(seed, 3).uniforms(2))
+            z = normal_quantile(RngStream(seed, 1).uniforms(2))
             prop = (start[0] * math.exp(0.1 * z[0]), start[1] * math.exp(0.1 * z[1]))
             if target(*prop) >= target(*start):
                 state, accepted = _one_step(start, sample_n1000, prior, seed)
@@ -236,6 +238,10 @@ class TestRunChain:
             McmcConfig(step_alpha=0.0)
         with pytest.raises(ValueError):
             McmcConfig(chains=0)
+        # An unscreened chain prices moves on a zero quadratic; 0 * inf is nan.
+        for sa, sb in [(np.inf, 0.1), (0.1, np.inf)]:
+            with pytest.raises(ValueError, match="finite"):
+                McmcConfig(step_alpha=sa, step_beta=sb)
 
 
 def _plain_mh(s, prior, cfg, stream, start):
@@ -259,7 +265,7 @@ def _plain_mh(s, prior, cfg, stream, start):
         accepted = np.log(u[2]) < new - cur
         if accepted:
             z, cur = prop, new
-        if cfg.adapt and t <= cfg.burn_in:
+        if t <= cfg.burn_in:
             hits += accepted
             if t % 100 == 0:
                 rate = hits / 100
@@ -283,8 +289,9 @@ class TestPlainPath:
 
     def _check(self, s, start, seed):
         prior = PriorSpec.diffuse()
-        res = run_chain(s, prior, self.CFG, rng=RngStream(seed, 5), init=start)
-        want, steps = _plain_mh(s, prior, self.CFG, RngStream(seed, 5), start)
+        cfg = replace(self.CFG, seed=seed)
+        res = run_chain(s, prior, cfg, init=start)
+        want, steps = _plain_mh(s, prior, cfg, RngStream(seed, 1), start)
         assert np.array_equal(res.draws, want)
         assert np.array_equal(res.steps, steps[None, :])
         assert np.array_equal(res.screen_pass, [1.0])
@@ -303,6 +310,28 @@ class TestPlainPath:
         fit = fit_mle(s)
         assert fit.boundary
         self._check(s, mcmc._chain_start(s, fit), 13)
+
+    def test_mixed_bank(self, sample_n1000):
+        # One bank, two chains on the same sample: row 0 starts at the MLE
+        # and is screened, row 1 starts off the mode and runs plain MH.
+        s, prior = sample_n1000, PriorSpec.diffuse()
+        fit = fit_mle(s)
+        init = np.array([[fit.alpha, fit.beta], [1.9, 2.7]])
+        lx = np.repeat(s.log_values[None, :], 2, axis=0)
+        ln_xl = math.log(s.x_l)
+        draws, _, steps, screen_pass = mcmc._mh_chains(
+            lx, ln_xl, prior, self.CFG, [RngStream(14, 1), RngStream(14, 2)], init)
+
+        want, want_steps = _plain_mh(s, prior, self.CFG, RngStream(14, 2), (1.9, 2.7))
+        assert np.array_equal(draws[1], want)
+        assert np.array_equal(steps[1], want_steps)
+        assert screen_pass[1] == 1.0
+
+        assert screen_pass[0] < 0.6
+        alone = mcmc._mh_chains(lx[:1], ln_xl, prior, self.CFG, [RngStream(14, 1)], init[:1])
+        assert np.array_equal(draws[0], alone[0][0])
+        assert np.array_equal(steps[0], alone[2][0])
+        assert screen_pass[0] == alone[3][0]
 
 
 def _batch_mcse(values, n_chains, batches=40):
@@ -376,8 +405,8 @@ class TestDelayedAcceptanceExactness:
         laplace = mcmc._laplace_screens
 
         def shifted(*args):
-            has, centre, coef = laplace(*args)
-            return has, centre + 2.0 * zsd[:, None], coef
+            centre, coef = laplace(*args)
+            return centre + 2.0 * zsd[:, None], coef
 
         monkeypatch.setattr(mcmc, "_laplace_screens", shifted)
         res = run_chain(s, prior, self.CFG)

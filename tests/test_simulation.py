@@ -1,8 +1,10 @@
 import os
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
+import ltll.simulation
 from ltll.distribution import LTLLParams
 from ltll.mcmc import _SCREEN_MIN_N, McmcConfig, PriorSpec
 from ltll.simulation import (
@@ -72,6 +74,8 @@ class TestReplicates:
             tiny_scenario(replicates=1)
         with pytest.raises(ValueError):
             tiny_scenario(n=5)
+        with pytest.raises(ValueError, match="one chain per replicate"):
+            replace(tiny_scenario(), mcmc=replace(TINY_MCMC, chains=2))
 
     def test_replicate_matches_its_chunk(self):
         # A replicate recomputed alone equals the one its 50-replicate chunk
@@ -107,6 +111,40 @@ class TestScenario:
     def test_records_in_replicate_order(self):
         recs = run_scenario(tiny_scenario(replicates=5))
         assert [r.r for r in recs] == list(range(5))
+
+    def test_two_chunk_pool_matches_sequential(self):
+        # 53 replicates make two chunks, so workers=2 really runs a pool.
+        sc = replace(tiny_scenario(replicates=53, n=40),
+                     mcmc=McmcConfig(iterations=300, burn_in=100, thin=2))
+        assert run_scenario(sc, workers=2) == run_scenario(sc, workers=1)
+
+    def test_workers_capped_at_chunk_count(self, monkeypatch):
+        # An inline stand-in for the process pool: it records the pool size
+        # and runs each chunk in this process.
+        sizes = []
+
+        class InlinePool:
+            def __init__(self, max_workers):
+                sizes.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def submit(self, fn, *args):
+                result = fn(*args)
+                return type("Done", (), {"result": lambda self: result})()
+
+        monkeypatch.setattr(ltll.simulation, "ProcessPoolExecutor", InlinePool)
+        cfg = McmcConfig(iterations=150, burn_in=50, thin=1)
+        one_chunk = replace(tiny_scenario(replicates=6, n=40), mcmc=cfg)
+        two_chunks = replace(one_chunk, replicates=53)
+        assert run_scenario(one_chunk, workers=8) == run_scenario(one_chunk)
+        assert sizes == []
+        assert run_scenario(two_chunks, workers=8) == run_scenario(two_chunks)
+        assert sizes == [2]
 
 
 @pytest.fixture(scope="module")
