@@ -133,6 +133,7 @@ def build_parser() -> _Parser:
 def _apply_config(argv):
     """Insert the flags of a --config JSON file right after the command word.
 
+    A list value becomes one comma-separated flag value, as --levels 0.5,1.0.
     argparse keeps the last occurrence of a flag, so explicit flags win in
     either spelling (``--seed 5`` or ``--seed=5``).
     """
@@ -151,6 +152,8 @@ def _apply_config(argv):
         if isinstance(value, bool):
             if value:
                 extra.append(flag)
+        elif isinstance(value, list):
+            extra.extend([flag, ",".join(str(v) for v in value)])
         else:
             extra.extend([flag, str(value)])
     return argv[:1] + extra + argv[1:]

@@ -49,12 +49,6 @@ class DegenerateSampleError(ValueError):
 # Stable primitives
 # ---------------------------------------------------------------------------
 
-def _softplus(t):
-    """ln(1 + e^t), stable for any real t (returns an array, 0-d for scalars)."""
-    t = np.asarray(t, dtype=np.float64)
-    return np.maximum(t, 0.0) + np.log1p(np.exp(-np.abs(t)))
-
-
 def _logistic(t):
     """sigma(t) = 1/(1 + e^-t) and its slope sigma(t)*(1 - sigma(t)).
 
@@ -121,7 +115,7 @@ class Sample:
     def n(self) -> int:
         return self.values.size
 
-    @property
+    @cached_property
     def n_distinct(self) -> int:
         return np.unique(self.values).size
 
@@ -173,7 +167,7 @@ def ll_pdf(x, alpha: float, beta: float):
     if np.any(x <= 0.0):
         raise ValueError("ll_pdf requires x > 0")
     t = beta * (np.log(x) - np.log(alpha))
-    out = np.exp(np.log(beta / alpha) + (1.0 - 1.0 / beta) * t - 2.0 * _softplus(t))
+    out = np.exp(np.log(beta / alpha) + (1.0 - 1.0 / beta) * t - 2.0 * np.logaddexp(0.0, t))
     return out if out.ndim else float(out)
 
 
@@ -191,7 +185,7 @@ def _trunc_log_factor(p: LTLLParams) -> float:
     """ln(1 + (x_l/alpha)^beta), the log of the truncation renormalizer."""
     if p.x_l == 0.0:
         return 0.0
-    return float(_softplus(p.beta * (np.log(p.x_l) - np.log(p.alpha))))
+    return float(np.logaddexp(0.0, p.beta * (np.log(p.x_l) - np.log(p.alpha))))
 
 
 def ltll_logpdf(x, p: LTLLParams):
@@ -201,7 +195,7 @@ def ltll_logpdf(x, p: LTLLParams):
         raise ValueError(f"ltll density requires x > x_l = {p.x_l}")
     t = p.beta * (np.log(x) - np.log(p.alpha))
     out = (np.log(p.beta / p.alpha) + (1.0 - 1.0 / p.beta) * t
-           - 2.0 * _softplus(t) + _trunc_log_factor(p))
+           - 2.0 * np.logaddexp(0.0, t) + _trunc_log_factor(p))
     return out if out.ndim else float(out)
 
 
@@ -224,7 +218,7 @@ def ltll_cdf(x, p: LTLLParams):
     la = np.log(p.alpha)
     t = p.beta * (np.log(x) - la)
     tl = -np.inf if p.x_l == 0.0 else p.beta * (np.log(p.x_l) - la)
-    out = -np.expm1(_softplus(tl) - _softplus(t))
+    out = -np.expm1(np.logaddexp(0.0, tl) - np.logaddexp(0.0, t))
     return out if out.ndim else float(out)
 
 
@@ -422,8 +416,8 @@ def phi_objective(lam: float, beta: float, s: Sample) -> float:
     ln_lam = np.log(lam)
     total = float(np.sum(lw))
     return float(
-        n * _softplus(-ln_lam) + n * np.log(beta) - n * ln_lam + beta * total
-        - 2.0 * float(np.sum(_softplus(beta * lw - ln_lam)))
+        n * np.logaddexp(0.0, -ln_lam) + n * np.log(beta) - n * ln_lam + beta * total
+        - 2.0 * float(np.sum(np.logaddexp(0.0, beta * lw - ln_lam)))
     )
 
 

@@ -36,7 +36,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 from scipy.special import gammaln
 
-from .distribution import Sample, _derivatives_z, _loglik_batch, _softplus, log_likelihood
+from .distribution import Sample, _derivatives_z, _loglik_batch, log_likelihood
 from .mle import SCORE_TOL, EllipsePoints, MleFit, _trace_ellipse, fit_mle
 from .numerics import RngStream, SymMatrix2, chi2_quantile_2dof, normal_quantile
 
@@ -457,7 +457,7 @@ def marginal_beta_log_kernel(values, beta: float, prior: PriorSpec) -> float:
     if x.size and np.any(x <= 1.0):
         raise ValueError("kernel expects data normalized to the truncation point (X > 1)")
     n = x.size
-    tail = float(np.sum(_softplus(beta * np.log(x)))) if n else 0.0
+    tail = float(np.sum(np.logaddexp(0.0, beta * np.log(x)))) if n else 0.0
     return float((n + prior.a2 - 1.0) * np.log(beta) - prior.b2 * beta - tail)
 
 

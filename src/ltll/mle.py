@@ -7,6 +7,9 @@ and Hessian, started from (ln median, ln beta0); when it fails, the
 likelihood supremum sits on the boundary where the model degenerates to a
 Pareto density with exponent ``beta0`` and the scale is no longer identified.
 
+Newton works on the log-data minus ln x_l (minus the log median when
+x_l = 0): unit-free coordinates, with no rescaled copy of the sample.
+
 Uncertainty comes from the observed information (the analytic negative
 Hessian of the log-likelihood at the estimate): Wald intervals per parameter
 and joint confidence ellipses at the chi-squared(2 dof) threshold.
@@ -15,7 +18,7 @@ and joint confidence ellipses at the chi-squared(2 dof) threshold.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -28,7 +31,6 @@ from .distribution import (
     _loglik_batch,
     existence_stats,
     log_likelihood,
-    score_gradient,
 )
 from .numerics import SymMatrix2, chi2_quantile_2dof, normal_quantile
 
@@ -121,9 +123,12 @@ def _newton_ascent(lx, ln_xl, z):
     """Damped Newton on the log-likelihood in z = (ln alpha, ln beta).
 
     A Levenberg shift makes the step an ascent direction wherever -H is not
-    positive-definite, steps are capped at _MAX_STEP per coordinate, and each
-    one is halved until the log-likelihood does not decrease.  Stops once
-    ||g|| <= _NEWTON_TOL*(1 + |ll|).  Returns (z, iterations).
+    positive-definite, and steps are capped at _MAX_STEP per coordinate.  A
+    full step passes unless the log-likelihood decreases (near the optimum
+    rounding can make it look slightly worse); a halved step must gain
+    strictly, or Newton stops rather than repeat a null step.  Stops once
+    ||g|| <= _NEWTON_TOL*(1 + |ll|).  Returns (z, iterations, g, H) with the
+    score and Hessian at the final z, which do not change with units.
     """
     lx2 = lx[None, :]
     sumlx = np.array([float(np.sum(lx))])
@@ -135,10 +140,10 @@ def _newton_ascent(lx, ln_xl, z):
 
     z = np.asarray(z, dtype=np.float64)
     ll = loglik(z)
-    for it in range(_MAX_NEWTON):
+    for it in range(_MAX_NEWTON + 1):
         g, h = _derivatives_z(lx, ln_xl, z)
-        if not np.linalg.norm(g) > _NEWTON_TOL * (1.0 + abs(ll)):
-            return z, it
+        if it == _MAX_NEWTON or not np.linalg.norm(g) > _NEWTON_TOL * (1.0 + abs(ll)):
+            return z, it, g, h
         m = -h
         mid = 0.5 * (m[0, 0] + m[1, 1])
         lam_min = mid - math.hypot(0.5 * (m[0, 0] - m[1, 1]), m[0, 1])
@@ -149,24 +154,24 @@ def _newton_ascent(lx, ln_xl, z):
         if not np.all(np.isfinite(step)):
             break
         step *= min(1.0, _MAX_STEP / np.max(np.abs(step)))
-        for _ in range(_MAX_HALVINGS):
+        for k in range(_MAX_HALVINGS):
             ll_new = loglik(z + step)
-            if ll_new >= ll:
+            if ll_new > ll or (k == 0 and ll_new == ll):
                 break
             step *= 0.5
         else:
             break
         z, ll = z + step, ll_new
-    return z, it + 1
+    return z, it + 1, g, h
 
 
-def _start_point(w: Sample, stats: ExistenceStats | None):
-    """(ln median, ln beta0) on the working scale; beta from the IQR when x_l = 0."""
-    lmed = float(np.log(np.median(w.values)))
+def _start_point(s: Sample, ln_scale: float, stats: ExistenceStats | None):
+    """(ln median, ln beta0) in working coordinates; beta from the IQR when x_l = 0."""
+    lmed = math.log(float(np.median(s.values))) - ln_scale
     if stats is not None:
         return lmed, math.log(stats.beta0)
     # Untruncated: shape guess from the interquartile ratio (q75/q25 = 9^(1/beta)).
-    q25, q75 = np.quantile(w.values, [0.25, 0.75])
+    q25, q75 = np.quantile(s.values, [0.25, 0.75])
     b_iqr = np.log(9.0) / np.log(q75 / q25) if q75 > q25 else 1.0
     return lmed, math.log(b_iqr)
 
@@ -174,17 +179,17 @@ def _start_point(w: Sample, stats: ExistenceStats | None):
 def fit_mle(s: Sample) -> MleFit:
     """Maximum-likelihood estimate of (alpha, beta) for a truncated sample.
 
-    Fitting runs on data normalized by the truncation point (or by the
-    sample median when x_l = 0, where the existence gate does not apply) and
-    results are mapped back to original units.  Boundary samples return a
-    flagged Pareto fit instead of raising.
+    Newton runs on the log-data minus ln x_l (minus the log sample median
+    when x_l = 0, where the existence gate does not apply); no rescaled copy
+    is made, and its final score and Hessian give the score norm and the
+    information.  Boundary samples return a flagged Pareto fit instead of
+    raising.
     """
     if s.n_distinct < 2:
         raise DegenerateSampleError("need at least two distinct values to fit")
 
     if s.x_l > 0.0:
         scale = s.x_l
-        w = s.normalized()
         stats = existence_stats(s)
         if not stats.interior:
             beta0 = stats.beta0
@@ -195,34 +200,29 @@ def fit_mle(s: Sample) -> MleFit:
                 loglik=float(loglik), info=None, ci_alpha=None, ci_beta=None,
                 converged=True, iterations=0, score_norm=np.nan, stats=stats,
             )
+        ln_xl = 0.0  # the working truncation point is 1
     else:
         scale = float(np.median(s.values))
-        w = Sample(s.values / scale, 0.0)
-        stats = None
+        stats = ln_xl = None
 
-    ln_xl = None if s.x_l == 0.0 else 0.0  # working data are normalized to x_l = 1
-    z, iterations = _newton_ascent(w.log_values, ln_xl, _start_point(w, stats))
-
+    ln_scale = math.log(scale)
+    z, iterations, g, h = _newton_ascent(s.log_values - ln_scale, ln_xl,
+                                         _start_point(s, ln_scale, stats))
     alpha = float(np.exp(z[0])) * scale
     beta = float(np.exp(z[1]))
     loglik = log_likelihood(s, alpha, beta)
-    g = score_gradient(s, alpha, beta)
-    score_norm = float(np.hypot(*g))
-    converged = score_norm < SCORE_TOL * (1.0 + abs(loglik))
-
-    info = observed_information(s, (alpha, beta))
-    ci_alpha = ci_beta = None
-    if info.is_positive_definite:
-        fit_tmp = MleFit(alpha, beta, s.x_l, s.n, False, loglik, info,
-                         None, None, converged, iterations, score_norm, stats)
-        ci_alpha, ci_beta = wald_intervals(fit_tmp, 0.05)
-
-    return MleFit(
+    score_norm = math.hypot(g[0] / alpha, g[1] / beta)
+    info = _information(g, h, alpha, beta)
+    fit = MleFit(
         alpha=alpha, beta=beta, x_l=s.x_l, n=s.n, boundary=False,
-        loglik=loglik, info=info, ci_alpha=ci_alpha, ci_beta=ci_beta,
-        converged=converged, iterations=iterations, score_norm=score_norm,
-        stats=stats,
+        loglik=loglik, info=info, ci_alpha=None, ci_beta=None,
+        converged=score_norm < SCORE_TOL * (1.0 + abs(loglik)),
+        iterations=iterations, score_norm=score_norm, stats=stats,
     )
+    if not info.is_positive_definite:
+        return fit
+    ci_alpha, ci_beta = wald_intervals(fit, 0.05)
+    return replace(fit, ci_alpha=ci_alpha, ci_beta=ci_beta)
 
 
 # ---------------------------------------------------------------------------
@@ -240,6 +240,11 @@ def observed_information(s: Sample, theta) -> SymMatrix2:
     alpha, beta = float(theta[0]), float(theta[1])
     ln_xl = None if s.x_l == 0.0 else math.log(s.x_l)
     g, h = _derivatives_z(s.log_values, ln_xl, (math.log(alpha), math.log(beta)))
+    return _information(g, h, alpha, beta)
+
+
+def _information(g, h, alpha: float, beta: float) -> SymMatrix2:
+    """-D^-1 (H_z - diag g_z) D^-1, D = diag(alpha, beta): information from z derivatives."""
     d = np.array([alpha, beta])
     return SymMatrix2.from_array((np.diag(g) - h) / np.outer(d, d))
 

@@ -38,17 +38,12 @@ _U64_GOLDEN = np.uint64(_GOLDEN)
 _U64_C1 = np.uint64(0xBF58476D1CE4E5B9)
 _U64_C2 = np.uint64(0x94D049BB133111EB)
 _INV_2_53 = 1.0 / 9007199254740992.0  # 2**-53
-
-
-def _mix64(z: int) -> int:
-    """SplitMix64 finalizer: avalanche a 64-bit word."""
-    z &= _MASK64
-    z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
-    z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK64
-    return z ^ (z >> 31)
+# The top word 2**53 - 1 plus 0.5 rounds to 2**53; no other word maps here.
+_BELOW_ONE = np.nextafter(1.0, 0.0)
 
 
 def _mix64_array(z: np.ndarray) -> np.ndarray:
+    """SplitMix64 finalizer: avalanche each 64-bit word of a uint64 array."""
     z = z ^ (z >> np.uint64(30))
     z *= _U64_C1
     z ^= z >> np.uint64(27)
@@ -57,9 +52,10 @@ def _mix64_array(z: np.ndarray) -> np.ndarray:
 
 
 def _stream_key(master_seed: int, stream_id: int) -> int:
-    a = _mix64(master_seed + _GOLDEN)
-    b = _mix64(stream_id + _STREAM_SALT)
-    return _mix64(a ^ b)
+    # Masked Python ints into a uint64 array: numpy scalars warn on overflow.
+    ab = _mix64_array(np.array([(master_seed + _GOLDEN) & _MASK64,
+                                (stream_id + _STREAM_SALT) & _MASK64], dtype=np.uint64))
+    return int(_mix64_array(ab[:1] ^ ab[1:])[0])
 
 
 @dataclass
@@ -88,7 +84,8 @@ class RngStream:
         idx = np.arange(self.counter + 1, self.counter + k + 1, dtype=np.uint64)
         words = _mix64_array(np.uint64(self._key) + idx * _U64_GOLDEN)
         self.counter += k
-        return ((words >> np.uint64(11)).astype(np.float64) + 0.5) * _INV_2_53
+        u = ((words >> np.uint64(11)).astype(np.float64) + 0.5) * _INV_2_53
+        return np.minimum(u, _BELOW_ONE, out=u)
 
 
 # ---------------------------------------------------------------------------

@@ -143,8 +143,6 @@ class SweepLevel:
     mean_ci: dict
     width_var: dict
     win_rate: float
-    win_rate_alpha: float
-    win_rate_beta: float
 
 
 def error_metrics(estimates, theta0: float) -> ErrorMetrics:
@@ -294,8 +292,6 @@ def _aggregate_level(key: float, sc: Scenario, records) -> SweepLevel:
         n_replicates=len(records),
     )
     usable = [rec for rec in records if rec.mle_ok]
-    wins_a = [rec.width("bayes", "alpha") <= rec.width("mle", "alpha") for rec in usable]
-    wins_b = [rec.width("bayes", "beta") <= rec.width("mle", "beta") for rec in usable]
     wins = [
         0.5 * (rec.width("bayes", "alpha") + rec.width("bayes", "beta"))
         <= 0.5 * (rec.width("mle", "alpha") + rec.width("mle", "beta"))
@@ -313,8 +309,6 @@ def _aggregate_level(key: float, sc: Scenario, records) -> SweepLevel:
                       _width_variance(metrics.bayes.mean_width_beta)),
         },
         win_rate=float(np.mean(wins)) if wins else np.nan,
-        win_rate_alpha=float(np.mean(wins_a)) if wins_a else np.nan,
-        win_rate_beta=float(np.mean(wins_b)) if wins_b else np.nan,
     )
 
 

@@ -1,5 +1,5 @@
 """The package's public names, the call sites the benchmark tracer rebinds,
-and the names the demos use.
+the names the demos use, and the imports each module uses.
 
 ``perfbench/spans.py`` wraps entry points by rebinding module attributes, and
 the test suite does not collect ``perfbench/``; a renamed or deleted name would
@@ -82,6 +82,29 @@ def test_demo_uses_existing_api(path):
             continue
         unknown = [kw.arg for kw in node.keywords if kw.arg and kw.arg not in params]
         assert not unknown, f"{path.name}:{node.lineno} {node.func.id}({unknown})"
+
+
+def _unused_imports(path):
+    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+    imported = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            imported.update(a.asname or a.name.split(".")[0] for a in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            imported.update(a.asname or a.name for a in node.names)
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    return imported - used
+
+
+def test_modules_use_what_they_import():
+    # The tracer rebinds some imported names, so those may go unused.
+    rebound = {(target, attr) for target, attr, _, _ in _load_spans().CALL_SITES}
+    unused = sorted(f"{path.stem}.{name}"
+                    for path in Path(ltll.__file__).parent.glob("*.py")
+                    if path.name != "__init__.py"
+                    for name in _unused_imports(path)
+                    if (f"ltll.{path.stem}", name) not in rebound)
+    assert not unused
 
 
 def test_fit_info_has_definiteness_flag():

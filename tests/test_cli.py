@@ -221,6 +221,21 @@ class TestFitCommand:
         assert main(["fit", "--config", cfg, *spelling, "--out", out]) == EXIT_OK
         assert json.load(open(out))["seed"] == 5
 
+    def test_config_list_matches_comma_flag(self, tmp_path):
+        # 500 iterations, 100 burn-in, thin 4: exactly 100 retained draws.
+        flags = ["--sweep", "truncation", "--replicates", "3", "--n", "80", "--iters", "500",
+                 "--burnin", "100", "--thin", "4", "--seed", "9"]
+        cfg = write(tmp_path, "sim.json", json.dumps({"levels": [0.5, 1.0]}))
+        tables = []
+        for extra, sub in ((["--config", cfg], "cfg"), (["--levels", "0.5,1.0"], "flag")):
+            out = os.path.join(tmp_path, sub)
+            assert main(["simulate", *extra, *flags, "--out", out]) == EXIT_OK
+            tables.append({name: open(os.path.join(out, name)).read()
+                           for name in sorted(os.listdir(out))})
+        assert tables[0] == tables[1]
+        assert "table1_truncation.csv" in tables[0]
+        assert tables[0]["table1_truncation.csv"].count("\n0.5,") == 2
+
     def test_config_without_path_is_usage_error(self, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["fit", "--data", "bladder_cancer", "--config"])

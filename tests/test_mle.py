@@ -5,6 +5,8 @@ import pytest
 from scipy.optimize import minimize
 from scipy.stats import fisk
 
+import ltll.distribution
+import ltll.mle
 from ltll.distribution import (
     DegenerateSampleError,
     LTLLParams,
@@ -15,6 +17,7 @@ from ltll.distribution import (
     score_gradient,
 )
 from ltll.mle import (
+    _MAX_NEWTON,
     BoundaryFitError,
     MleFit,
     SCORE_TOL,
@@ -52,6 +55,11 @@ class TestFitMle:
         s, fit = synthetic_fit
         g = score_gradient(s, fit.alpha, fit.beta)
         assert math.hypot(*g) < SCORE_TOL * (1.0 + abs(fit.loglik))
+        # The reported figures agree with the public functions at the estimate.
+        assert fit.loglik == log_likelihood(s, fit.alpha, fit.beta)
+        info = observed_information(s, (fit.alpha, fit.beta))
+        for entry in ("a11", "a12", "a22"):
+            assert getattr(fit.info, entry) == pytest.approx(getattr(info, entry), rel=1e-10)
 
     def test_two_point_sample_is_interior(self):
         fit = fit_mle(Sample(np.array([2.0, 4.0]), 1.0))
@@ -121,6 +129,35 @@ class TestFitMle:
         with pytest.raises(DegenerateSampleError):
             fit_mle(Sample(np.array([v1, v2]), 6.0))
 
+    @pytest.mark.parametrize("x_l", [0.0, 1.0])
+    def test_derivatives_only_inside_newton(self, monkeypatch, x_l):
+        s = draw_ltll(300, LTLLParams(2.0, 3.0, x_l), RngStream(41, 3))
+        real_derivatives, real_post_init = _derivatives_z, Sample.__post_init__
+        calls, copies = [], []
+
+        def counting_derivatives(*args):
+            calls.append(args)
+            return real_derivatives(*args)
+
+        def counting_post_init(self):
+            copies.append(self)
+            real_post_init(self)
+
+        for module in (ltll.distribution, ltll.mle):
+            monkeypatch.setattr(module, "_derivatives_z", counting_derivatives)
+        monkeypatch.setattr(Sample, "__post_init__", counting_post_init)
+        fit = fit_mle(s)
+        assert fit.converged
+        assert len(calls) == fit.iterations + 1  # one per Newton iterate, the last included
+        assert not copies
+
+    def test_newton_never_exhausts_its_budget(self):
+        fits = [fit_mle(Sample(x, x_l)) for x, x_l in _random_samples()]
+        assert len(fits) > 300
+        assert sum(f.boundary for f in fits) > 30
+        assert max(f.iterations for f in fits) < _MAX_NEWTON
+        assert all(f.converged for f in fits)
+
     def test_consistency_trend(self):
         # Mean absolute error strictly decreases along the sample sizes.
         sizes = (50, 100, 500, 1000)
@@ -142,6 +179,25 @@ class TestFitMle:
             err_b.append(eb / used)
         assert all(b < a for a, b in zip(err_a, err_a[1:]))
         assert all(b < a for a, b in zip(err_b, err_b[1:]))
+
+
+def _random_samples():
+    """Samples across sizes 3..1000, shapes 0.3..60, scales 1e-3..1e3 and
+    truncation quantiles 0..0.99 (15% untruncated), at least two distinct values."""
+    rng = np.random.default_rng(11)
+    out = []
+    for _ in range(400):
+        n = int(math.exp(rng.uniform(math.log(2.0), math.log(1000.0)))) + 1
+        beta = math.exp(rng.uniform(math.log(0.3), math.log(60.0)))
+        alpha = math.exp(rng.uniform(math.log(1e-3), math.log(1e3)))
+        q = rng.uniform(0.0, 0.99) if rng.uniform() < 0.85 else None
+        u = rng.uniform(size=n)
+        x = alpha * (u / (1.0 - u)) ** (1.0 / beta)
+        x_l = 0.0 if q is None else float(np.quantile(x, q) * (1.0 - 1e-12))
+        x = x[x > x_l]
+        if np.unique(x).size >= 2:
+            out.append((x, x_l))
+    return out
 
 
 def _fisk_oracle(values, x_l):

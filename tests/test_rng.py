@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+import ltll.numerics as numerics
 from ltll.numerics import RngStream, normal_quantile
 
 
@@ -51,3 +52,27 @@ def test_master_seed_changes_sequence():
 def test_key_validation(seed, stream):
     with pytest.raises(ValueError):
         RngStream(seed, stream)
+
+
+@pytest.mark.parametrize("seed,stream,expected", [
+    (0, 0, ["0x1.f8082b7aed440p-1", "0x1.48647f1568eb0p-1",
+            "0x1.2e8ec8e619bf0p-6", "0x1.1384fdda146abp-2"]),
+    (20240, 1, ["0x1.a86070eb115d6p-1", "0x1.1c090b14b2fb6p-1",
+                "0x1.d057076f10957p-2", "0x1.c5d0bed8d3ea8p-5"]),
+    ((1 << 64) - 1, (1 << 64) - 1, ["0x1.f044d94cb7b1dp-2", "0x1.d0678b91fe53cp-4",
+                                    "0x1.6715ba0d7eb18p-1", "0x1.f299954ee9b3cp-1"]),
+])
+def test_pinned_streams(seed, stream, expected):
+    # Every sweep and chain draws through these keys; a change here moves all outputs.
+    got = RngStream(seed, stream).uniforms(4)
+    assert [float(u).hex() for u in got] == expected
+
+
+def test_top_word_stays_below_one(monkeypatch):
+    stream = RngStream(7, 0)
+    monkeypatch.setattr(numerics, "_mix64_array",
+                        lambda z: np.full(z.shape, np.iinfo(np.uint64).max, dtype=np.uint64))
+    u = stream.uniforms(3)
+    assert np.all(u < 1.0)
+    assert np.all(u == np.nextafter(1.0, 0.0))
+    assert np.all(np.isfinite(normal_quantile(u)))
