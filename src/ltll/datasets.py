@@ -1,10 +1,10 @@
 """Dataset ingestion: CSV parsing, validation, and the bundled case study.
 
-Input files are UTF-8 CSV with optional header, ``#`` comment lines, and one
-value per row in the selected column.  Comment lines and non-numeric rows are
-skipped (and counted); non-positive values are a hard error that reports the
-offending row numbers, since every downstream quantity needs strictly
-positive data.
+Input files are UTF-8 CSV, with or without a byte-order mark, with optional
+header, ``#`` comment lines, and one value per row in the selected column.
+Comment lines and non-numeric rows are skipped (and counted); non-positive
+values are a hard error that reports the offending row numbers, since every
+downstream quantity needs strictly positive data.
 """
 
 from __future__ import annotations
@@ -75,7 +75,7 @@ def load_csv(path: str, column: str | int | None = None) -> DatasetFile:
     col_idx = column if isinstance(column, int) else None
     header_pending = isinstance(column, str)
 
-    with open(path, encoding="utf-8", newline="") as fh:
+    with open(path, encoding="utf-8-sig", newline="") as fh:
         reader = csv.reader(fh)
         for row_no, row in enumerate(reader, start=1):
             if not row or not "".join(row).strip():

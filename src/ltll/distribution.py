@@ -259,9 +259,10 @@ def _loglik_batch(lx, sumlx, n, ln_xl, lnalpha, lnbeta):
     """Truncated log-likelihood for a batch of parameter states.
 
     lx: (B, n) log-data rows; lnalpha/lnbeta: (B,) parameter logs;
-    ln_xl: scalar log truncation point or None when x_l = 0.  Shared by the
-    public scalar API, the MLE and the MCMC hot loop so all evaluate one code
-    path.  With t_i = beta*(ln x_i - ln alpha) and the symmetric form
+    ln_xl: scalar log truncation point or None when x_l = 0.  Serves banks
+    of MH chains; every single evaluation goes through ``_loglik_row``,
+    which runs the same passes on one row, so both return the same bits.
+    With t_i = beta*(ln x_i - ln alpha) and the symmetric form
     softplus(t) = max(t, 0) + log1p(e^-|t|), the sum collapses to
 
         n ln beta - sum ln x_i - sum |t_i| - 2 sum log1p(e^-|t_i|)
@@ -282,6 +283,27 @@ def _loglik_batch(lx, sumlx, n, ln_xl, lnalpha, lnbeta):
     return ll
 
 
+def _loglik_row(lx, sumlx, ln_xl, lnalpha, lnbeta):
+    """``_loglik_batch`` on one 1-d log-data row at float parameter logs.
+
+    The passes and their order are those of the batch kernel, so the result
+    equals that row of the batch bit for bit, without its per-row
+    broadcasting: the one-chain MH loop, the Newton line search and
+    ``log_likelihood`` call this once per evaluation.
+    """
+    beta = np.exp(lnbeta)
+    t = lx - lnalpha
+    np.abs(t, out=t)
+    t *= -beta
+    s_abs = t.sum()
+    np.exp(t, out=t)
+    np.log1p(t, out=t)
+    ll = lx.size * lnbeta - sumlx + s_abs - 2.0 * t.sum()
+    if ln_xl is not None:
+        ll += lx.size * np.logaddexp(0.0, beta * (ln_xl - lnalpha))
+    return float(ll)
+
+
 def log_likelihood(s: Sample, alpha: float, beta: float) -> float:
     """Log-likelihood of the truncated sample at (alpha, beta).
 
@@ -289,11 +311,7 @@ def log_likelihood(s: Sample, alpha: float, beta: float) -> float:
     """
     _check_shape_scale(alpha, beta)
     ln_xl = None if s.x_l == 0.0 else np.log(s.x_l)
-    ll = _loglik_batch(
-        s.log_values[None, :], np.array([s.sum_log]), s.n, ln_xl,
-        np.array([np.log(alpha)]), np.array([np.log(beta)]),
-    )
-    return float(ll[0])
+    return _loglik_row(s.log_values, s.sum_log, ln_xl, np.log(alpha), np.log(beta))
 
 
 def _derivatives_z(lx, ln_xl, z):

@@ -23,10 +23,15 @@ positive-definite; the quadratic screens small, skewed samples too poorly
 to pay off.  Every other chain (small samples, boundary and off-mode
 starts) runs plain MH, ln u < dpi, bit for bit.
 
-The same vectorized core drives a single chain and whole banks of chains in
-the simulation harness; every chain draws from its own counter-based stream
-and the screen gate reads only its own chain's sample and start, so results
-never depend on how chains are grouped or scheduled.
+Two loops run the chains, picked by the number of chains in the call.  A
+lone chain (every default ``run_chain``) steps on Python floats and calls
+numpy only for its likelihood and exponentials: at one chain a vectorized
+step is interpreter-bound.  Two or more chains (``run_chain`` with
+``chains > 1``, the simulation harness's banks) step together, vectorized
+across the bank.  Both take the same floating-point steps in the same order;
+every chain draws from its own counter-based stream, and the screen gate
+reads only its own chain's sample and start, so results never depend on how
+chains are grouped or scheduled.
 """
 
 from __future__ import annotations
@@ -36,7 +41,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 from scipy.special import gammaln
 
-from .distribution import Sample, _derivatives_z, _loglik_batch, log_likelihood
+from .distribution import Sample, _derivatives_z, _loglik_batch, _loglik_row, log_likelihood
 from .mle import SCORE_TOL, EllipsePoints, MleFit, _trace_ellipse, fit_mle
 from .numerics import RngStream, SymMatrix2, chi2_quantile_2dof, normal_quantile
 
@@ -225,109 +230,182 @@ def _laplace_screens(lx, ln_xl, prior: PriorSpec, lna, lnb, ll):
     return centre, coef
 
 
-def _mh_chains(lx, ln_xl, prior: PriorSpec, cfg: McmcConfig, streams, init):
-    """Run one MH chain per row of ``lx``; vectorized across chains.
+def _quadratic(la, lb, screen):
+    """Screen quadratic q at (la, lb); screen is (centre, coefficients) as
+    ``_laplace_screens`` returns them, per chain or for one chain."""
+    (ca, cb), (qaa, qab, qbb) = screen
+    da = la - ca
+    db = lb - cb
+    return da * (qaa * da + qab * db) + qbb * db * db
 
-    lx: (B, n) log-data; streams: B counter-based streams, one per chain
-    (each step consumes three uniforms per chain: two normals for the
-    proposal, one for the accept decision); init: (B, 2) start states.
-    Chains with a Laplace screen (see ``_laplace_screens``) run delayed
-    acceptance; the others run plain MH.  Returns (draws (B, retained, 2),
-    acceptance_rate (B,), steps (B, 2), screen_pass (B,)), where
-    screen_pass is the share of proposals that reached the full likelihood
-    (1 for plain chains).
+
+def _adapted(steps, hits):
+    """Proposal steps after a burn-in window that accepted ``hits`` moves.
+
+    Steps grow by _ADAPT_FACTOR when the window's acceptance exceeds 0.5 and
+    shrink by it below 0.2, clipped to _STEP_BOUNDS; steps is (2, B) for a
+    bank with hits (B,), or (2,) for one chain.
     """
-    lx = np.ascontiguousarray(lx, dtype=np.float64)
-    b_chains, n = lx.shape
-    sumlx = lx.sum(axis=1)
-    c1, c2 = _prior_consts(prior)
+    rate = hits / _ADAPT_WINDOW
+    factor = np.where(rate > 0.5, _ADAPT_FACTOR,
+                      np.where(rate < 0.2, 1.0 / _ADAPT_FACTOR, 1.0))
+    return np.clip(steps * factor, *_STEP_BOUNDS)
 
-    lna = np.log(np.ascontiguousarray(init[:, 0], dtype=np.float64))
-    lnb = np.log(np.ascontiguousarray(init[:, 1], dtype=np.float64))
-    ll = _loglik_batch(lx, sumlx, n, ln_xl, lna, lnb)
-    target = ll + _log_target_z(lna, lnb, prior, c1, c2)
 
-    screens = _laplace_screens(lx, ln_xl, prior, lna, lnb, ll)
-    if screens is not None:
-        (ca, cb), (qaa, qab, qbb) = screens
+def _uniform_blocks(streams, iterations):
+    """Yield (normals (B, block, 2), ln u (B, block)) for blocks of steps.
 
-        def quadratic(la, lb):
-            da = la - ca
-            db = lb - cb
-            return da * (qaa * da + qab * db) + qbb * db * db
-
-        q = quadratic(lna, lnb)
-
-    sa = np.full(b_chains, cfg.step_alpha)
-    sb = np.full(b_chains, cfg.step_beta)
-    retained = cfg.retained
-    draws = np.empty((b_chains, retained, 2))
-    accepted_total = np.zeros(b_chains, dtype=np.int64)
-    passed_total = np.zeros(b_chains, dtype=np.int64)
-    window_hits = np.zeros(b_chains, dtype=np.int64)
-
-    t = 0
-    kept = 0
-    while t < cfg.iterations:
-        block = min(_RNG_BLOCK, cfg.iterations - t)
-        u = np.empty((b_chains, block, 3))
+    Each step consumes three uniforms per chain from that chain's stream:
+    two normals for the proposal, then the accept draw.
+    """
+    for t in range(0, iterations, _RNG_BLOCK):
+        block = min(_RNG_BLOCK, iterations - t)
+        u = np.empty((len(streams), block, 3))
         for i, stream in enumerate(streams):
             u[i] = stream.uniforms(3 * block).reshape(block, 3)
-        z = normal_quantile(u[:, :, :2])
-        ln_u = np.log(u[:, :, 2])
+        yield normal_quantile(u[:, :, :2]), np.log(u[:, :, 2])
 
-        for i in range(block):
+
+def _mh_chains(lx, ln_xl, prior: PriorSpec, cfg: McmcConfig, streams, init):
+    """Run one MH chain per row of ``lx``.
+
+    lx: (B, n) log-data; streams: B counter-based streams, one per chain;
+    init: (B, 2) start states.  Chains with a Laplace screen (see
+    ``_laplace_screens``) run delayed acceptance; the others run plain MH.
+    One chain steps on Python floats (``_mh_one``), two or more step
+    vectorized across the bank (``_mh_bank``).  Both loops share the start,
+    screens, quadratic, adaptation rule, stream layout and
+    ``_log_target_z``, and take the same floating-point steps in the same
+    order, so chain k of any bank equals that chain run alone.  Returns
+    (draws (B, retained, 2), acceptance_rate (B,), steps (B, 2),
+    screen_pass (B,)), where screen_pass is the share of proposals that
+    reached the full likelihood (1 for plain chains).
+    """
+    lx = np.ascontiguousarray(lx, dtype=np.float64)
+    sumlx = lx.sum(axis=1)
+    c1, c2 = _prior_consts(prior)
+    # (2, B): ln alpha and ln beta of every chain.
+    state = np.log(np.ascontiguousarray(np.transpose(init), dtype=np.float64))
+    ll = _loglik_batch(lx, sumlx, lx.shape[1], ln_xl, state[0], state[1])
+    target = ll + _log_target_z(state[0], state[1], prior, c1, c2)
+    screens = _laplace_screens(lx, ln_xl, prior, state[0], state[1], ll)
+    if lx.shape[0] > 1:
+        return _mh_bank(lx, sumlx, ln_xl, prior, c1, c2, cfg, streams, state, target,
+                        screens)
+    screen = None if screens is None else tuple(tuple(a[:, 0].tolist()) for a in screens)
+    (lna,), (lnb,) = state.tolist()
+    return _mh_one(lx[0], float(sumlx[0]), ln_xl, prior, c1, c2, cfg, streams[0],
+                   lna, lnb, float(target[0]), screen)
+
+
+def _mh_one(lx, sumlx, ln_xl, prior, c1, c2, cfg, stream, lna, lnb, target, screen):
+    """``_mh_chains`` for one chain, stepping on Python floats.
+
+    At one chain a vectorized step is a few dozen numpy calls on 1-element
+    arrays and costs more than its likelihood.  Here only the likelihood
+    (``_loglik_row``) and the exponentials of ``_log_target_z`` call numpy:
+    np.exp, not math.exp, so each bit matches the bank loop.  A plain chain
+    runs stage 2 on q = 0: given ln u < 0, ln u < min(0, dpi) is ln u < dpi.
+    """
+    burn_in, thin = cfg.burn_in, cfg.thin
+    steps = np.array([cfg.step_alpha, cfg.step_beta])
+    q = q_p = 0.0 if screen is None else _quadratic(lna, lnb, screen)
+    kept = []
+    accepted = passed = window_start = t = 0
+    for z, ln_u in _uniform_blocks([stream], cfg.iterations):
+        z = z[0]
+        inc = (z * steps).tolist()
+        for i, lu in enumerate(ln_u[0].tolist()):
             t += 1
-            lna_p = lna + sa * z[:, i, 0]
-            lnb_p = lnb + sb * z[:, i, 1]
-            if screens is None:
-                target_p = (_loglik_batch(lx, sumlx, n, ln_xl, lna_p, lnb_p)
+            lna_p = lna + inc[i][0]
+            lnb_p = lnb + inc[i][1]
+            if screen is not None:
+                q_p = _quadratic(lna_p, lnb_p, screen)
+            dq = q_p - q
+            bound = min(dq, 0.0)
+            if lu < bound:
+                passed += 1
+                target_p = (_loglik_row(lx, sumlx, ln_xl, lna_p, lnb_p)
                             + _log_target_z(lna_p, lnb_p, prior, c1, c2))
-                accept = ln_u[:, i] < target_p - target
+                if lu < bound + min(target_p - target - dq, 0.0):
+                    lna, lnb, target, q = lna_p, lnb_p, target_p, q_p
+                    accepted += 1
+            if t <= burn_in:
+                if t % _ADAPT_WINDOW == 0:
+                    steps = _adapted(steps, accepted - window_start)
+                    window_start = accepted
+                    inc = (z * steps).tolist()
+            elif (t - burn_in) % thin == 0:
+                kept.append((lna, lnb))
+
+    return (np.exp(np.array(kept))[None], np.array([accepted / cfg.iterations]),
+            steps[None], np.array([passed / cfg.iterations]))
+
+
+def _mh_bank(lx, sumlx, ln_xl, prior, c1, c2, cfg, streams, state, target, screens):
+    """``_mh_chains`` for a bank of chains, one vectorized step for all.
+
+    Proposal increments are formed once per block of uniforms (again after
+    each adaptation), accepted moves are copied in place, and a window's
+    hits are read off the running acceptance counts.
+    """
+    b_chains, n = lx.shape
+    burn_in, thin = cfg.burn_in, cfg.thin
+    steps = np.repeat([[cfg.step_alpha], [cfg.step_beta]], b_chains, axis=1)
+    if screens is not None:
+        q = _quadratic(state[0], state[1], screens)
+    draws = np.empty((b_chains, cfg.retained, 2))
+    accepted = np.zeros(b_chains, dtype=np.int64)
+    passed = np.zeros(b_chains, dtype=np.int64)
+    window_start = accepted.copy()
+    t = kept = 0
+    for z, ln_u in _uniform_blocks(streams, cfg.iterations):
+        z = np.ascontiguousarray(z.transpose(1, 2, 0))  # (block, 2, B)
+        ln_u = np.ascontiguousarray(ln_u.T)
+        inc = z * steps
+        for i in range(len(inc)):
+            t += 1
+            prop = state + inc[i]
+            lu = ln_u[i]
+            if screens is None:
+                target_p = (_loglik_batch(lx, sumlx, n, ln_xl, prop[0], prop[1])
+                            + _log_target_z(prop[0], prop[1], prior, c1, c2))
+                accept = lu < target_p - target
             else:
                 # Stage 1 prices the move on the quadratic alone.
-                q_p = quadratic(lna_p, lnb_p)
+                q_p = _quadratic(prop[0], prop[1], screens)
                 dq = q_p - q
                 bound = np.minimum(dq, 0.0)
-                screen = ln_u[:, i] < bound
-                passed_total += screen
+                screen = lu < bound
+                passed += screen
                 npass = np.count_nonzero(screen)
                 accept = None
                 if npass:
                     # Stage 2 reuses the uniform: given ln u < min(0, dq),
                     # u / e^min(0, dq) is uniform on (0, 1).
                     rows = slice(None) if npass == b_chains else np.flatnonzero(screen)
-                    la, lb = lna_p[rows], lnb_p[rows]
+                    la, lb = prop[0, rows], prop[1, rows]
                     target_p = target.copy()
                     target_p[rows] = (_loglik_batch(lx[rows], sumlx[rows], n, ln_xl, la, lb)
                                       + _log_target_z(la, lb, prior, c1, c2))
-                    accept = screen & (ln_u[:, i] < bound
-                                       + np.minimum(target_p - target - dq, 0.0))
-                    q = np.where(accept, q_p, q)
+                    accept = screen & (lu < bound + np.minimum(target_p - target - dq, 0.0))
+                    np.copyto(q, q_p, where=accept)
             if accept is not None:
-                lna = np.where(accept, lna_p, lna)
-                lnb = np.where(accept, lnb_p, lnb)
-                target = np.where(accept, target_p, target)
-                accepted_total += accept
-                if t <= cfg.burn_in:
-                    window_hits += accept
-
-            if t <= cfg.burn_in and t % _ADAPT_WINDOW == 0:
-                rate = window_hits / _ADAPT_WINDOW
-                factor = np.where(rate > 0.5, _ADAPT_FACTOR,
-                                  np.where(rate < 0.2, 1.0 / _ADAPT_FACTOR, 1.0))
-                sa = np.clip(sa * factor, *_STEP_BOUNDS)
-                sb = np.clip(sb * factor, *_STEP_BOUNDS)
-                window_hits[:] = 0
-
-            if t > cfg.burn_in and (t - cfg.burn_in) % cfg.thin == 0:
-                draws[:, kept, 0] = np.exp(lna)
-                draws[:, kept, 1] = np.exp(lnb)
+                np.copyto(state, prop, where=accept)
+                np.copyto(target, target_p, where=accept)
+                accepted += accept
+            if t <= burn_in:
+                if t % _ADAPT_WINDOW == 0:
+                    steps = _adapted(steps, accepted - window_start)
+                    window_start = accepted.copy()
+                    np.multiply(z, steps, out=inc)
+            elif (t - burn_in) % thin == 0:
+                draws[:, kept] = state.T
                 kept += 1
 
-    acc_rate = accepted_total / cfg.iterations
-    screen_pass = np.ones(b_chains) if screens is None else passed_total / cfg.iterations
-    return draws, acc_rate, np.column_stack([sa, sb]), screen_pass
+    np.exp(draws, out=draws)
+    screen_pass = np.ones(b_chains) if screens is None else passed / cfg.iterations
+    return draws, accepted / cfg.iterations, steps.T.copy(), screen_pass
 
 
 def _chain_start(s: Sample, fit: MleFit):
@@ -345,8 +423,9 @@ def run_chain(s: Sample, prior: PriorSpec | None = None, cfg: McmcConfig | None 
               init=None) -> PosteriorResult:
     """Sample the posterior of (alpha, beta) and summarize it.
 
-    Chains start at the MLE when it exists (at the sample median and the
-    boundary exponent otherwise).  Chain k draws from the stream
+    Chains start at ``init`` when given (a finite positive (alpha, beta),
+    else ValueError), otherwise at the MLE when it exists (at the sample
+    median and the boundary exponent otherwise).  Chain k draws from the stream
     (cfg.seed, 1 + k) with its counter at zero, so a given seed replays
     exactly.  Multiple chains are merged in chain order.
     """
@@ -354,6 +433,8 @@ def run_chain(s: Sample, prior: PriorSpec | None = None, cfg: McmcConfig | None 
     cfg = McmcConfig() if cfg is None else cfg
     if init is None:
         init = _chain_start(s, fit_mle(s))
+    elif not (np.shape(init) == (2,) and all(np.isfinite(v) and v > 0.0 for v in init)):
+        raise ValueError(f"init must be a finite positive (alpha, beta), got {init}")
     streams = [RngStream(cfg.seed, 1 + k) for k in range(cfg.chains)]
     lx = np.repeat(s.log_values[None, :], cfg.chains, axis=0)
     ln_xl = None if s.x_l == 0.0 else np.log(s.x_l)
@@ -420,7 +501,10 @@ def credible_ellipse(res: PosteriorResult, gamma: float = 0.05,
 # ---------------------------------------------------------------------------
 
 def _ess(x: np.ndarray) -> float:
-    """Effective sample size via the initial-positive-pair autocorrelation sum."""
+    """Effective sample size via the initial-positive-pair autocorrelation sum.
+
+    A chain that never moves holds one draw's information, so it gets 1.
+    """
     x = np.asarray(x, dtype=np.float64)
     m = x.size
     if m < 4:
@@ -430,7 +514,7 @@ def _ess(x: np.ndarray) -> float:
     f = np.fft.rfft(xc, nfft)
     acov = np.fft.irfft(f * np.conj(f), nfft)[:m] / m
     if acov[0] <= 0.0:
-        return float(m)
+        return 1.0
     rho = acov / acov[0]
     tau = 1.0
     k = 1

@@ -28,7 +28,7 @@ from .distribution import (
     LTLLParams,
     Sample,
     _derivatives_z,
-    _loglik_batch,
+    _loglik_row,
     existence_stats,
     log_likelihood,
 )
@@ -130,13 +130,10 @@ def _newton_ascent(lx, ln_xl, z):
     ||g|| <= _NEWTON_TOL*(1 + |ll|).  Returns (z, iterations, g, H) with the
     score and Hessian at the final z, which do not change with units.
     """
-    lx2 = lx[None, :]
-    sumlx = np.array([float(np.sum(lx))])
-    n = lx.size
+    sumlx = float(np.sum(lx))
 
     def loglik(zz):
-        return float(_loglik_batch(lx2, sumlx, n, ln_xl,
-                                   np.array([zz[0]]), np.array([zz[1]]))[0])
+        return _loglik_row(lx, sumlx, ln_xl, zz[0], zz[1])
 
     z = np.asarray(z, dtype=np.float64)
     ll = loglik(z)

@@ -75,6 +75,16 @@ class TestLoadCsv:
         with pytest.raises(ValueError):
             load_csv(path)
 
+    @pytest.mark.parametrize("column, text", [("time", "time\n1.5\n2.5\n"),
+                                               (None, "1.5\n2.5\n")])
+    def test_byte_order_mark_is_dropped(self, tmp_path, column, text):
+        path = os.path.join(tmp_path, "bom.csv")
+        with open(path, "wb") as fh:
+            fh.write(b"\xef\xbb\xbf" + text.encode())
+        d = load_csv(path, column=column)
+        assert d.values.tolist() == [1.5, 2.5]
+        assert d.n_skipped == 0 and d.warnings == ()
+
     def test_missing_header_column(self, tmp_path):
         path = write(tmp_path, "cols.csv", "a,b\n1.0,2.0\n")
         with pytest.raises(ValueError):

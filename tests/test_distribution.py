@@ -10,6 +10,7 @@ from scipy.integrate import quad
 from ltll.distribution import (
     DegenerateSampleError,
     _loglik_batch,
+    _loglik_row,
     LTLLParams,
     Sample,
     draw_ltll,
@@ -198,27 +199,30 @@ class TestLikelihood:
     def test_batch_kernel_matches_softplus_formula(self, x_l):
         # Each row's log-likelihood written term by term with a two-sided
         # softplus, summed exactly; shapes up to 1e4 push |t| far past 745,
-        # where e^-|t| underflows.
+        # where e^-|t| underflows.  Every row holds its own random sample,
+        # and the row kernel must return that row's batch value bit for bit.
         def softplus(t):
             return t + math.log1p(math.exp(-t)) if t > 0.0 else math.log1p(math.exp(t))
 
-        values = draw_ltll(60, LTLLParams(2.0, 3.0, x_l), RngStream(13, 1)).values
-        lx = np.log(values)
         alphas = np.array([0.3, 2.0, 2.0, 9.0, 1.7, 2.5])
         betas = np.array([0.05, 1.0, 3.0, 40.0, 1e3, 1e4])
+        lx = np.log([draw_ltll(60, LTLLParams(2.0, 3.0, x_l), RngStream(13, k)).values
+                     for k in range(alphas.size)])
+        sumlx = lx.sum(axis=1)
         ln_xl = None if x_l == 0.0 else math.log(x_l)
-        got = _loglik_batch(np.tile(lx, (alphas.size, 1)), np.full(alphas.size, lx.sum()),
-                            lx.size, ln_xl, np.log(alphas), np.log(betas))
-        assert max(b * abs(v - math.log(a)) for a, b in zip(alphas, betas) for v in lx) > 745.0
+        got = _loglik_batch(lx, sumlx, lx.shape[1], ln_xl, np.log(alphas), np.log(betas))
+        assert max(b * abs(v - math.log(a))
+                   for a, b, row in zip(alphas, betas, lx) for v in row) > 745.0
         for k, (a, b) in enumerate(zip(alphas, betas)):
             terms = []
-            for v in lx:
+            for v in lx[k]:
                 t = b * (v - math.log(a))
                 terms.append(math.log(b / a) + (b - 1.0) * (v - math.log(a)) - 2.0 * softplus(t))
             if ln_xl is not None:
-                terms.extend([softplus(b * (ln_xl - math.log(a)))] * lx.size)
+                terms.extend([softplus(b * (ln_xl - math.log(a)))] * lx.shape[1])
             want = math.fsum(terms)
             assert got[k] == pytest.approx(want, rel=1e-12, abs=1e-13 * math.fsum(map(abs, terms)))
+            assert _loglik_row(lx[k], float(sumlx[k]), ln_xl, np.log(a), np.log(b)) == got[k]
 
     def test_finite_everywhere_valid(self):
         s = draw_ltll(50, LTLLParams(2.0, 3.0, 1.0), RngStream(6, 2))

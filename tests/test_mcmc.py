@@ -229,6 +229,13 @@ class TestRunChain:
         assert abs(res.mean[0] - 2.0) / 2.0 < 0.10
         assert abs(res.mean[1] - 3.0) / 3.0 < 0.10
 
+    @pytest.mark.parametrize("start", [(-1.0, 2.0), (0.0, 2.0), (np.inf, 2.0), (2.0, np.nan)])
+    def test_rejects_start_off_support(self, start):
+        # Such a start would leave the chain stuck at a NaN or infinite target.
+        s = draw_ltll(200, LTLLParams(2.0, 3.0, 1.0), RngStream(21, 0))
+        with pytest.raises(ValueError, match="init"):
+            run_chain(s, cfg=FAST_CFG, init=start)
+
     def test_config_validation(self):
         with pytest.raises(ValueError):
             McmcConfig(iterations=100, burn_in=100)
@@ -334,6 +341,54 @@ class TestPlainPath:
         assert screen_pass[0] == alone[3][0]
 
 
+class TestLoopIdentity:
+    """Chain k of a bank (vectorized loop) equals that chain run alone (one-chain loop).
+
+    Bank rows share n, so the chains below the screen floor form a bank of
+    their own.  4500 iterations are no multiple of the uniform block, and the
+    second step pair lands on both clip bounds at the first adaptation.
+    """
+
+    CFG = McmcConfig(iterations=4500, burn_in=1150, thin=3, seed=6)
+
+    @pytest.fixture(scope="class")
+    def banks(self, sample_n1000):
+        fit = fit_mle(sample_n1000)
+        pareto = _pareto_sample(1000, 1)
+        pfit = fit_mle(pareto)
+        bladder = apply_truncation(load_bladder_cancer(), 1.0).sample
+        bfit = fit_mle(bladder)
+        assert not fit.boundary and pfit.boundary and bladder.n < mcmc._SCREEN_MIN_N
+        return {
+            "screened, off-mode, boundary": [
+                (sample_n1000, (fit.alpha, fit.beta)), (sample_n1000, (1.9, 2.7)),
+                (pareto, mcmc._chain_start(pareto, pfit))],
+            "below the floor": [
+                (bladder, (bfit.alpha, bfit.beta)), (bladder, (2.0 * bfit.alpha, bfit.beta))],
+        }
+
+    @pytest.mark.parametrize("bank", ["screened, off-mode, boundary", "below the floor"])
+    @pytest.mark.parametrize("steps", [(0.1, 0.1), (20.0, 1e-7)])
+    def test_bank_rows_equal_lone_chains(self, banks, bank, steps):
+        chains = banks[bank]
+        cfg = replace(self.CFG, step_alpha=steps[0], step_beta=steps[1])
+        prior = PriorSpec.diffuse()
+        lx = np.stack([s.log_values for s, _ in chains])
+        init = np.array([start for _, start in chains])
+        streams = [RngStream(cfg.seed, 1 + k) for k in range(len(chains))]
+        together = mcmc._mh_chains(lx, 0.0, prior, cfg, streams, init)
+        if bank == "screened, off-mode, boundary":
+            assert together[3][0] < 1.0 and np.all(together[3][1:] == 1.0)
+        if steps[0] > mcmc._STEP_BOUNDS[1]:
+            assert np.all(together[2][:, 1] == mcmc._STEP_BOUNDS[0])
+        for k in range(len(chains)):
+            alone = mcmc._mh_chains(lx[k:k + 1], 0.0, prior, cfg,
+                                    [RngStream(cfg.seed, 1 + k)], init[k:k + 1])
+            assert 0.0 < alone[1][0] < 1.0
+            for got, want in zip(together, alone):
+                assert np.array_equal(got[k], want[0])
+
+
 def _batch_mcse(values, n_chains, batches=40):
     """Mean over chains and the batch-means standard error of that mean."""
     b = values.reshape(n_chains * batches, -1).mean(axis=1)
@@ -412,6 +467,26 @@ class TestDelayedAcceptanceExactness:
         res = run_chain(s, prior, self.CFG)
         self._check_against_grid(res, exact)
         assert min(res.ess_alpha, res.ess_beta) < min(good.ess_alpha, good.ess_beta)
+
+
+class TestEss:
+    """Oracle: an AR(1) chain with coefficient rho has integrated
+    autocorrelation time tau = (1 + rho) / (1 - rho), so ESS is m / tau."""
+
+    M = 40_000
+
+    def test_ar1_half(self):
+        from scipy.signal import lfilter
+        e = np.random.default_rng(5).standard_normal(self.M)
+        x = lfilter([1.0], [1.0, -0.5], e)
+        assert mcmc._ess(x) == pytest.approx(self.M / 3.0, rel=0.1)
+
+    def test_independent_draws(self):
+        x = np.random.default_rng(6).standard_normal(self.M)
+        assert 0.9 * self.M <= mcmc._ess(x) <= self.M
+
+    def test_constant_chain_holds_one_draw(self):
+        assert mcmc._ess(np.full(1000, 2.0)) == 1.0
 
 
 class TestCredibleIntervals:
