@@ -53,9 +53,21 @@ def _float_list(text: str) -> list[float]:
     return [float(v) for v in text.split(",") if v.strip()]
 
 
-def _grid_spec(text: str):
-    lo, hi, count = text.split(":")
-    return float(lo), float(hi), int(count)
+def _floats(text: str, flag: str, count: int) -> list[float]:
+    values = _float_list(text)
+    if len(values) != count:
+        raise ValueError(f"{flag} needs {count} comma-separated values, got {len(values)}")
+    return values
+
+
+def _grid_spec(text: str, flag: str):
+    parts = text.split(":")
+    if len(parts) != 3:
+        raise ValueError(f"{flag} needs lo:hi:count, got {text!r}")
+    lo, hi, count = float(parts[0]), float(parts[1]), int(parts[2])
+    if count < 1:
+        raise ValueError(f"{flag} needs a count of at least 1, got {count}")
+    return lo, hi, count
 
 
 def build_parser() -> _Parser:
@@ -177,7 +189,7 @@ def _load_dataset(args) -> DatasetFile:
 
 def _mcmc_config(args, seed: int) -> McmcConfig:
     """Chain settings for a posterior summary, refused when it keeps too few draws."""
-    sa, sb = _float_list(args.steps)
+    sa, sb = _floats(args.steps, "--steps", 2)
     cfg = McmcConfig(iterations=args.iters, burn_in=args.burnin, thin=args.thin,
                      step_alpha=sa, step_beta=sb, seed=seed,
                      chains=getattr(args, "chains", 1))
@@ -190,7 +202,7 @@ def _mcmc_config(args, seed: int) -> McmcConfig:
 
 
 def _prior(args) -> PriorSpec:
-    a1, b1, a2, b2 = _float_list(args.prior)
+    a1, b1, a2, b2 = _floats(args.prior, "--prior", 4)
     return PriorSpec(a1, b1, a2, b2)
 
 
@@ -294,26 +306,27 @@ def cmd_simulate(args) -> int:
     if args.workers < 1:
         raise ValueError(f"--workers must be >= 1, got {args.workers}")
     seed = _seed_of(args)
-    alpha, beta = _float_list(args.truth)
+    alpha, beta = _floats(args.truth, "--truth", 2)
     replicates = 200 if args.fast else args.replicates
     base = Scenario(
         true_params=LTLLParams(alpha, beta, args.xl), n=args.n, replicates=replicates,
         prior=_prior(args), mcmc=_mcmc_config(args, seed), master_seed=seed,
     )
-    out_dir = args.out or "."
-    os.makedirs(out_dir, exist_ok=True)
-
     if args.sweep == "truncation":
         levels = _float_list(args.levels) if args.levels else list(TRUNCATION_GRID)
         res = truncation_sweep(base, levels, workers=args.workers)
-        atomic_write_text(os.path.join(out_dir, "table1_truncation.csv"), table1_csv(res))
-        atomic_write_text(os.path.join(out_dir, "table2_truncation.csv"), table2_csv(res))
+        tables = {"table1_truncation.csv": table1_csv(res),
+                  "table2_truncation.csv": table2_csv(res)}
         checks = truncation_trends(res)
     else:
         sizes = [int(v) for v in _float_list(args.sizes)] if args.sizes else list(SAMPLE_SIZE_GRID)
         res = sample_size_sweep(base, sizes, workers=args.workers)
-        atomic_write_text(os.path.join(out_dir, "table3_sample_size.csv"), table3_csv(res))
+        tables = {"table3_sample_size.csv": table3_csv(res)}
         checks = sample_size_trends(res)
+    out_dir = args.out or "."
+    os.makedirs(out_dir, exist_ok=True)
+    for name, text in tables.items():
+        atomic_write_text(os.path.join(out_dir, name), text)
 
     for name, ok, detail in checks:
         print(f"{'PASS' if ok else 'FAIL'}  {name}  [{detail}]")
@@ -365,8 +378,8 @@ def cmd_ellipse(args) -> int:
 
 def cmd_moments(args) -> int:
     seed = _seed_of(args)
-    a_lo, a_hi, a_n = _grid_spec(args.alpha_grid)
-    b_lo, b_hi, b_n = _grid_spec(args.beta_grid)
+    a_lo, a_hi, a_n = _grid_spec(args.alpha_grid, "--alpha-grid")
+    b_lo, b_hi, b_n = _grid_spec(args.beta_grid, "--beta-grid")
     alphas = np.linspace(a_lo, a_hi, a_n)
     betas = np.linspace(b_lo, b_hi, b_n)
     lines = ["alpha,beta,mean,variance,skewness,kurtosis"]

@@ -259,9 +259,11 @@ def _loglik_batch(lx, sumlx, n, ln_xl, lnalpha, lnbeta):
     """Truncated log-likelihood for a batch of parameter states.
 
     lx: (B, n) log-data rows; lnalpha/lnbeta: (B,) parameter logs;
-    ln_xl: scalar log truncation point or None when x_l = 0.  Serves banks
-    of MH chains; every single evaluation goes through ``_loglik_row``,
-    which runs the same passes on one row, so both return the same bits.
+    ln_xl: None when x_l = 0, else the log truncation point as one scalar or
+    (B,) values, one per row, since a bank may pool samples truncated at
+    different points.  Serves banks of MH chains; every single evaluation
+    goes through ``_loglik_row``, which runs the same passes on one row, so
+    both return the same bits.
     With t_i = beta*(ln x_i - ln alpha) and the symmetric form
     softplus(t) = max(t, 0) + log1p(e^-|t|), the sum collapses to
 

@@ -62,7 +62,7 @@ __all__ = [
 _ADAPT_WINDOW = 100
 _ADAPT_FACTOR = 1.1
 _STEP_BOUNDS = (1e-6, 10.0)
-_RNG_BLOCK = 2048
+_RNG_BLOCK = 512
 # Smallest sample whose chains are screened by a Laplace quadratic.
 _SCREEN_MIN_N = 500
 # Fewest retained draws that quantile intervals and density grids accept.
@@ -215,7 +215,7 @@ def _laplace_screens(lx, ln_xl, prior: PriorSpec, lna, lnb, ll):
     centre = np.zeros((2, b_chains))
     coef = np.zeros((3, b_chains))
     for k in range(b_chains):
-        g, h = _derivatives_z(lx[k], ln_xl, (lna[k], lnb[k]))
+        g, h = _derivatives_z(lx[k], None if ln_xl is None else ln_xl[k], (lna[k], lnb[k]))
         stationary = np.hypot(*g) <= SCORE_TOL * (1.0 + abs(ll[k]))
         if not (stationary and h[0, 0] < 0.0 and h[0, 0] * h[1, 1] > h[0, 1] ** 2):
             continue
@@ -269,7 +269,8 @@ def _uniform_blocks(streams, iterations):
 def _mh_chains(lx, ln_xl, prior: PriorSpec, cfg: McmcConfig, streams, init):
     """Run one MH chain per row of ``lx``.
 
-    lx: (B, n) log-data; streams: B counter-based streams, one per chain;
+    lx: (B, n) log-data; ln_xl: None when x_l = 0, else (B,) log truncation
+    points, one per chain; streams: B counter-based streams, one per chain;
     init: (B, 2) start states.  Chains with a Laplace screen (see
     ``_laplace_screens``) run delayed acceptance; the others run plain MH.
     One chain steps on Python floats (``_mh_one``), two or more step
@@ -294,6 +295,7 @@ def _mh_chains(lx, ln_xl, prior: PriorSpec, cfg: McmcConfig, streams, init):
                         screens)
     screen = None if screens is None else tuple(tuple(a[:, 0].tolist()) for a in screens)
     (lna,), (lnb,) = state.tolist()
+    ln_xl = None if ln_xl is None else float(ln_xl[0])
     return _mh_one(lx[0], float(sumlx[0]), ln_xl, prior, c1, c2, cfg, streams[0],
                    lna, lnb, float(target[0]), screen)
 
@@ -385,8 +387,9 @@ def _mh_bank(lx, sumlx, ln_xl, prior, c1, c2, cfg, streams, state, target, scree
                     # u / e^min(0, dq) is uniform on (0, 1).
                     rows = slice(None) if npass == b_chains else np.flatnonzero(screen)
                     la, lb = prop[0, rows], prop[1, rows]
+                    xl = None if ln_xl is None else ln_xl[rows]
                     target_p = target.copy()
-                    target_p[rows] = (_loglik_batch(lx[rows], sumlx[rows], n, ln_xl, la, lb)
+                    target_p[rows] = (_loglik_batch(lx[rows], sumlx[rows], n, xl, la, lb)
                                       + _log_target_z(la, lb, prior, c1, c2))
                     accept = screen & (lu < bound + np.minimum(target_p - target - dq, 0.0))
                     np.copyto(q, q_p, where=accept)
@@ -437,7 +440,7 @@ def run_chain(s: Sample, prior: PriorSpec | None = None, cfg: McmcConfig | None 
         raise ValueError(f"init must be a finite positive (alpha, beta), got {init}")
     streams = [RngStream(cfg.seed, 1 + k) for k in range(cfg.chains)]
     lx = np.repeat(s.log_values[None, :], cfg.chains, axis=0)
-    ln_xl = None if s.x_l == 0.0 else np.log(s.x_l)
+    ln_xl = None if s.x_l == 0.0 else np.full(cfg.chains, np.log(s.x_l))
     init_arr = np.tile(np.asarray(init, dtype=np.float64), (cfg.chains, 1))
 
     draws_by_chain, acc, steps, screen_pass = _mh_chains(lx, ln_xl, prior, cfg, streams,

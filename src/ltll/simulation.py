@@ -4,9 +4,13 @@ A scenario fixes the true parameters, sample size, replicate count, priors,
 chain settings, and a master seed.  Replicate r draws its data from stream
 (master_seed, 2r) and its chain from stream (master_seed, 2r+1), so every
 replicate is a pure function of (scenario, r): reruns and parallel schedules
-cannot change any number.  Replicates are processed in fixed-size chunks
-(chains vectorized within a chunk); worker processes only redistribute whole
-chunks, which keeps outputs byte-identical at any parallelism level.
+cannot change any number.  A sweep hands all its scenarios to one
+``run_scenario`` call, which pools the replicates of scenarios whose chains
+can share a bank (same n, prior and chain settings, and all truncated or all
+untruncated) and runs each pool as vectorized banks of at most _BANK chains.
+Chain k of any bank equals that chain run alone, so neither the pooling nor
+the number of worker processes, which only decides where each bank runs,
+can change an output byte.
 
 Boundary (Pareto) fits are excluded from the MLE aggregates and surface as
 failure counts instead, since bias/variance summaries presuppose an interior
@@ -47,7 +51,9 @@ __all__ = [
     "atomic_write_text",
 ]
 
-_CHUNK = 50  # replicates per vectorized chunk; fixed so worker count cannot matter
+# Most chains per MH bank: past about 200 chains a bank step costs no less
+# per chain, and larger banks only hold more memory.
+_BANK = 200
 
 TRUNCATION_GRID = (0.1, 0.3, 0.5, 0.7, 1.0)
 SAMPLE_SIZE_GRID = (50, 100, 500, 1000)
@@ -169,20 +175,23 @@ def _chain_stream(sc: Scenario, r: int) -> RngStream:
     return RngStream(sc.master_seed, 2 * r + 1)
 
 
-def _run_chunk(sc: Scenario, lo: int, hi: int) -> list[ReplicateResult]:
-    """Replicates lo..hi-1: draw, fit by MLE, run one chain each (vectorized)."""
-    idx = range(lo, hi)
-    samples = [draw_ltll(sc.n, sc.true_params, _data_stream(sc, r)) for r in idx]
+def _run_chunk(jobs) -> list[ReplicateResult]:
+    """Replicates given as (scenario, r) pairs: draw, fit by MLE, then one
+    vectorized MH bank with a chain each.  The scenarios must share n, prior,
+    chain settings and whether x_L > 0 (see ``_pools``)."""
+    samples = [draw_ltll(sc.n, sc.true_params, _data_stream(sc, r)) for sc, r in jobs]
     fits = [fit_mle(s) for s in samples]
 
     inits = np.array([_chain_start(s, f) for s, f in zip(samples, fits)])
     lx = np.stack([s.log_values for s in samples])
-    ln_xl = None if sc.true_params.x_l == 0.0 else np.log(sc.true_params.x_l)
-    streams = [_chain_stream(sc, r) for r in idx]
-    draws, acc, _, _ = _mh_chains(lx, ln_xl, sc.prior, sc.mcmc, streams, inits)
+    first = jobs[0][0]
+    ln_xl = (None if first.true_params.x_l == 0.0
+             else np.array([np.log(sc.true_params.x_l) for sc, _ in jobs]))
+    streams = [_chain_stream(sc, r) for sc, r in jobs]
+    draws, acc, _, _ = _mh_chains(lx, ln_xl, first.prior, first.mcmc, streams, inits)
 
     out = []
-    for i, r in enumerate(idx):
+    for i, (_, r) in enumerate(jobs):
         d = draws[i]
         ci_a, ci_b = _quantile_intervals(d, 0.05)
         f = fits[i]
@@ -209,24 +218,53 @@ def run_replicate(sc: Scenario, r: int) -> ReplicateResult:
     """One replicate, a pure function of (scenario, r)."""
     if not (0 <= r < sc.replicates):
         raise ValueError(f"replicate index {r} outside 0..{sc.replicates - 1}")
-    return _run_chunk(sc, r, r + 1)[0]
+    return _run_chunk([(sc, r)])[0]
 
 
-def run_scenario(sc: Scenario, workers: int = 1) -> list[ReplicateResult]:
-    """All replicates of a scenario, in replicate order.
+def _pools(scenarios):
+    """(scenario index, r) pairs grouped by what a bank's chains must share."""
+    pools = {}
+    for i, sc in enumerate(scenarios):
+        key = (sc.n, sc.prior, sc.mcmc, sc.true_params.x_l > 0.0)
+        pools.setdefault(key, []).extend((i, r) for r in range(sc.replicates))
+    return list(pools.values())
 
-    Work is cut into fixed chunks of, at most, 50 replicates; ``workers`` only
-    chooses how many chunks run concurrently, capped at the chunk count.
+
+def _banks(pool, workers: int):
+    """The fewest near-equal banks of at most _BANK chains, and never fewer
+    than min(workers, pool size), so every worker gets a bank."""
+    count = max(-(-len(pool) // _BANK), min(workers, len(pool)))
+    cuts = [len(pool) * k // count for k in range(count + 1)]
+    return [pool[a:b] for a, b in zip(cuts, cuts[1:])]
+
+
+def run_scenario(scenarios, workers: int = 1) -> list[ReplicateResult]:
+    """All replicates of one scenario or a sequence of them.
+
+    Returns the records scenario by scenario, each in replicate order.
+    Replicates of scenarios that can share a bank are pooled, and each pool
+    is cut into the fewest near-equal banks of at most 200 chains, but never
+    fewer than ``workers``; ``workers`` only chooses how many banks run
+    concurrently, capped at the bank count, and never changes a record.
     """
-    bounds = [(lo, min(lo + _CHUNK, sc.replicates)) for lo in range(0, sc.replicates, _CHUNK)]
-    workers = min(workers, len(bounds))
+    if isinstance(scenarios, Scenario):
+        scenarios = [scenarios]
+    if not scenarios:
+        raise ValueError("need at least one scenario")
+    banks = [bank for pool in _pools(scenarios) for bank in _banks(pool, workers)]
+    jobs = [[(scenarios[i], r) for i, r in bank] for bank in banks]
+    workers = min(workers, len(banks))
     if workers <= 1:
-        chunks = [_run_chunk(sc, lo, hi) for lo, hi in bounds]
+        results = [_run_chunk(job) for job in jobs]
     else:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            futures = [pool.submit(_run_chunk, sc, lo, hi) for lo, hi in bounds]
-            chunks = [f.result() for f in futures]
-    return [rec for chunk in chunks for rec in chunk]
+        with ProcessPoolExecutor(max_workers=workers) as executor:
+            futures = [executor.submit(_run_chunk, job) for job in jobs]
+            results = [f.result() for f in futures]
+    records = [[] for _ in scenarios]
+    for bank, recs in zip(banks, results):
+        for (i, _), rec in zip(bank, recs):
+            records[i].append(rec)
+    return [rec for recs in records for rec in recs]
 
 
 # ---------------------------------------------------------------------------
@@ -312,30 +350,40 @@ def _aggregate_level(key: float, sc: Scenario, records) -> SweepLevel:
     )
 
 
+def _sweep(keys, scenarios, workers: int):
+    """Aggregate per level, running every level's replicates in one call."""
+    records = run_scenario(scenarios, workers=workers)
+    levels = []
+    start = 0
+    for key, sc in zip(keys, scenarios):
+        levels.append(_aggregate_level(key, sc, records[start:start + sc.replicates]))
+        start += sc.replicates
+    return levels
+
+
 def truncation_sweep(base: Scenario, x_l_list=TRUNCATION_GRID, workers: int = 1):
     """Run the scenario at each truncation level (common random numbers).
 
     Levels share the master seed, so replicate r reuses the same uniform
     stream at every level; cross-level comparisons then see the systematic
-    effect of truncation rather than fresh sampling noise.
+    effect of truncation rather than fresh sampling noise.  Every level is
+    validated before any replicate runs.
     """
-    levels = []
-    for x_l in x_l_list:
-        truth = LTLLParams(base.true_params.alpha, base.true_params.beta, float(x_l))
-        sc = replace(base, true_params=truth)
-        records = run_scenario(sc, workers=workers)
-        levels.append(_aggregate_level(float(x_l), sc, records))
-    return levels
+    keys = [float(x_l) for x_l in x_l_list]
+    if not keys:
+        raise ValueError("need at least one truncation level")
+    a, b = base.true_params.alpha, base.true_params.beta
+    scenarios = [replace(base, true_params=LTLLParams(a, b, x_l)) for x_l in keys]
+    return _sweep(keys, scenarios, workers)
 
 
 def sample_size_sweep(base: Scenario, n_list=SAMPLE_SIZE_GRID, workers: int = 1):
     """Run the scenario at each sample size (fixed truncation point)."""
-    levels = []
-    for n in n_list:
-        sc = replace(base, n=int(n))
-        records = run_scenario(sc, workers=workers)
-        levels.append(_aggregate_level(float(n), sc, records))
-    return levels
+    sizes = [int(n) for n in n_list]
+    if not sizes:
+        raise ValueError("need at least one sample size")
+    scenarios = [replace(base, n=n) for n in sizes]
+    return _sweep([float(n) for n in sizes], scenarios, workers)
 
 
 # ---------------------------------------------------------------------------

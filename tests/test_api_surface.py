@@ -107,6 +107,32 @@ def test_modules_use_what_they_import():
     assert not unused
 
 
+@pytest.mark.parametrize("sweep, values", [("truncation_sweep", (0.5, 1.0)),
+                                            ("sample_size_sweep", (40, 60))])
+def test_sweep_records_pass_through_run_scenario(monkeypatch, sweep, values):
+    # The benchmark counts a sweep's replicates by rebinding
+    # ltll.simulation.run_scenario with a recorder like this one, so a sweep
+    # must return every level's records through that module global.
+    import ltll.simulation as sim
+
+    records = []
+
+    def capture(fn):
+        def run_scenario(*args, **kwargs):
+            out = fn(*args, **kwargs)
+            records.extend(out)
+            return out
+        return run_scenario
+
+    monkeypatch.setattr(sim, "run_scenario", capture(sim.run_scenario))
+    cfg = sim.McmcConfig(iterations=300, burn_in=100, thin=2)
+    base = sim.Scenario(true_params=sim.LTLLParams(2.0, 3.0, 1.0), n=40, replicates=3,
+                        mcmc=cfg, master_seed=5)
+    levels = getattr(sim, sweep)(base, values)
+    assert len(levels) == len(values)
+    assert len(records) == len(values) * base.replicates
+
+
 def test_fit_info_has_definiteness_flag():
     # The tracer's fit hook counts fits whose information is not positive definite.
     fit = fit_mle(Sample(np.array([2.0, 3.0, 5.0, 8.0, 13.0]), 1.0))

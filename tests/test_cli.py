@@ -9,6 +9,7 @@ import pytest
 
 import ltll.cli
 import ltll.mcmc
+import ltll.simulation
 from ltll.cli import EXIT_BOUNDARY, EXIT_ERROR, EXIT_OK, main
 from ltll.datasets import apply_truncation, load_bladder_cancer, load_csv
 from ltll.distribution import DegenerateSampleError
@@ -289,6 +290,11 @@ class TestSimulateCommand:
         (["--chains", "2"], "unrecognized arguments: --chains"),
         (["--steps", "inf,0.1"], "positive and finite"),
         (["--workers", "0"], "--workers must be >= 1"),
+        (["--steps", "0.1"], "--steps needs 2 comma-separated values, got 1"),
+        (["--prior", "1,2,3"], "--prior needs 4 comma-separated values, got 3"),
+        (["--truth", "2"], "--truth needs 2 comma-separated values, got 1"),
+        (["--sizes", ","], "need at least one sample size"),
+        (["--sweep", "truncation", "--levels", ","], "need at least one truncation level"),
     ])
     def test_refused(self, tmp_path, capsys, flags, reason):
         out = os.path.join(tmp_path, "out")
@@ -302,6 +308,17 @@ class TestSimulateCommand:
         err = capsys.readouterr().err
         assert "ltll: error: " in err and reason in err
         assert err.count("--chains") == flags.count("--chains")
+        assert not os.path.exists(out)
+
+    def test_bad_level_refused_before_any_chain_runs(self, tmp_path, capsys, monkeypatch):
+        calls = []
+        monkeypatch.setattr(ltll.simulation, "_mh_chains", lambda *args: calls.append(args))
+        out = os.path.join(tmp_path, "out")
+        code = main(["simulate", "--sweep", "truncation", "--replicates", "2", "--n", "50",
+                     "--levels", "1,nan", "--out", out])
+        assert code == EXIT_ERROR
+        assert "x_l must be finite" in capsys.readouterr().err
+        assert calls == []
         assert not os.path.exists(out)
 
 
@@ -371,6 +388,17 @@ class TestMomentsCommand:
         row = np.loadtxt(out, delimiter=",", skiprows=1)
         mean_exact = 2.0 * (math.pi / 3.0) / math.sin(math.pi / 3.0)
         assert abs(row[2] - mean_exact) < 3 * math.sqrt(3.825 / 100000)
+
+    @pytest.mark.parametrize("flags, reason", [
+        (["--alpha-grid", "1:2"], "--alpha-grid needs lo:hi:count, got '1:2'"),
+        (["--beta-grid", "1:2:3:4"], "--beta-grid needs lo:hi:count"),
+        (["--alpha-grid", "1:2:0"], "--alpha-grid needs a count of at least 1, got 0"),
+    ])
+    def test_bad_grid_refused(self, tmp_path, capsys, flags, reason):
+        out = os.path.join(tmp_path, "m.csv")
+        assert main(["moments", "--draws", "100", "--out", out, *flags]) == EXIT_ERROR
+        assert reason in capsys.readouterr().err
+        assert not os.path.exists(out)
 
 
 def test_usage_error_is_exit_code_one(capsys):

@@ -224,6 +224,21 @@ class TestLikelihood:
             assert got[k] == pytest.approx(want, rel=1e-12, abs=1e-13 * math.fsum(map(abs, terms)))
             assert _loglik_row(lx[k], float(sumlx[k]), ln_xl, np.log(a), np.log(b)) == got[k]
 
+    def test_batch_kernel_takes_a_truncation_point_per_row(self):
+        # A bank may pool samples truncated at different points: each row
+        # gets the bits of that row evaluated with its own scalar ln x_L.
+        ln_xl = np.log([0.1, 0.5, 1.0, 1.5])
+        lx = np.log([draw_ltll(50, LTLLParams(2.0, 3.0, math.exp(v)), RngStream(21, k)).values
+                     for k, v in enumerate(ln_xl)])
+        sumlx = lx.sum(axis=1)
+        lna, lnb = np.log([1.5, 2.0, 2.5, 3.0]), np.log([2.0, 3.0, 4.0, 0.5])
+        got = _loglik_batch(lx, sumlx, lx.shape[1], ln_xl, lna, lnb)
+        for k in range(ln_xl.size):
+            assert got[k] == _loglik_row(lx[k], float(sumlx[k]), ln_xl[k], lna[k], lnb[k])
+            one = _loglik_batch(lx[k:k + 1], sumlx[k:k + 1], lx.shape[1], ln_xl[k],
+                                lna[k:k + 1], lnb[k:k + 1])
+            assert got[k] == one[0]
+
     def test_finite_everywhere_valid(self):
         s = draw_ltll(50, LTLLParams(2.0, 3.0, 1.0), RngStream(6, 2))
         for a, b in [(1e-6, 0.1), (1e6, 0.1), (1e-6, 50.0), (1e6, 50.0)]:

@@ -325,7 +325,7 @@ class TestPlainPath:
         fit = fit_mle(s)
         init = np.array([[fit.alpha, fit.beta], [1.9, 2.7]])
         lx = np.repeat(s.log_values[None, :], 2, axis=0)
-        ln_xl = math.log(s.x_l)
+        ln_xl = np.full(2, math.log(s.x_l))
         draws, _, steps, screen_pass = mcmc._mh_chains(
             lx, ln_xl, prior, self.CFG, [RngStream(14, 1), RngStream(14, 2)], init)
 
@@ -335,7 +335,8 @@ class TestPlainPath:
         assert screen_pass[1] == 1.0
 
         assert screen_pass[0] < 0.6
-        alone = mcmc._mh_chains(lx[:1], ln_xl, prior, self.CFG, [RngStream(14, 1)], init[:1])
+        alone = mcmc._mh_chains(lx[:1], ln_xl[:1], prior, self.CFG, [RngStream(14, 1)],
+                                init[:1])
         assert np.array_equal(draws[0], alone[0][0])
         assert np.array_equal(steps[0], alone[2][0])
         assert screen_pass[0] == alone[3][0]
@@ -376,17 +377,36 @@ class TestLoopIdentity:
         lx = np.stack([s.log_values for s, _ in chains])
         init = np.array([start for _, start in chains])
         streams = [RngStream(cfg.seed, 1 + k) for k in range(len(chains))]
-        together = mcmc._mh_chains(lx, 0.0, prior, cfg, streams, init)
+        together = mcmc._mh_chains(lx, np.zeros(len(chains)), prior, cfg, streams, init)
         if bank == "screened, off-mode, boundary":
             assert together[3][0] < 1.0 and np.all(together[3][1:] == 1.0)
         if steps[0] > mcmc._STEP_BOUNDS[1]:
             assert np.all(together[2][:, 1] == mcmc._STEP_BOUNDS[0])
         for k in range(len(chains)):
-            alone = mcmc._mh_chains(lx[k:k + 1], 0.0, prior, cfg,
+            alone = mcmc._mh_chains(lx[k:k + 1], np.zeros(1), prior, cfg,
                                     [RngStream(cfg.seed, 1 + k)], init[k:k + 1])
             assert 0.0 < alone[1][0] < 1.0
             for got, want in zip(together, alone):
                 assert np.array_equal(got[k], want[0])
+
+    @pytest.mark.parametrize("block", [2048, 512, 37])
+    def test_uniform_block_size_changes_no_draw(self, banks, block, monkeypatch):
+        # Streams are counter-based, so however the uniforms are cut into
+        # blocks every step gets the same three, for a bank and a lone chain.
+        chains = banks["screened, off-mode, boundary"]
+        cfg, prior = self.CFG, PriorSpec.diffuse()
+        lx = np.stack([s.log_values for s, _ in chains])
+        init = np.array([start for _, start in chains])
+
+        def run(b):
+            return mcmc._mh_chains(lx[:b], np.zeros(b), prior, cfg,
+                                   [RngStream(cfg.seed, 1 + k) for k in range(b)], init[:b])
+
+        want = run(len(chains)), run(1)
+        monkeypatch.setattr(mcmc, "_RNG_BLOCK", block)
+        for got, ref in zip((run(len(chains)), run(1)), want):
+            for g, w in zip(got, ref):
+                assert np.array_equal(g, w)
 
 
 def _batch_mcse(values, n_chains, batches=40):

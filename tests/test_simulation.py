@@ -8,6 +8,7 @@ import ltll.simulation
 from ltll.distribution import LTLLParams
 from ltll.mcmc import _SCREEN_MIN_N, McmcConfig, PriorSpec
 from ltll.simulation import (
+    _BANK,
     Scenario,
     atomic_write_text,
     error_metrics,
@@ -78,18 +79,17 @@ class TestReplicates:
             replace(tiny_scenario(), mcmc=replace(TINY_MCMC, chains=2))
 
     def test_replicate_matches_its_chunk(self):
-        # A replicate recomputed alone equals the one its 50-replicate chunk
-        # produced, also at n where chains run the delayed-acceptance screen:
-        # whether a chain is screened depends on its own sample, never on
-        # the bank.  r = 7 sits in the full chunk 0..49, r = 51 in the
-        # trailing chunk 50..52.
+        # A replicate recomputed alone equals the one its bank produced, also
+        # at n where chains run the delayed-acceptance screen: whether a
+        # chain is screened depends on its own sample, never on the bank.
+        # _BANK + 1 replicates make two banks, 0..99 and 100..200.
         sc = Scenario(
-            true_params=LTLLParams(2.0, 3.0, 1.0), n=_SCREEN_MIN_N, replicates=53,
+            true_params=LTLLParams(2.0, 3.0, 1.0), n=_SCREEN_MIN_N, replicates=_BANK + 1,
             prior=PriorSpec.diffuse(), mcmc=McmcConfig(iterations=400, burn_in=100, thin=2),
             master_seed=271,
         )
         recs = run_scenario(sc)
-        for r in (7, 51):
+        for r in (7, _BANK):
             assert run_replicate(sc, r) == recs[r]
 
     def test_estimates_near_truth(self):
@@ -113,38 +113,78 @@ class TestScenario:
         assert [r.r for r in recs] == list(range(5))
 
     def test_two_chunk_pool_matches_sequential(self):
-        # 53 replicates make two chunks, so workers=2 really runs a pool.
+        # workers=2 cuts the 53 replicates into two banks, so a real process
+        # pool runs them.
         sc = replace(tiny_scenario(replicates=53, n=40),
                      mcmc=McmcConfig(iterations=300, burn_in=100, thin=2))
         assert run_scenario(sc, workers=2) == run_scenario(sc, workers=1)
 
-    def test_workers_capped_at_chunk_count(self, monkeypatch):
-        # An inline stand-in for the process pool: it records the pool size
-        # and runs each chunk in this process.
-        sizes = []
+    @pytest.mark.parametrize("size, workers, banks", [
+        (6, 1, [6]),
+        (6, 8, [1] * 6),
+        (200, 1, [200]),
+        (201, 1, [100, 101]),
+        (600, 2, [200, 200, 200]),
+        (601, 2, [150, 150, 150, 151]),
+        (601, 5, [120, 120, 120, 120, 121]),
+    ])
+    def test_bank_rule(self, size, workers, banks):
+        # The fewest near-equal banks of at most _BANK chains, and never
+        # fewer than min(workers, pool size); banks cover the pool in order.
+        assert _BANK == 200
+        pool = list(range(size))
+        got = ltll.simulation._banks(pool, workers)
+        assert [len(b) for b in got] == banks
+        assert [j for b in got for j in b] == pool
 
-        class InlinePool:
-            def __init__(self, max_workers):
-                sizes.append(max_workers)
-
-            def __enter__(self):
-                return self
-
-            def __exit__(self, *exc):
-                return False
-
-            def submit(self, fn, *args):
-                result = fn(*args)
-                return type("Done", (), {"result": lambda self: result})()
-
-        monkeypatch.setattr(ltll.simulation, "ProcessPoolExecutor", InlinePool)
+    def test_workers_capped_at_chunk_count(self, inline_pool):
+        # 6 replicates make at least min(8, 6) banks, one chain each, and the
+        # pool is capped at that bank count; one worker starts no pool.
         cfg = McmcConfig(iterations=150, burn_in=50, thin=1)
-        one_chunk = replace(tiny_scenario(replicates=6, n=40), mcmc=cfg)
-        two_chunks = replace(one_chunk, replicates=53)
-        assert run_scenario(one_chunk, workers=8) == run_scenario(one_chunk)
-        assert sizes == []
-        assert run_scenario(two_chunks, workers=8) == run_scenario(two_chunks)
-        assert sizes == [2]
+        sc = replace(tiny_scenario(replicates=6, n=40), mcmc=cfg)
+        assert run_scenario(sc, workers=8) == run_scenario(sc)
+        assert inline_pool == [6]
+
+    def test_scenarios_share_banks_yet_keep_their_records(self, inline_pool):
+        # Truncated levels pool into one bank and x_L = 0 gets its own, yet
+        # every level's records equal that level run alone, under any
+        # worker count.
+        cfg = McmcConfig(iterations=300, burn_in=100, thin=2)
+        base = replace(tiny_scenario(replicates=5, n=40), mcmc=cfg)
+        scs = [replace(base, true_params=LTLLParams(2.0, 3.0, x_l)) for x_l in (1.0, 0.0, 0.5)]
+        seq = run_scenario(scs)
+        alone = [rec for sc in scs for rec in run_scenario(sc)]
+        assert seq == alone
+        assert run_scenario(scs, workers=2) == seq
+        assert inline_pool == [2]
+
+    def test_empty_scenario_list_refused(self):
+        with pytest.raises(ValueError, match="at least one scenario"):
+            run_scenario([])
+
+
+@pytest.fixture
+def inline_pool(monkeypatch):
+    """An inline stand-in for the process pool: records each pool's size and
+    runs every bank in this process."""
+    sizes = []
+
+    class InlinePool:
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def submit(self, fn, *args):
+            result = fn(*args)
+            return type("Done", (), {"result": lambda self: result})()
+
+    monkeypatch.setattr(ltll.simulation, "ProcessPoolExecutor", InlinePool)
+    return sizes
 
 
 @pytest.fixture(scope="module")
@@ -177,6 +217,47 @@ class TestSweeps:
         again = truncation_sweep(tiny_scenario(replicates=6), x_l_list=(0.5, 1.0))
         assert table1_csv(again) == table1_csv(trunc_levels)
         assert table2_csv(again) == table2_csv(trunc_levels)
+
+    def test_levels_pooled_in_one_call_equal_levels_run_alone(self, monkeypatch):
+        # At n >= _SCREEN_MIN_N the truncated levels' screened chains share
+        # one bank; x_L = 0 runs in a bank of its own.  Each level's records
+        # equal that level's scenario run alone.
+        base = Scenario(
+            true_params=LTLLParams(2.0, 3.0, 1.0), n=_SCREEN_MIN_N, replicates=3,
+            prior=PriorSpec.diffuse(), mcmc=McmcConfig(iterations=400, burn_in=100, thin=2),
+            master_seed=17,
+        )
+        calls = []
+        real = ltll.simulation.run_scenario
+
+        def recorder(scenarios, workers=1):
+            out = real(scenarios, workers=workers)
+            calls.append((scenarios, out))
+            return out
+
+        monkeypatch.setattr(ltll.simulation, "run_scenario", recorder)
+        levels = truncation_sweep(base, x_l_list=(0.0, 0.5, 1.0))
+        [(scs, records)] = calls
+        assert [sc.true_params.x_l for sc in scs] == [0.0, 0.5, 1.0]
+        for k, (lv, sc) in enumerate(zip(levels, scs)):
+            assert lv.scenario == sc
+            assert records[3 * k:3 * k + 3] == real(sc)
+
+    @pytest.mark.parametrize("sweep, values, reason", [
+        (truncation_sweep, (), "at least one truncation level"),
+        (truncation_sweep, (1.0, float("nan")), "x_l must be finite"),
+        (truncation_sweep, (1.0, -0.5), "x_l must be finite"),
+        (sample_size_sweep, (), "at least one sample size"),
+        (sample_size_sweep, (100, 5), "sample size >= 10"),
+    ])
+    def test_bad_levels_refused_before_any_chain_runs(self, monkeypatch, sweep, values,
+                                                     reason):
+        def no_chains(*args):
+            raise AssertionError("a chain ran before every level was validated")
+
+        monkeypatch.setattr(ltll.simulation, "_mh_chains", no_chains)
+        with pytest.raises(ValueError, match=reason):
+            sweep(tiny_scenario(replicates=2), values)
 
     def test_common_random_numbers_across_levels(self, trunc_levels):
         # same master seed -> the same uniform stream feeds every level, so
