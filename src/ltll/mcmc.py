@@ -41,7 +41,8 @@ from dataclasses import dataclass, replace
 import numpy as np
 from scipy.special import gammaln
 
-from .distribution import Sample, _derivatives_z, _loglik_batch, _loglik_row, log_likelihood
+from .distribution import (Sample, _derivatives_z, _log_xl, _loglik_batch, _loglik_row,
+                           log_likelihood)
 from .mle import SCORE_TOL, EllipsePoints, MleFit, _trace_ellipse, fit_mle
 from .numerics import RngStream, SymMatrix2, chi2_quantile_2dof, normal_quantile
 
@@ -215,7 +216,7 @@ def _laplace_screens(lx, ln_xl, prior: PriorSpec, lna, lnb, ll):
     centre = np.zeros((2, b_chains))
     coef = np.zeros((3, b_chains))
     for k in range(b_chains):
-        g, h = _derivatives_z(lx[k], None if ln_xl is None else ln_xl[k], (lna[k], lnb[k]))
+        g, h = _derivatives_z(lx[k], ln_xl[k], (lna[k], lnb[k]))
         stationary = np.hypot(*g) <= SCORE_TOL * (1.0 + abs(ll[k]))
         if not (stationary and h[0, 0] < 0.0 and h[0, 0] * h[1, 1] > h[0, 1] ** 2):
             continue
@@ -269,8 +270,8 @@ def _uniform_blocks(streams, iterations):
 def _mh_chains(lx, ln_xl, prior: PriorSpec, cfg: McmcConfig, streams, init):
     """Run one MH chain per row of ``lx``.
 
-    lx: (B, n) log-data; ln_xl: None when x_l = 0, else (B,) log truncation
-    points, one per chain; streams: B counter-based streams, one per chain;
+    lx: (B, n) log-data; ln_xl: (B,) log truncation points (``_log_xl``, so
+    -inf where x_l = 0), one per chain; streams: B counter-based streams;
     init: (B, 2) start states.  Chains with a Laplace screen (see
     ``_laplace_screens``) run delayed acceptance; the others run plain MH.
     One chain steps on Python floats (``_mh_one``), two or more step
@@ -287,7 +288,7 @@ def _mh_chains(lx, ln_xl, prior: PriorSpec, cfg: McmcConfig, streams, init):
     c1, c2 = _prior_consts(prior)
     # (2, B): ln alpha and ln beta of every chain.
     state = np.log(np.ascontiguousarray(np.transpose(init), dtype=np.float64))
-    ll = _loglik_batch(lx, sumlx, lx.shape[1], ln_xl, state[0], state[1])
+    ll = _loglik_batch(lx, sumlx, ln_xl, state[0], state[1])
     target = ll + _log_target_z(state[0], state[1], prior, c1, c2)
     screens = _laplace_screens(lx, ln_xl, prior, state[0], state[1], ll)
     if lx.shape[0] > 1:
@@ -295,8 +296,7 @@ def _mh_chains(lx, ln_xl, prior: PriorSpec, cfg: McmcConfig, streams, init):
                         screens)
     screen = None if screens is None else tuple(tuple(a[:, 0].tolist()) for a in screens)
     (lna,), (lnb,) = state.tolist()
-    ln_xl = None if ln_xl is None else float(ln_xl[0])
-    return _mh_one(lx[0], float(sumlx[0]), ln_xl, prior, c1, c2, cfg, streams[0],
+    return _mh_one(lx[0], float(sumlx[0]), float(ln_xl[0]), prior, c1, c2, cfg, streams[0],
                    lna, lnb, float(target[0]), screen)
 
 
@@ -351,7 +351,7 @@ def _mh_bank(lx, sumlx, ln_xl, prior, c1, c2, cfg, streams, state, target, scree
     each adaptation), accepted moves are copied in place, and a window's
     hits are read off the running acceptance counts.
     """
-    b_chains, n = lx.shape
+    b_chains = lx.shape[0]
     burn_in, thin = cfg.burn_in, cfg.thin
     steps = np.repeat([[cfg.step_alpha], [cfg.step_beta]], b_chains, axis=1)
     if screens is not None:
@@ -370,7 +370,7 @@ def _mh_bank(lx, sumlx, ln_xl, prior, c1, c2, cfg, streams, state, target, scree
             prop = state + inc[i]
             lu = ln_u[i]
             if screens is None:
-                target_p = (_loglik_batch(lx, sumlx, n, ln_xl, prop[0], prop[1])
+                target_p = (_loglik_batch(lx, sumlx, ln_xl, prop[0], prop[1])
                             + _log_target_z(prop[0], prop[1], prior, c1, c2))
                 accept = lu < target_p - target
             else:
@@ -387,9 +387,8 @@ def _mh_bank(lx, sumlx, ln_xl, prior, c1, c2, cfg, streams, state, target, scree
                     # u / e^min(0, dq) is uniform on (0, 1).
                     rows = slice(None) if npass == b_chains else np.flatnonzero(screen)
                     la, lb = prop[0, rows], prop[1, rows]
-                    xl = None if ln_xl is None else ln_xl[rows]
                     target_p = target.copy()
-                    target_p[rows] = (_loglik_batch(lx[rows], sumlx[rows], n, xl, la, lb)
+                    target_p[rows] = (_loglik_batch(lx[rows], sumlx[rows], ln_xl[rows], la, lb)
                                       + _log_target_z(la, lb, prior, c1, c2))
                     accept = screen & (lu < bound + np.minimum(target_p - target - dq, 0.0))
                     np.copyto(q, q_p, where=accept)
@@ -440,7 +439,7 @@ def run_chain(s: Sample, prior: PriorSpec | None = None, cfg: McmcConfig | None 
         raise ValueError(f"init must be a finite positive (alpha, beta), got {init}")
     streams = [RngStream(cfg.seed, 1 + k) for k in range(cfg.chains)]
     lx = np.repeat(s.log_values[None, :], cfg.chains, axis=0)
-    ln_xl = None if s.x_l == 0.0 else np.full(cfg.chains, np.log(s.x_l))
+    ln_xl = np.full(cfg.chains, _log_xl(s.x_l))
     init_arr = np.tile(np.asarray(init, dtype=np.float64), (cfg.chains, 1))
 
     draws_by_chain, acc, steps, screen_pass = _mh_chains(lx, ln_xl, prior, cfg, streams,

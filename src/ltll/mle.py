@@ -28,6 +28,7 @@ from .distribution import (
     LTLLParams,
     Sample,
     _derivatives_z,
+    _log_xl,
     _loglik_row,
     existence_stats,
     log_likelihood,
@@ -200,7 +201,7 @@ def fit_mle(s: Sample) -> MleFit:
         ln_xl = 0.0  # the working truncation point is 1
     else:
         scale = float(np.median(s.values))
-        stats = ln_xl = None
+        stats, ln_xl = None, -np.inf
 
     ln_scale = math.log(scale)
     z, iterations, g, h = _newton_ascent(s.log_values - ln_scale, ln_xl,
@@ -235,8 +236,7 @@ def observed_information(s: Sample, theta) -> SymMatrix2:
     near-boundary or misconverged estimate.
     """
     alpha, beta = float(theta[0]), float(theta[1])
-    ln_xl = None if s.x_l == 0.0 else math.log(s.x_l)
-    g, h = _derivatives_z(s.log_values, ln_xl, (math.log(alpha), math.log(beta)))
+    g, h = _derivatives_z(s.log_values, _log_xl(s.x_l), (math.log(alpha), math.log(beta)))
     return _information(g, h, alpha, beta)
 
 

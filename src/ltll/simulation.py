@@ -6,8 +6,8 @@ chain settings, and a master seed.  Replicate r draws its data from stream
 replicate is a pure function of (scenario, r): reruns and parallel schedules
 cannot change any number.  A sweep hands all its scenarios to one
 ``run_scenario`` call, which pools the replicates of scenarios whose chains
-can share a bank (same n, prior and chain settings, and all truncated or all
-untruncated) and runs each pool as vectorized banks of at most _BANK chains.
+can share a bank (same n, prior and chain settings, at any x_L, 0 included)
+and runs each pool as vectorized banks of at most _BANK chains.
 Chain k of any bank equals that chain run alone, so neither the pooling nor
 the number of worker processes, which only decides where each bank runs,
 can change an output byte.
@@ -26,7 +26,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .distribution import LTLLParams, draw_ltll
+from .distribution import LTLLParams, _log_xl, draw_ltll
 from .mcmc import McmcConfig, PriorSpec, _chain_start, _ess, _mh_chains, _quantile_intervals
 from .mle import fit_mle
 from .numerics import RngStream, normal_quantile
@@ -177,16 +177,15 @@ def _chain_stream(sc: Scenario, r: int) -> RngStream:
 
 def _run_chunk(jobs) -> list[ReplicateResult]:
     """Replicates given as (scenario, r) pairs: draw, fit by MLE, then one
-    vectorized MH bank with a chain each.  The scenarios must share n, prior,
-    chain settings and whether x_L > 0 (see ``_pools``)."""
+    vectorized MH bank with a chain each.  The scenarios must share n, prior
+    and chain settings (see ``_pools``); each chain carries its own ln x_L."""
     samples = [draw_ltll(sc.n, sc.true_params, _data_stream(sc, r)) for sc, r in jobs]
     fits = [fit_mle(s) for s in samples]
 
     inits = np.array([_chain_start(s, f) for s, f in zip(samples, fits)])
     lx = np.stack([s.log_values for s in samples])
+    ln_xl = np.array([_log_xl(s.x_l) for s in samples])
     first = jobs[0][0]
-    ln_xl = (None if first.true_params.x_l == 0.0
-             else np.array([np.log(sc.true_params.x_l) for sc, _ in jobs]))
     streams = [_chain_stream(sc, r) for sc, r in jobs]
     draws, acc, _, _ = _mh_chains(lx, ln_xl, first.prior, first.mcmc, streams, inits)
 
@@ -222,18 +221,19 @@ def run_replicate(sc: Scenario, r: int) -> ReplicateResult:
 
 
 def _pools(scenarios):
-    """(scenario index, r) pairs grouped by what a bank's chains must share."""
+    """(scenario index, r) pairs grouped by what a bank's chains must share:
+    n, prior and chain settings; each chain carries its own ln x_L."""
     pools = {}
     for i, sc in enumerate(scenarios):
-        key = (sc.n, sc.prior, sc.mcmc, sc.true_params.x_l > 0.0)
+        key = (sc.n, sc.prior, sc.mcmc)
         pools.setdefault(key, []).extend((i, r) for r in range(sc.replicates))
     return list(pools.values())
 
 
 def _banks(pool, workers: int):
-    """The fewest near-equal banks of at most _BANK chains, and never fewer
-    than min(workers, pool size), so every worker gets a bank."""
-    count = max(-(-len(pool) // _BANK), min(workers, len(pool)))
+    """The fewest near-equal banks of at most _BANK chains, rounded up to a
+    multiple of ``workers`` so each worker runs as many, but none empty."""
+    count = min(-(-len(pool) // (_BANK * workers)) * workers, len(pool))
     cuts = [len(pool) * k // count for k in range(count + 1)]
     return [pool[a:b] for a, b in zip(cuts, cuts[1:])]
 
@@ -243,9 +243,9 @@ def run_scenario(scenarios, workers: int = 1) -> list[ReplicateResult]:
 
     Returns the records scenario by scenario, each in replicate order.
     Replicates of scenarios that can share a bank are pooled, and each pool
-    is cut into the fewest near-equal banks of at most 200 chains, but never
-    fewer than ``workers``; ``workers`` only chooses how many banks run
-    concurrently, capped at the bank count, and never changes a record.
+    is cut into the fewest near-equal banks of at most 200 chains, rounded
+    up to a multiple of ``workers`` while no bank is empty; ``workers`` only
+    chooses how many banks run at once and never changes a record.
     """
     if isinstance(scenarios, Scenario):
         scenarios = [scenarios]

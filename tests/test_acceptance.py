@@ -91,16 +91,17 @@ def report(criterion: str, ok: bool, detail: str) -> bool:
 def truncation_records():
     """Replicate records of the truncation sweep, keyed by x_L.
 
-    The same loop as ``truncation_sweep``, kept here so that the MCSE of the
-    c06/c08 report lines can read the per-replicate interval widths.
+    The same single pooled call as ``truncation_sweep``, kept here so that
+    the MCSE of the c06/c08 report lines can read the per-replicate interval
+    widths.
     """
     base = Scenario(true_params=LTLLParams(2.0, 3.0, 1.0), n=1000, replicates=200,
                     prior=PriorSpec.diffuse(), mcmc=McmcConfig(), master_seed=MASTER_SEED)
-    out = {}
-    for x_l in TRUNCATION_GRID:
-        sc = replace(base, true_params=LTLLParams(2.0, 3.0, float(x_l)))
-        out[float(x_l)] = (sc, run_scenario(sc, workers=2))
-    return out
+    scenarios = [replace(base, true_params=LTLLParams(2.0, 3.0, float(x_l)))
+                 for x_l in TRUNCATION_GRID]
+    records = run_scenario(scenarios, workers=2)
+    return {sc.true_params.x_l: (sc, records[k * sc.replicates:(k + 1) * sc.replicates])
+            for k, sc in enumerate(scenarios)}
 
 
 @pytest.fixture(scope="module")

@@ -1,4 +1,5 @@
 import math
+import warnings
 from decimal import Decimal, localcontext
 
 import numpy as np
@@ -9,6 +10,7 @@ from scipy.integrate import quad
 
 from ltll.distribution import (
     DegenerateSampleError,
+    _log_xl,
     _loglik_batch,
     _loglik_row,
     LTLLParams,
@@ -123,6 +125,17 @@ class TestCdfForms:
         assert ltll_cdf(p.x_l, p) == 0.0
         assert ltll_cdf(1e9, p) == pytest.approx(1.0, abs=1e-12)
 
+    def test_cdf_at_zero_without_truncation(self):
+        # x = x_L = 0 is inside the domain: ln 0 = -inf gives F = 0 and no
+        # divide-by-zero warning (the suite turns RuntimeWarning into errors).
+        p = LTLLParams(2.0, 3.0, 0.0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert ltll_cdf(0.0, p) == 0.0
+            got = ltll_cdf(np.array([0.0, 1.0]), p)
+        assert got[0] == 0.0
+        assert got[1] == pytest.approx(ll_cdf(1.0, 2.0, 3.0), rel=1e-15)
+
     def test_cdf_matches_pdf_derivative(self):
         p = LTLLParams(2.0, 3.0, 0.7)
         for x in (0.9, 1.5, 2.0, 4.0, 9.0):
@@ -209,8 +222,8 @@ class TestLikelihood:
         lx = np.log([draw_ltll(60, LTLLParams(2.0, 3.0, x_l), RngStream(13, k)).values
                      for k in range(alphas.size)])
         sumlx = lx.sum(axis=1)
-        ln_xl = None if x_l == 0.0 else math.log(x_l)
-        got = _loglik_batch(lx, sumlx, lx.shape[1], ln_xl, np.log(alphas), np.log(betas))
+        ln_xl = math.log(x_l) if x_l > 0.0 else -math.inf
+        got = _loglik_batch(lx, sumlx, ln_xl, np.log(alphas), np.log(betas))
         assert max(b * abs(v - math.log(a))
                    for a, b, row in zip(alphas, betas, lx) for v in row) > 745.0
         for k, (a, b) in enumerate(zip(alphas, betas)):
@@ -218,26 +231,35 @@ class TestLikelihood:
             for v in lx[k]:
                 t = b * (v - math.log(a))
                 terms.append(math.log(b / a) + (b - 1.0) * (v - math.log(a)) - 2.0 * softplus(t))
-            if ln_xl is not None:
+            if x_l > 0.0:
                 terms.extend([softplus(b * (ln_xl - math.log(a)))] * lx.shape[1])
             want = math.fsum(terms)
             assert got[k] == pytest.approx(want, rel=1e-12, abs=1e-13 * math.fsum(map(abs, terms)))
             assert _loglik_row(lx[k], float(sumlx[k]), ln_xl, np.log(a), np.log(b)) == got[k]
 
     def test_batch_kernel_takes_a_truncation_point_per_row(self):
-        # A bank may pool samples truncated at different points: each row
-        # gets the bits of that row evaluated with its own scalar ln x_L.
-        ln_xl = np.log([0.1, 0.5, 1.0, 1.5])
+        # A bank may pool samples truncated at different points, x_L = 0
+        # (ln x_L = -inf) among them: each row gets the bits of that row
+        # evaluated with its own scalar ln x_L.
+        ln_xl = np.array([-math.inf, *np.log([0.1, 0.5, 1.0, 1.5])])
         lx = np.log([draw_ltll(50, LTLLParams(2.0, 3.0, math.exp(v)), RngStream(21, k)).values
                      for k, v in enumerate(ln_xl)])
         sumlx = lx.sum(axis=1)
-        lna, lnb = np.log([1.5, 2.0, 2.5, 3.0]), np.log([2.0, 3.0, 4.0, 0.5])
-        got = _loglik_batch(lx, sumlx, lx.shape[1], ln_xl, lna, lnb)
+        lna, lnb = np.log([0.7, 1.5, 2.0, 2.5, 3.0]), np.log([1.2, 2.0, 3.0, 4.0, 0.5])
+        got = _loglik_batch(lx, sumlx, ln_xl, lna, lnb)
         for k in range(ln_xl.size):
             assert got[k] == _loglik_row(lx[k], float(sumlx[k]), ln_xl[k], lna[k], lnb[k])
-            one = _loglik_batch(lx[k:k + 1], sumlx[k:k + 1], lx.shape[1], ln_xl[k],
-                                lna[k:k + 1], lnb[k:k + 1])
+            one = _loglik_batch(lx[k:k + 1], sumlx[k:k + 1], ln_xl[k], lna[k:k + 1],
+                                lnb[k:k + 1])
             assert got[k] == one[0]
+
+    def test_no_truncation_is_log_zero(self):
+        # Every layer carries x_L = 0 as ln x_L = -inf, made without a
+        # divide-by-zero warning (any warning fails here).
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert _log_xl(0.0) == -math.inf
+            assert _log_xl(0.5) == np.log(0.5)
 
     def test_finite_everywhere_valid(self):
         s = draw_ltll(50, LTLLParams(2.0, 3.0, 1.0), RngStream(6, 2))

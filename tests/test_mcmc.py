@@ -6,7 +6,7 @@ import pytest
 
 from ltll import mcmc
 from ltll.datasets import apply_truncation, load_bladder_cancer
-from ltll.distribution import LTLLParams, Sample, draw_ltll, log_likelihood
+from ltll.distribution import LTLLParams, Sample, _log_xl, draw_ltll, log_likelihood
 from ltll.mcmc import (
     McmcConfig,
     PriorSpec,
@@ -346,8 +346,10 @@ class TestLoopIdentity:
     """Chain k of a bank (vectorized loop) equals that chain run alone (one-chain loop).
 
     Bank rows share n, so the chains below the screen floor form a bank of
-    their own.  4500 iterations are no multiple of the uniform block, and the
-    second step pair lands on both clip bounds at the first adaptation.
+    their own.  The screened bank also holds an untruncated sample at its
+    MLE (ln x_L = -inf beside ln x_L = 0).  4500 iterations are no multiple
+    of the uniform block, and the second step pair lands on both clip bounds
+    at the first adaptation.
     """
 
     CFG = McmcConfig(iterations=4500, burn_in=1150, thin=3, seed=6)
@@ -357,13 +359,16 @@ class TestLoopIdentity:
         fit = fit_mle(sample_n1000)
         pareto = _pareto_sample(1000, 1)
         pfit = fit_mle(pareto)
+        untruncated = draw_ltll(1000, LTLLParams(2.0, 3.0, 0.0), RngStream(9, 1))
+        ufit = fit_mle(untruncated)
         bladder = apply_truncation(load_bladder_cancer(), 1.0).sample
         bfit = fit_mle(bladder)
         assert not fit.boundary and pfit.boundary and bladder.n < mcmc._SCREEN_MIN_N
         return {
             "screened, off-mode, boundary": [
                 (sample_n1000, (fit.alpha, fit.beta)), (sample_n1000, (1.9, 2.7)),
-                (pareto, mcmc._chain_start(pareto, pfit))],
+                (pareto, mcmc._chain_start(pareto, pfit)),
+                (untruncated, (ufit.alpha, ufit.beta))],
             "below the floor": [
                 (bladder, (bfit.alpha, bfit.beta)), (bladder, (2.0 * bfit.alpha, bfit.beta))],
         }
@@ -375,15 +380,17 @@ class TestLoopIdentity:
         cfg = replace(self.CFG, step_alpha=steps[0], step_beta=steps[1])
         prior = PriorSpec.diffuse()
         lx = np.stack([s.log_values for s, _ in chains])
+        ln_xl = np.array([_log_xl(s.x_l) for s, _ in chains])
         init = np.array([start for _, start in chains])
         streams = [RngStream(cfg.seed, 1 + k) for k in range(len(chains))]
-        together = mcmc._mh_chains(lx, np.zeros(len(chains)), prior, cfg, streams, init)
+        together = mcmc._mh_chains(lx, ln_xl, prior, cfg, streams, init)
         if bank == "screened, off-mode, boundary":
-            assert together[3][0] < 1.0 and np.all(together[3][1:] == 1.0)
+            assert ln_xl[-1] == -np.inf
+            assert np.all(together[3][[0, 3]] < 1.0) and np.all(together[3][1:3] == 1.0)
         if steps[0] > mcmc._STEP_BOUNDS[1]:
             assert np.all(together[2][:, 1] == mcmc._STEP_BOUNDS[0])
         for k in range(len(chains)):
-            alone = mcmc._mh_chains(lx[k:k + 1], np.zeros(1), prior, cfg,
+            alone = mcmc._mh_chains(lx[k:k + 1], ln_xl[k:k + 1], prior, cfg,
                                     [RngStream(cfg.seed, 1 + k)], init[k:k + 1])
             assert 0.0 < alone[1][0] < 1.0
             for got, want in zip(together, alone):
@@ -396,10 +403,11 @@ class TestLoopIdentity:
         chains = banks["screened, off-mode, boundary"]
         cfg, prior = self.CFG, PriorSpec.diffuse()
         lx = np.stack([s.log_values for s, _ in chains])
+        ln_xl = np.array([_log_xl(s.x_l) for s, _ in chains])
         init = np.array([start for _, start in chains])
 
         def run(b):
-            return mcmc._mh_chains(lx[:b], np.zeros(b), prior, cfg,
+            return mcmc._mh_chains(lx[:b], ln_xl[:b], prior, cfg,
                                    [RngStream(cfg.seed, 1 + k) for k in range(b)], init[:b])
 
         want = run(len(chains)), run(1)

@@ -268,6 +268,19 @@ class TestObservedInformation:
         assert j.a22 == pytest.approx(-d_b[1], rel=1e-4)
         assert j.a12 == pytest.approx(-0.5 * (d_a[1] + d_b[0]), rel=1e-4)
 
+    def test_zero_truncation_is_the_limit_of_small_truncation(self):
+        # ln x_L = -inf is the x_L -> 0 limit: at x_L = 1e-300 min(x) every
+        # truncation term has underflowed to 0, so the likelihood, score and
+        # information equal those at x_L = 0 exactly, where the Hessian's
+        # sigma_L t_L terms are 0 * inf unless taken as their limit.
+        s = draw_ltll(200, LTLLParams(2.0, 3.0, 0.0), RngStream(19, 2))
+        tiny = Sample(s.values, 1e-300 * float(np.min(s.values)))
+        for a, b in [(2.0, 3.0), (0.4, 1.3), (7.0, 9.0)]:
+            assert log_likelihood(tiny, a, b) == log_likelihood(s, a, b)
+            assert score_gradient(tiny, a, b) == score_gradient(s, a, b)
+            assert observed_information(tiny, (a, b)) == observed_information(s, (a, b))
+            assert np.all(np.isfinite(observed_information(s, (a, b)).to_array()))
+
 
     @pytest.mark.parametrize("x_l", [0.0, 1.0])
     def test_matches_finite_difference_hessian(self, x_l):
@@ -283,7 +296,7 @@ class TestObservedInformation:
     @pytest.mark.parametrize("x_l", [0.0, 1.0])
     def test_log_space_score_and_hessian(self, x_l):
         s = draw_ltll(300, LTLLParams(2.0, 3.0, x_l), RngStream(17, 4))
-        ln_xl = math.log(x_l) if x_l > 0.0 else None
+        ln_xl = math.log(x_l) if x_l > 0.0 else -math.inf
 
         def ll_z(z):
             return log_likelihood(s, math.exp(z[0]), math.exp(z[1]))

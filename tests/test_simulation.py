@@ -124,13 +124,15 @@ class TestScenario:
         (6, 8, [1] * 6),
         (200, 1, [200]),
         (201, 1, [100, 101]),
-        (600, 2, [200, 200, 200]),
+        (600, 2, [150, 150, 150, 150]),
         (601, 2, [150, 150, 150, 151]),
         (601, 5, [120, 120, 120, 120, 121]),
+        (1000, 2, [166, 167, 167, 166, 167, 167]),
     ])
     def test_bank_rule(self, size, workers, banks):
-        # The fewest near-equal banks of at most _BANK chains, and never
-        # fewer than min(workers, pool size); banks cover the pool in order.
+        # The fewest near-equal banks of at most _BANK chains, rounded up to
+        # a multiple of workers so each worker runs as many, but never more
+        # banks than chains; banks cover the pool in order.
         assert _BANK == 200
         pool = list(range(size))
         got = ltll.simulation._banks(pool, workers)
@@ -146,9 +148,9 @@ class TestScenario:
         assert inline_pool == [6]
 
     def test_scenarios_share_banks_yet_keep_their_records(self, inline_pool):
-        # Truncated levels pool into one bank and x_L = 0 gets its own, yet
-        # every level's records equal that level run alone, under any
-        # worker count.
+        # All levels, x_L = 0 among them, pool into one bank (two at
+        # workers=2), yet every level's records equal that level run alone,
+        # under any worker count.
         cfg = McmcConfig(iterations=300, burn_in=100, thin=2)
         base = replace(tiny_scenario(replicates=5, n=40), mcmc=cfg)
         scs = [replace(base, true_params=LTLLParams(2.0, 3.0, x_l)) for x_l in (1.0, 0.0, 0.5)]
@@ -219,9 +221,9 @@ class TestSweeps:
         assert table2_csv(again) == table2_csv(trunc_levels)
 
     def test_levels_pooled_in_one_call_equal_levels_run_alone(self, monkeypatch):
-        # At n >= _SCREEN_MIN_N the truncated levels' screened chains share
-        # one bank; x_L = 0 runs in a bank of its own.  Each level's records
-        # equal that level's scenario run alone.
+        # At n >= _SCREEN_MIN_N the screened chains of every level, x_L = 0
+        # among them, share one bank.  Each level's records equal that
+        # level's scenario run alone.
         base = Scenario(
             true_params=LTLLParams(2.0, 3.0, 1.0), n=_SCREEN_MIN_N, replicates=3,
             prior=PriorSpec.diffuse(), mcmc=McmcConfig(iterations=400, burn_in=100, thin=2),
@@ -239,6 +241,7 @@ class TestSweeps:
         levels = truncation_sweep(base, x_l_list=(0.0, 0.5, 1.0))
         [(scs, records)] = calls
         assert [sc.true_params.x_l for sc in scs] == [0.0, 0.5, 1.0]
+        assert len(ltll.simulation._pools(scs)) == 1
         for k, (lv, sc) in enumerate(zip(levels, scs)):
             assert lv.scenario == sc
             assert records[3 * k:3 * k + 3] == real(sc)
