@@ -304,6 +304,85 @@ def test_all_boundary_replicates_report_instead_of_aborting():
     assert lv.metrics.bayes.alpha.mean == pytest.approx(2.015)
 
 
+def _hand_record(r, mle=(2.1, 3.2), mle_ci=((1.6, 2.7), (2.3, 4.1)), boundary=False,
+                 bayes=(2.05, 3.1), bayes_ci=((1.7, 2.5), (2.4, 3.9))):
+    from ltll.simulation import ReplicateResult
+
+    return ReplicateResult(
+        r=r, boundary=boundary, converged=True,
+        mle_alpha=None if boundary else mle[0], mle_beta=mle[1],
+        mle_ci_alpha=None if boundary else mle_ci[0],
+        mle_ci_beta=None if boundary else mle_ci[1],
+        bayes_alpha=bayes[0], bayes_beta=bayes[1],
+        bayes_ci_alpha=bayes_ci[0], bayes_ci_beta=bayes_ci[1],
+        acceptance_rate=0.3, ess_alpha=400.0, ess_beta=410.0,
+    )
+
+
+def _hand_levels():
+    """Two levels of hand-made records: the first has two interior MLEs with
+    Wald intervals, one interior MLE without an interval and one boundary
+    replicate; the second has a single usable MLE, so its MLE aggregates
+    are undefined."""
+    from ltll.simulation import _aggregate_level
+
+    first = [
+        _hand_record(0),
+        _hand_record(1, mle=(1.85, 2.9), mle_ci=((1.3, 2.45), (2.05, 3.8)),
+                     bayes=(1.9, 2.95), bayes_ci=((1.45, 2.4), (2.2, 3.75))),
+        _hand_record(2, mle=(2.3, 3.45), mle_ci=(None, None),
+                     bayes=(2.2, 3.3), bayes_ci=((1.8, 2.65), (2.6, 4.2))),
+        _hand_record(3, mle=(None, 0.75), boundary=True,
+                     bayes=(2.6, 2.4), bayes_ci=((1.9, 3.6), (1.5, 3.3))),
+    ]
+    second = [
+        _hand_record(0, mle=(2.4, 3.7), mle_ci=((1.5, 3.3), (2.2, 5.2)),
+                     bayes=(2.25, 3.5), bayes_ci=((1.6, 3.0), (2.5, 4.6))),
+        _hand_record(1, mle=(None, 1.1), boundary=True,
+                     bayes=(2.7, 2.6), bayes_ci=((1.95, 3.8), (1.7, 3.6))),
+    ]
+    return [_aggregate_level(0.5, tiny_scenario(replicates=4, x_l=0.5), first),
+            _aggregate_level(1.0, tiny_scenario(replicates=2), second)]
+
+
+TABLE1_HAND = (
+    "x_L,method,alpha_hat,beta_hat,alpha_ci_l,alpha_ci_u,beta_ci_l,beta_ci_u\n"
+    "0.5,MLE,2.083333333,3.183333333,1.45,2.575,2.175,3.95\n"
+    "0.5,Bayesian,2.1875,2.9375,1.7125,2.7875,2.175,3.7875\n"
+    "1,MLE,nan,nan,1.5,3.3,2.2,5.2\n"
+    "1,Bayesian,2.475,3.05,1.775,3.4,2.1,4.1\n"
+)
+TABLE2_HAND = (
+    "x_L,method,alpha_hat,bias_alpha,var_alpha,beta_hat,bias_beta,var_beta\n"
+    "0.5,MLE,2.083333333,0.08333333333,0.08236616993,3.183333333,0.1833333333,0.2050409198\n"
+    "0.5,Bayesian,2.1875,0.1875,0.07520743121,2.9375,-0.0625,0.1692167202\n"
+    "1,MLE,nan,nan,nan,nan,nan,nan\n"
+    "1,Bayesian,2.475,0.475,0.1718504039,3.05,0.05,0.2603177716\n"
+)
+TABLE3_HAND = (
+    "n,method,bias_alpha,var_alpha,rmse_alpha,bias_beta,var_beta,rmse_beta\n"
+    "0.5,MLE,0.08333333333,0.05083333333,0.240370085,0.1833333333,0.07583333333,0.3308238874\n"
+    "0.5,Bayesian,0.1875,0.090625,0.354656524,-0.0625,0.1489583333,0.3909790063\n"
+    "1,MLE,nan,nan,nan,nan,nan,nan\n"
+    "1,Bayesian,0.475,0.10125,0.5717298313,0.05,0.405,0.6383572667\n"
+)
+TRENDS_HAND = [
+    ("x_L=0.5: Bayes Var(alpha) < MLE Var(alpha)", True, "0.07521 vs 0.08237"),
+    ("x_L=1: Bayes Var(alpha) < MLE Var(alpha)", False, "0.1719 vs nan"),
+    ("MLE |bias(beta)| nondecreasing in x_L", False, "0.1833 -> nan"),
+    ("x_L=0.5: credible <= Wald width in >= 60% of replicates", True, "win rate 0.667"),
+    ("x_L=1: credible <= Wald width in >= 60% of replicates", True, "win rate 1.000"),
+]
+
+
+def test_tables_exact_text_from_hand_built_records():
+    levels = _hand_levels()
+    assert table1_csv(levels) == TABLE1_HAND
+    assert table2_csv(levels) == TABLE2_HAND
+    assert table3_csv(levels) == TABLE3_HAND
+    assert ltll.simulation.truncation_trends(levels) == TRENDS_HAND
+
+
 def test_atomic_write(tmp_path):
     path = os.path.join(tmp_path, "out.csv")
     atomic_write_text(path, "a,b\n1,2\n")
