@@ -85,7 +85,7 @@ def build_parser() -> _Parser:
         p.add_argument("--data", required=True,
                        help="CSV path, or a bundled dataset name: %s" % ", ".join(BUNDLED_DATASETS))
         p.add_argument("--column", default=None,
-                       help="column header name or 0-based index (default: first column)")
+                       help="column header name or 0-based index, >= 0 (default: first column)")
         p.add_argument("--xl", type=float, default=0.0, help="left-truncation point (default 0)")
         p.add_argument("--units", default=None, help="opaque unit label echoed into outputs")
 

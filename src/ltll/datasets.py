@@ -65,7 +65,10 @@ def load_csv(path: str, column: str | int | None = None) -> DatasetFile:
 
     ``column`` may be a 0-based index or a header name; with a name, the
     first non-comment row is consumed as the header.  Row order is preserved.
+    A negative index is refused rather than counted from the end.
     """
+    if isinstance(column, int) and column < 0:
+        raise ValueError(f"column index must be 0-based and non-negative, got {column}")
     comments = 0
     skipped = 0
     warnings: list[str] = []

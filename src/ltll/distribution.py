@@ -221,7 +221,8 @@ def ltll_cdf(x, p: LTLLParams):
     with np.errstate(divide="ignore"):  # x = x_l = 0 contributes ln 0 = -inf
         t = p.beta * (np.log(x) - la)
     tl = p.beta * (_log_xl(p.x_l) - la)
-    out = -np.expm1(np.logaddexp(0.0, tl) - np.logaddexp(0.0, t))
+    # 0.0 - expm1 rather than -expm1, so that F(x_l) is +0.0 and not -0.0.
+    out = 0.0 - np.expm1(np.logaddexp(0.0, tl) - np.logaddexp(0.0, t))
     return out if out.ndim else float(out)
 
 

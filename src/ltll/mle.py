@@ -169,8 +169,12 @@ def _start_point(s: Sample, ln_scale: float, stats: ExistenceStats | None):
     if stats is not None:
         return lmed, math.log(stats.beta0)
     # Untruncated: shape guess from the interquartile ratio (q75/q25 = 9^(1/beta)).
+    # Only a ratio past the float range is taken as a difference of logs:
+    # Newton's end point moves with its start at about 1e-10.
     q25, q75 = np.quantile(s.values, [0.25, 0.75])
-    b_iqr = np.log(9.0) / np.log(q75 / q25) if q75 > q25 else 1.0
+    ratio = float(q75) / float(q25)
+    ln_ratio = np.log(ratio) if ratio < math.inf else np.log(q75) - np.log(q25)
+    b_iqr = np.log(9.0) / ln_ratio if q75 > q25 else 1.0
     return lmed, math.log(b_iqr)
 
 

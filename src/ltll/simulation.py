@@ -274,62 +274,42 @@ def run_scenario(scenarios, workers: int = 1) -> list[ReplicateResult]:
 _NAN_METRICS = ErrorMetrics(np.nan, np.nan, np.nan, np.nan)
 
 
-def _method_metrics(records, which: str, truth: LTLLParams) -> MethodMetrics:
-    if which == "mle":
-        usable = [rec for rec in records if rec.mle_ok]
-        failures = len(records) - len(usable)
-        alphas = [rec.mle_alpha for rec in usable]
-        betas = [rec.mle_beta for rec in usable]
-    else:
-        usable = records
-        failures = 0
-        alphas = [rec.bayes_alpha for rec in usable]
-        betas = [rec.bayes_beta for rec in usable]
-    if len(usable) < 2:
-        # Nearly every replicate degenerated: no aggregate is defined, but
-        # the scenario still reports rather than aborting.
-        return MethodMetrics(alpha=_NAN_METRICS, beta=_NAN_METRICS,
-                             mean_width_alpha=np.nan, mean_width_beta=np.nan,
-                             failures=failures)
-    wa = [rec.width(which, "alpha") for rec in usable]
-    wb = [rec.width(which, "beta") for rec in usable]
-    return MethodMetrics(
-        alpha=error_metrics(alphas, truth.alpha),
-        beta=error_metrics(betas, truth.beta),
-        mean_width_alpha=float(np.nanmean(wa)),
-        mean_width_beta=float(np.nanmean(wb)),
-        failures=failures,
-    )
-
-
-def _mean_ci(records, which: str):
-    """Mean interval endpoints per parameter, matching the table-1 layout."""
-    out = {}
-    for param in ("alpha", "beta"):
-        cis = [getattr(rec, f"{which}_ci_{param}") for rec in records
-               if getattr(rec, f"{which}_ci_{param}") is not None]
-        if not cis:
-            out[param] = (np.nan, np.nan)
+def _method_level(alpha, beta, truth: LTLLParams, failures: int):
+    """One method's MethodMetrics, mean interval endpoints and width-implied
+    variances, from the (estimate, interval or None) pairs of its usable
+    replicates for each parameter."""
+    errors, widths, mean_ci = [], [], {}
+    for param, pairs, theta0 in (("alpha", alpha, truth.alpha), ("beta", beta, truth.beta)):
+        cis = [ci for _, ci in pairs if ci is not None]
+        mean_ci[param] = ((float(np.mean([ci[0] for ci in cis])),
+                           float(np.mean([ci[1] for ci in cis]))) if cis else (np.nan, np.nan))
+        if len(pairs) < 2:
+            # Nearly every replicate degenerated: no aggregate is defined, but
+            # the scenario still reports rather than aborting.
+            errors.append(_NAN_METRICS)
+            widths.append(np.nan)
             continue
-        lo = float(np.mean([c[0] for c in cis]))
-        hi = float(np.mean([c[1] for c in cis]))
-        out[param] = (lo, hi)
-    return out
-
-
-def _width_variance(width: float) -> float:
-    """Variance implied by a 95% interval width, (width / (2 z_0.975))^2."""
-    return (width / (2.0 * _Z95)) ** 2
+        errors.append(error_metrics([est for est, _ in pairs], theta0))
+        widths.append(float(np.nanmean([np.nan if ci is None else ci[1] - ci[0]
+                                        for _, ci in pairs])))
+    metrics = MethodMetrics(alpha=errors[0], beta=errors[1], mean_width_alpha=widths[0],
+                            mean_width_beta=widths[1], failures=failures)
+    # Variance implied by a 95% interval width, (width / (2 z_0.975))^2.
+    width_var = tuple((w / (2.0 * _Z95)) ** 2 for w in widths)
+    return metrics, mean_ci, width_var
 
 
 def _aggregate_level(key: float, sc: Scenario, records) -> SweepLevel:
     truth = sc.true_params
-    metrics = MetricsReport(
-        mle=_method_metrics(records, "mle", truth),
-        bayes=_method_metrics(records, "bayes", truth),
-        n_replicates=len(records),
-    )
     usable = [rec for rec in records if rec.mle_ok]
+    mle, mle_ci, mle_var = _method_level(
+        [(rec.mle_alpha, rec.mle_ci_alpha) for rec in usable],
+        [(rec.mle_beta, rec.mle_ci_beta) for rec in usable],
+        truth, len(records) - len(usable))
+    bayes, bayes_ci, bayes_var = _method_level(
+        [(rec.bayes_alpha, rec.bayes_ci_alpha) for rec in records],
+        [(rec.bayes_beta, rec.bayes_ci_beta) for rec in records],
+        truth, 0)
     wins = [
         0.5 * (rec.width("bayes", "alpha") + rec.width("bayes", "beta"))
         <= 0.5 * (rec.width("mle", "alpha") + rec.width("mle", "beta"))
@@ -338,14 +318,9 @@ def _aggregate_level(key: float, sc: Scenario, records) -> SweepLevel:
     return SweepLevel(
         key=key,
         scenario=sc,
-        metrics=metrics,
-        mean_ci={"mle": _mean_ci(usable, "mle"), "bayes": _mean_ci(records, "bayes")},
-        width_var={
-            "mle": (_width_variance(metrics.mle.mean_width_alpha),
-                    _width_variance(metrics.mle.mean_width_beta)),
-            "bayes": (_width_variance(metrics.bayes.mean_width_alpha),
-                      _width_variance(metrics.bayes.mean_width_beta)),
-        },
+        metrics=MetricsReport(mle=mle, bayes=bayes, n_replicates=len(records)),
+        mean_ci={"mle": mle_ci, "bayes": bayes_ci},
+        width_var={"mle": mle_var, "bayes": bayes_var},
         win_rate=float(np.mean(wins)) if wins else np.nan,
     )
 
@@ -390,53 +365,37 @@ def sample_size_sweep(base: Scenario, n_list=SAMPLE_SIZE_GRID, workers: int = 1)
 # Table emission
 # ---------------------------------------------------------------------------
 
-def _fmt(v) -> str:
-    return format(float(v), ".10g")
+def _table(header: str, levels, cells) -> str:
+    """CSV text: the header, then a row per level and method holding the level
+    key, the method label and ``cells(metrics, mean_ci, width_var)`` of that
+    method at that level."""
+    lines = [header]
+    for lv in levels:
+        for method, label in (("mle", "MLE"), ("bayes", "Bayesian")):
+            values = cells(getattr(lv.metrics, method), lv.mean_ci[method], lv.width_var[method])
+            key, *rest = (format(float(v), ".10g") for v in (lv.key, *values))
+            lines.append(",".join([key, label, *rest]))
+    return "\n".join(lines) + "\n"
 
 
 def table1_csv(levels) -> str:
     """Point estimates and mean 95% interval endpoints per truncation level."""
-    lines = ["x_L,method,alpha_hat,beta_hat,alpha_ci_l,alpha_ci_u,beta_ci_l,beta_ci_u"]
-    for lv in levels:
-        for method, label in (("mle", "MLE"), ("bayes", "Bayesian")):
-            m = getattr(lv.metrics, method)
-            ci = lv.mean_ci[method]
-            lines.append(",".join([
-                _fmt(lv.key), label,
-                _fmt(m.alpha.mean), _fmt(m.beta.mean),
-                _fmt(ci["alpha"][0]), _fmt(ci["alpha"][1]),
-                _fmt(ci["beta"][0]), _fmt(ci["beta"][1]),
-            ]))
-    return "\n".join(lines) + "\n"
+    return _table("x_L,method,alpha_hat,beta_hat,alpha_ci_l,alpha_ci_u,beta_ci_l,beta_ci_u",
+                  levels, lambda m, ci, var: (m.alpha.mean, m.beta.mean, *ci["alpha"], *ci["beta"]))
 
 
 def table2_csv(levels) -> str:
     """Bias and interval-width-implied variance per truncation level."""
-    lines = ["x_L,method,alpha_hat,bias_alpha,var_alpha,beta_hat,bias_beta,var_beta"]
-    for lv in levels:
-        for method, label in (("mle", "MLE"), ("bayes", "Bayesian")):
-            m = getattr(lv.metrics, method)
-            va, vb = lv.width_var[method]
-            lines.append(",".join([
-                _fmt(lv.key), label,
-                _fmt(m.alpha.mean), _fmt(m.alpha.bias), _fmt(va),
-                _fmt(m.beta.mean), _fmt(m.beta.bias), _fmt(vb),
-            ]))
-    return "\n".join(lines) + "\n"
+    return _table("x_L,method,alpha_hat,bias_alpha,var_alpha,beta_hat,bias_beta,var_beta",
+                  levels, lambda m, ci, var: (m.alpha.mean, m.alpha.bias, var[0],
+                                              m.beta.mean, m.beta.bias, var[1]))
 
 
 def table3_csv(levels) -> str:
     """Replicate-based bias/variance/RMSE per sample size."""
-    lines = ["n,method,bias_alpha,var_alpha,rmse_alpha,bias_beta,var_beta,rmse_beta"]
-    for lv in levels:
-        for method, label in (("mle", "MLE"), ("bayes", "Bayesian")):
-            m = getattr(lv.metrics, method)
-            lines.append(",".join([
-                _fmt(lv.key), label,
-                _fmt(m.alpha.bias), _fmt(m.alpha.variance), _fmt(m.alpha.rmse),
-                _fmt(m.beta.bias), _fmt(m.beta.variance), _fmt(m.beta.rmse),
-            ]))
-    return "\n".join(lines) + "\n"
+    return _table("n,method,bias_alpha,var_alpha,rmse_alpha,bias_beta,var_beta,rmse_beta",
+                  levels, lambda m, ci, var: (m.alpha.bias, m.alpha.variance, m.alpha.rmse,
+                                              m.beta.bias, m.beta.variance, m.beta.rmse))
 
 
 def truncation_trends(levels) -> list[tuple[str, bool, str]]:

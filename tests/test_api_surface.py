@@ -1,11 +1,11 @@
 """The package's public names, the call sites the benchmark tracer rebinds,
-the names the demos use, and the imports each module uses.
+the demos, and the imports each module uses.
 
 ``perfbench/spans.py`` wraps entry points by rebinding module attributes, and
 the test suite does not collect ``perfbench/``; a renamed or deleted name would
-otherwise surface only in a traced benchmark run.  The demos are not run by
-the suite either, so their imports and keyword arguments are checked
-statically.
+otherwise surface only in a traced benchmark run.  The demos' imports and
+keyword arguments are checked statically, and each demo also runs to the end
+from a copy in a temporary directory against this checkout's ``src``.
 """
 
 import ast
@@ -13,6 +13,7 @@ import importlib
 import importlib.util
 import inspect
 import os
+import shutil
 import subprocess
 import sys
 from pathlib import Path
@@ -25,8 +26,9 @@ from ltll.distribution import Sample
 from ltll.mle import fit_mle
 
 MODULES = ("datasets", "distribution", "mcmc", "mle", "numerics", "simulation")
-SPANS = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
-DEMOS = sorted((Path(__file__).resolve().parents[1] / "demos").glob("*.py"))
+ROOT = Path(__file__).resolve().parents[1]
+SPANS = ROOT / "perfbench" / "spans.py"
+DEMOS = sorted((ROOT / "demos").glob("*.py"))
 
 
 def _load_spans():
@@ -82,6 +84,18 @@ def test_demo_uses_existing_api(path):
             continue
         unknown = [kw.arg for kw in node.keywords if kw.arg and kw.arg not in params]
         assert not unknown, f"{path.name}:{node.lineno} {node.func.id}({unknown})"
+
+
+@pytest.mark.parametrize("path", DEMOS, ids=lambda p: p.name)
+def test_demo_runs(path, tmp_path):
+    # A demo writes output/ beside its own file, so the copy keeps the checkout clean.
+    demo = tmp_path / path.name
+    shutil.copy(path, demo)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(ROOT / "src"),
+                                                       os.environ.get("PYTHONPATH", "")]))
+    out = subprocess.run([sys.executable, str(demo)], cwd=tmp_path, env=env,
+                         capture_output=True, text=True, timeout=300)
+    assert out.returncode == 0, out.stderr
 
 
 def _unused_imports(path):

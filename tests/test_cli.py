@@ -6,6 +6,7 @@ from importlib import resources
 
 import numpy as np
 import pytest
+from jsonschema import Draft7Validator
 
 import ltll.cli
 import ltll.mcmc
@@ -14,13 +15,13 @@ from ltll.cli import EXIT_BOUNDARY, EXIT_ERROR, EXIT_OK, main
 from ltll.datasets import apply_truncation, load_bladder_cancer, load_csv
 from ltll.distribution import DegenerateSampleError
 
-from schema_utils import validate
-
 
 @pytest.fixture(scope="module")
-def fit_schema():
+def fit_validator():
     ref = resources.files("ltll").joinpath("schemas/fit_result.schema.json")
-    return json.loads(ref.read_text())
+    schema = json.loads(ref.read_text())
+    Draft7Validator.check_schema(schema)
+    return Draft7Validator(schema)
 
 
 def write(tmp_path, name, text):
@@ -60,6 +61,16 @@ class TestLoadCsv:
         d = load_csv(path, column=1)
         assert list(d.values) == [10.0, 20.0]
         assert d.n_skipped == 1  # header row is non-numeric
+
+    @pytest.mark.parametrize("column", [-1, -5])
+    def test_negative_column_index_refused(self, tmp_path, capsys, column):
+        # -1 would quietly read the last column, -5 raise a stray IndexError.
+        path = write(tmp_path, "cols.csv", "1.0,10.0\n2.0,20.0\n3.0,30.0\n")
+        with pytest.raises(ValueError, match="non-negative"):
+            load_csv(path, column=column)
+        args = ["fit", "--data", path, "--column", str(column), "--method", "mle"]
+        assert main(args) == EXIT_ERROR
+        assert "non-negative" in capsys.readouterr().err
 
     def test_nonpositive_rejected_with_rows(self, tmp_path):
         path = write(tmp_path, "bad.csv", "1.0\n-3.0\n2.0\n0.0\n")
@@ -113,7 +124,7 @@ class TestApplyTruncation:
 
 
 class TestFitCommand:
-    def test_mle_json_schema_and_determinism(self, tmp_path, fit_schema):
+    def test_mle_json_schema_and_determinism(self, tmp_path, fit_validator):
         out1 = os.path.join(tmp_path, "fit1.json")
         out2 = os.path.join(tmp_path, "fit2.json")
         args = ["fit", "--data", "bladder_cancer", "--xl", "0.25", "--method", "mle",
@@ -122,18 +133,18 @@ class TestFitCommand:
         assert main(args + ["--out", out2]) == EXIT_OK
         assert open(out1, "rb").read() == open(out2, "rb").read()
         doc = json.load(open(out1))
-        assert validate(doc, fit_schema) == []
+        fit_validator.validate(doc)
         assert doc["method"] == "mle"
         assert doc["n"] == 126
 
-    def test_both_methods_json(self, tmp_path, fit_schema):
+    def test_both_methods_json(self, tmp_path, fit_validator):
         out = os.path.join(tmp_path, "fit.json")
         code = main(["fit", "--data", "bladder_cancer", "--xl", "0", "--method", "both",
                      "--iters", "3000", "--burnin", "500", "--thin", "2",
                      "--seed", "5", "--units", "months", "--out", out])
         assert code == EXIT_OK
         docs = json.load(open(out))
-        assert validate(docs, fit_schema) == []
+        fit_validator.validate(docs)
         assert [d["method"] for d in docs] == ["mle", "bayes"]
         assert docs[1]["ess"][0] > 50
         assert docs[0]["units"] == "months"

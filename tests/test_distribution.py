@@ -136,6 +136,13 @@ class TestCdfForms:
         assert got[0] == 0.0
         assert got[1] == pytest.approx(ll_cdf(1.0, 2.0, 3.0), rel=1e-15)
 
+    @pytest.mark.parametrize("x_l", [0.0, 0.7, 1.0])
+    def test_cdf_is_positive_zero_at_lower_endpoint(self, x_l):
+        # Printed or serialized CDF values must not read -0.0.
+        p = LTLLParams(2.0, 3.0, x_l)
+        assert not np.signbit(ltll_cdf(x_l, p))
+        assert not np.signbit(ltll_cdf(np.array([x_l, x_l + 1.0]), p)).any()
+
     def test_cdf_matches_pdf_derivative(self):
         p = LTLLParams(2.0, 3.0, 0.7)
         for x in (0.9, 1.5, 2.0, 4.0, 9.0):

@@ -74,6 +74,15 @@ class TestFitMle:
         assert not fit.boundary
         assert fit.stats.beta0 > fit.stats.beta_c > 1e3
 
+    def test_untruncated_start_survives_quartile_ratio_overflow(self):
+        # q75/q25 passes the float range; the start must not become beta = 0.
+        values = np.array([1e-300, 2e-300, 3e-300, 1.0, 2.0, 1e300, 2e300, 3e300])
+        fit = fit_mle(Sample(values, 0.0))
+        assert not fit.boundary
+        assert fit.converged
+        assert fit.alpha == pytest.approx(1.6384, rel=1e-4)
+        assert fit.beta == pytest.approx(0.0026608, rel=1e-4)
+
     def test_boundary_detection(self):
         fit = fit_mle(boundary_sample())
         assert fit.boundary
