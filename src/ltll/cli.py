@@ -261,6 +261,10 @@ def cmd_fit(args) -> int:
                 acceptance_rate=res.acceptance_rate,
                 ess=[res.ess_alpha, res.ess_beta],
             )
+            independence = res.independence_acceptance
+            if np.isfinite(independence).any():
+                doc["independence_acceptance"] = [float(v) if np.isfinite(v) else None
+                                                  for v in independence]
             boundary_only = False
         doc.update(x_L=sample.x_l, n=sample.n, seed=seed, data=data.path)
         if args.units:
@@ -334,6 +338,10 @@ def cmd_simulate(args) -> int:
     if boundary_total:
         print(f"note: {boundary_total} replicate(s) hit the Pareto boundary "
               "and were excluded from MLE aggregates", file=sys.stderr)
+    no_wald = sum(lv.no_wald for lv in res)
+    if no_wald:
+        print(f"note: {no_wald} interior MLE(s) had no Wald interval (information not "
+              "positive-definite) and were excluded from the win rate", file=sys.stderr)
     return EXIT_OK
 
 

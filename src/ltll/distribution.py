@@ -400,21 +400,24 @@ def existence_stats(s: Sample) -> ExistenceStats:
         raise DegenerateSampleError(
             "at least half the values are indistinguishable from x_l in log space")
     total = float(np.sum(lw))
-    beta0 = s.n / total
+    return ExistenceStats(beta0=s.n / total, beta_c=_beta_c(lw), s=total, n=s.n)
 
-    # h(b) = mean(e^(-b*lw)) - 1/2 is convex and decreasing with h(0) = 1/2,
-    # so Newton steps from b = 0 rise monotonically toward the root and
-    # never overshoot it: no bracket is needed.
+
+def _beta_c(lw) -> float:
+    """beta_C, the root of mean(e^(-b*lw)) = 1/2, from positive log-gaps lw.
+
+    h(b) = mean(e^(-b*lw)) - 1/2 is convex and decreasing with h(0) = 1/2,
+    so Newton steps from b = 0 rise monotonically toward the root and never
+    overshoot it: no bracket is needed.
+    """
     b = 0.0
     for _ in range(_BETA_C_MAX_STEPS):
         e = np.exp(-b * lw)
         step = (float(np.mean(e)) - 0.5) / float(np.mean(lw * e))
         b += step
         if abs(step) <= 1e-14 * b:
-            break
-    else:
-        raise DegenerateSampleError("mean(X^-beta) = 1/2 did not converge")
-    return ExistenceStats(beta0=beta0, beta_c=b, s=total, n=s.n)
+            return b
+    raise DegenerateSampleError("mean(X^-beta) = 1/2 did not converge")
 
 
 def phi_objective(lam: float, beta: float, s: Sample) -> float:

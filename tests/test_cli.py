@@ -13,7 +13,8 @@ import ltll.mcmc
 import ltll.simulation
 from ltll.cli import EXIT_BOUNDARY, EXIT_ERROR, EXIT_OK, main
 from ltll.datasets import apply_truncation, load_bladder_cancer, load_csv
-from ltll.distribution import DegenerateSampleError
+from ltll.distribution import DegenerateSampleError, LTLLParams, draw_ltll
+from ltll.numerics import RngStream
 
 
 @pytest.fixture(scope="module")
@@ -148,6 +149,22 @@ class TestFitCommand:
         assert [d["method"] for d in docs] == ["mle", "bayes"]
         assert docs[1]["ess"][0] > 50
         assert docs[0]["units"] == "months"
+        # n = 128 from its MLE: walk/independence chains, which report the
+        # independence-step acceptance per chain.
+        assert len(docs[1]["independence_acceptance"]) == 1
+        assert 0.0 < docs[1]["independence_acceptance"][0] < 1.0
+
+    def test_walk_only_fit_has_no_independence_field(self, tmp_path, fit_validator):
+        # beta0/beta_C = 1.0031 < the margin: the chains only walk.
+        rows = "\n".join(repr(float(v)) for v in
+                         draw_ltll(39, LTLLParams(2.0, 3.0, 3.0), RngStream(7, 27)).values)
+        path = write(tmp_path, "near_boundary.csv", rows + "\n")
+        out = os.path.join(tmp_path, "fit.json")
+        assert main(["fit", "--data", path, "--xl", "3.0", "--method", "bayes", "--chains", "2",
+                     "--iters", "3000", "--burnin", "500", "--thin", "2", "--out", out]) == EXIT_OK
+        doc = json.load(open(out))
+        fit_validator.validate(doc)
+        assert "independence_acceptance" not in doc
 
     def test_csv_format(self, tmp_path):
         out = os.path.join(tmp_path, "fit.csv")
@@ -284,6 +301,23 @@ class TestSimulateCommand:
         after = (open(os.path.join(tmp_path, "table1_truncation.csv")).read(),
                  open(os.path.join(tmp_path, "table2_truncation.csv")).read())
         assert after == before
+
+    def test_small_n_boundary_sweep_worker_invariant(self, tmp_path, capsys):
+        # n = 50 above x_L = 3: some replicates hit the boundary and walk,
+        # the others take independence steps; tables and report lines are
+        # byte-identical under one and two workers.
+        args = ["simulate", "--sweep", "truncation", "--levels", "3.0", "--n", "50",
+                "--replicates", "24", "--iters", "600", "--burnin", "200", "--thin", "2",
+                "--seed", "5", "--out", str(tmp_path)]
+        outputs = []
+        for workers in ("1", "2"):
+            assert main(args + ["--workers", workers]) == EXIT_OK
+            captured = capsys.readouterr()
+            assert "hit the Pareto boundary" in captured.err
+            outputs.append((captured.out,
+                            open(os.path.join(tmp_path, "table1_truncation.csv"), "rb").read(),
+                            open(os.path.join(tmp_path, "table2_truncation.csv"), "rb").read()))
+        assert outputs[0] == outputs[1]
 
     def test_sample_size_outputs(self, tmp_path):
         args = ["simulate", "--sweep", "n", "--replicates", "5", "--sizes", "50,100",

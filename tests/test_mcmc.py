@@ -3,6 +3,8 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from grid_posterior import grid_mismatches, grid_posterior
+from scipy.stats import multivariate_t
 
 from ltll import mcmc
 from ltll.datasets import apply_truncation, load_bladder_cancer
@@ -284,13 +286,79 @@ def _plain_mh(s, prior, cfg, stream, start):
     return np.exp(np.array(kept)), step
 
 
+def _mixture_mh(s, prior, cfg, stream, start):
+    """Reference walk/independence cycle on (ln alpha, ln beta), one step at
+    a time, in the documented uniform layout.
+
+    Odd steps walk as in ``_plain_mh`` (three uniforms), adapting every 100
+    burn-in steps on the walk acceptances alone, 50 per window.  Even steps
+    take four uniforms: two normals eps, W = -2 ln u, then the accept draw.
+    They propose y = c + L eps sqrt(2 / W) with L L^T = (-H)^-1, for the
+    Laplace centre c and Hessian H the sampler builds, and accept when
+    ln u < target(y) - target(z) + ln g(z) - ln g(y), with g the bivariate
+    t density with 2 degrees of freedom from scipy.
+    Returns (retained draws, final steps, independence acceptance).
+    """
+    def target(z):
+        with np.errstate(over="ignore"):
+            return log_posterior(s, np.exp(z[0]), np.exp(z[1]), prior) + z[0] + z[1]
+
+    z = np.log(np.asarray(start, dtype=np.float64))
+    cur = target(z)
+    lx = s.log_values[None, :]
+    ll = np.array([log_likelihood(s, *start)])
+    centre, coef = mcmc._laplace_quadratics(lx, np.array([_log_xl(s.x_l)]), prior,
+                                            z[:1], z[1:], ll)
+    (qaa,), (qab,), (qbb,) = coef
+    cov = np.linalg.inv(-np.array([[2.0 * qaa, qab], [qab, 2.0 * qbb]]))
+    chol = np.linalg.cholesky(cov)
+    g = multivariate_t(loc=centre[:, 0], shape=cov, df=2)
+    step = np.array([cfg.step_alpha, cfg.step_beta])
+    kept, hits, indep = [], 0, 0
+    for t in range(1, cfg.iterations + 1):
+        if t % 2:
+            u = stream.uniforms(3)
+            prop = z + step * normal_quantile(u[:2])
+            new = target(prop)
+            accepted = np.log(u[2]) < new - cur
+            hits += accepted and t <= cfg.burn_in
+        else:
+            u = stream.uniforms(4)
+            w = normal_quantile(u[:2]) * math.sqrt(2.0 / (-2.0 * math.log(u[2])))
+            prop = centre[:, 0] + chol @ w
+            new = target(prop)
+            accepted = np.log(u[3]) < new - cur + g.logpdf(z) - g.logpdf(prop)
+            indep += accepted
+        if accepted:
+            z, cur = prop, new
+        if t <= cfg.burn_in and t % 100 == 0:
+            rate = hits / 50
+            factor = 1.1 if rate > 0.5 else (1.0 / 1.1 if rate < 0.2 else 1.0)
+            step = np.clip(step * factor, 1e-6, 10.0)
+            hits = 0
+        if t > cfg.burn_in and (t - cfg.burn_in) % cfg.thin == 0:
+            kept.append(z)
+    return np.exp(np.array(kept)), step, indep / (cfg.iterations // 2)
+
+
 def _pareto_sample(n, seed):
     # Pareto(2.5) above x_L = 1, where the MLE often falls on the boundary.
     return Sample(RngStream(seed, 0).uniforms(n) ** (-1.0 / 2.5), 1.0)
 
 
+def _near_boundary_sample():
+    # n = 39 above x_L = 3 with beta0/beta_C = 1.0031: an interior MLE with
+    # positive-definite information, just below the independence margin.
+    s = draw_ltll(39, LTLLParams(2.0, 3.0, 3.0), RngStream(7, 27))
+    fit = fit_mle(s)
+    assert fit.info.is_positive_definite
+    assert 1.0 < fit.stats.beta0 / fit.stats.beta_c < mcmc._MIX_MIN_RATIO
+    return s, fit
+
+
 class TestPlainPath:
-    """Chains without a Laplace screen run plain MH, bit for bit."""
+    """Chains with neither a Laplace screen nor independence steps run plain
+    MH, bit for bit."""
 
     CFG = McmcConfig(iterations=3000, burn_in=1000, thin=2)
 
@@ -302,11 +370,31 @@ class TestPlainPath:
         assert np.array_equal(res.draws, want)
         assert np.array_equal(res.steps, steps[None, :])
         assert np.array_equal(res.screen_pass, [1.0])
+        assert np.isnan(res.independence_acceptance).all()
 
     def test_below_floor(self):
+        # Below the screen floor an off-mode start stays outside the gate.
         s = apply_truncation(load_bladder_cancer(), 1.0).sample
         assert s.n < mcmc._SCREEN_MIN_N
-        self._check(s, mcmc._chain_start(s, fit_mle(s)), 11)
+        fit = fit_mle(s)
+        self._check(s, (2.0 * fit.alpha, fit.beta), 11)
+
+    def test_below_margin(self):
+        s, fit = _near_boundary_sample()
+        self._check(s, (fit.alpha, fit.beta), 15)
+
+    def test_below_floor_gated(self):
+        # The same sample from its MLE is gated: a walk/independence cycle.
+        s = apply_truncation(load_bladder_cancer(), 1.0).sample
+        fit = fit_mle(s)
+        prior, cfg = PriorSpec.diffuse(), replace(self.CFG, seed=11)
+        res = run_chain(s, prior, cfg, init=(fit.alpha, fit.beta))
+        want, steps, indep = _mixture_mh(s, prior, cfg, RngStream(11, 1), (fit.alpha, fit.beta))
+        assert np.allclose(res.draws, want, rtol=1e-9, atol=0.0)
+        assert np.array_equal(res.steps, steps[None, :])
+        assert np.array_equal(res.independence_acceptance, [indep])
+        assert 0.5 < indep < 0.9
+        assert np.array_equal(res.screen_pass, [1.0])
 
     def test_off_mode_start(self, sample_n1000):
         assert sample_n1000.n >= mcmc._SCREEN_MIN_N
@@ -326,33 +414,37 @@ class TestPlainPath:
         init = np.array([[fit.alpha, fit.beta], [1.9, 2.7]])
         lx = np.repeat(s.log_values[None, :], 2, axis=0)
         ln_xl = np.full(2, math.log(s.x_l))
-        draws, _, steps, screen_pass = mcmc._mh_chains(
+        draws, _, steps, shares = mcmc._mh_chains(
             lx, ln_xl, prior, self.CFG, [RngStream(14, 1), RngStream(14, 2)], init)
 
         want, want_steps = _plain_mh(s, prior, self.CFG, RngStream(14, 2), (1.9, 2.7))
         assert np.array_equal(draws[1], want)
         assert np.array_equal(steps[1], want_steps)
-        assert screen_pass[1] == 1.0
+        assert shares[1, 0] == 1.0
 
-        assert screen_pass[0] < 0.6
+        assert shares[0, 0] < 0.6
+        assert np.isnan(shares[:, 1]).all()  # no independence steps at this n
         alone = mcmc._mh_chains(lx[:1], ln_xl[:1], prior, self.CFG, [RngStream(14, 1)],
                                 init[:1])
         assert np.array_equal(draws[0], alone[0][0])
         assert np.array_equal(steps[0], alone[2][0])
-        assert screen_pass[0] == alone[3][0]
+        assert np.array_equal(shares[0], alone[3][0], equal_nan=True)
 
 
 class TestLoopIdentity:
     """Chain k of a bank (vectorized loop) equals that chain run alone (one-chain loop).
 
-    Bank rows share n, so the chains below the screen floor form a bank of
-    their own.  The screened bank also holds an untruncated sample at its
-    MLE (ln x_L = -inf beside ln x_L = 0).  4500 iterations are no multiple
-    of the uniform block, and the second step pair lands on both clip bounds
-    at the first adaptation.
+    Bank rows share n, so the chains below the screen floor form banks of
+    their own: one where every chain is gated (walk/independence cycle) and
+    one that mixes gated chains with an off-mode and a boundary start.  Each
+    bank also holds an untruncated sample at its MLE (ln x_L = -inf beside
+    finite ones).  4501 iterations are odd and no multiple of the uniform
+    block, and the second step pair lands on both clip bounds at the first
+    adaptation.
     """
 
-    CFG = McmcConfig(iterations=4500, burn_in=1150, thin=3, seed=6)
+    CFG = McmcConfig(iterations=4501, burn_in=1150, thin=3, seed=6)
+    BANKS = ["screened, off-mode, boundary", "below the floor", "gated"]
 
     @pytest.fixture(scope="class")
     def banks(self, sample_n1000):
@@ -363,72 +455,85 @@ class TestLoopIdentity:
         ufit = fit_mle(untruncated)
         bladder = apply_truncation(load_bladder_cancer(), 1.0).sample
         bfit = fit_mle(bladder)
-        assert not fit.boundary and pfit.boundary and bladder.n < mcmc._SCREEN_MIN_N
+        n = bladder.n
+        assert not fit.boundary and pfit.boundary and n < mcmc._SCREEN_MIN_N
+        small = draw_ltll(n, LTLLParams(2.0, 3.0, 1.0), RngStream(9, 2))
+        sfit = fit_mle(small)
+        small_pareto = _pareto_sample(n, 1)
+        spfit = fit_mle(small_pareto)
+        small_untruncated = draw_ltll(n, LTLLParams(2.0, 3.0, 0.0), RngStream(9, 3))
+        sufit = fit_mle(small_untruncated)
+        assert spfit.boundary
         return {
             "screened, off-mode, boundary": [
                 (sample_n1000, (fit.alpha, fit.beta)), (sample_n1000, (1.9, 2.7)),
                 (pareto, mcmc._chain_start(pareto, pfit)),
                 (untruncated, (ufit.alpha, ufit.beta))],
             "below the floor": [
-                (bladder, (bfit.alpha, bfit.beta)), (bladder, (2.0 * bfit.alpha, bfit.beta))],
+                (bladder, (bfit.alpha, bfit.beta)), (bladder, (2.0 * bfit.alpha, bfit.beta)),
+                (small_pareto, mcmc._chain_start(small_pareto, spfit)),
+                (small_untruncated, (sufit.alpha, sufit.beta))],
+            "gated": [
+                (bladder, (bfit.alpha, bfit.beta)), (small, (sfit.alpha, sfit.beta)),
+                (small_untruncated, (sufit.alpha, sufit.beta)), (bladder, (bfit.alpha, bfit.beta))],
         }
 
-    @pytest.mark.parametrize("bank", ["screened, off-mode, boundary", "below the floor"])
+    @staticmethod
+    def _run(chains, cfg, rows=None):
+        """_mh_chains on the given rows of a bank; row k draws from stream
+        (seed, 1 + k) wherever it runs."""
+        rows = range(len(chains)) if rows is None else rows
+        lx = np.stack([chains[k][0].log_values for k in rows])
+        ln_xl = np.array([_log_xl(chains[k][0].x_l) for k in rows])
+        init = np.array([chains[k][1] for k in rows])
+        return mcmc._mh_chains(lx, ln_xl, PriorSpec.diffuse(), cfg,
+                               [RngStream(cfg.seed, 1 + k) for k in rows], init)
+
+    @pytest.mark.parametrize("bank", BANKS)
     @pytest.mark.parametrize("steps", [(0.1, 0.1), (20.0, 1e-7)])
     def test_bank_rows_equal_lone_chains(self, banks, bank, steps):
         chains = banks[bank]
         cfg = replace(self.CFG, step_alpha=steps[0], step_beta=steps[1])
-        prior = PriorSpec.diffuse()
-        lx = np.stack([s.log_values for s, _ in chains])
-        ln_xl = np.array([_log_xl(s.x_l) for s, _ in chains])
-        init = np.array([start for _, start in chains])
-        streams = [RngStream(cfg.seed, 1 + k) for k in range(len(chains))]
-        together = mcmc._mh_chains(lx, ln_xl, prior, cfg, streams, init)
+        together = self._run(chains, cfg)
+        shares = together[3]
+        assert any(_log_xl(s.x_l) == -np.inf for s, _ in chains)
         if bank == "screened, off-mode, boundary":
-            assert ln_xl[-1] == -np.inf
-            assert np.all(together[3][[0, 3]] < 1.0) and np.all(together[3][1:3] == 1.0)
+            assert np.all(shares[[0, 3], 0] < 1.0) and np.all(shares[1:3, 0] == 1.0)
+            assert np.isnan(shares[:, 1]).all()
+        else:
+            gated = [0, 3] if bank == "below the floor" else [0, 1, 2, 3]
+            assert np.all(shares[:, 0] == 1.0)
+            assert np.array_equal(np.isfinite(shares[:, 1]), np.isin(np.arange(4), gated))
+            assert np.all(shares[gated, 1] > 0.0)
         if steps[0] > mcmc._STEP_BOUNDS[1]:
             assert np.all(together[2][:, 1] == mcmc._STEP_BOUNDS[0])
         for k in range(len(chains)):
-            alone = mcmc._mh_chains(lx[k:k + 1], ln_xl[k:k + 1], prior, cfg,
-                                    [RngStream(cfg.seed, 1 + k)], init[k:k + 1])
+            alone = self._run(chains, cfg, [k])
             assert 0.0 < alone[1][0] < 1.0
             for got, want in zip(together, alone):
-                assert np.array_equal(got[k], want[0])
+                assert np.array_equal(got[k], want[0], equal_nan=True)
 
     @pytest.mark.parametrize("block", [2048, 512, 37])
     def test_uniform_block_size_changes_no_draw(self, banks, block, monkeypatch):
         # Streams are counter-based, so however the uniforms are cut into
-        # blocks every step gets the same three, for a bank and a lone chain.
-        chains = banks["screened, off-mode, boundary"]
-        cfg, prior = self.CFG, PriorSpec.diffuse()
-        lx = np.stack([s.log_values for s, _ in chains])
-        ln_xl = np.array([_log_xl(s.x_l) for s, _ in chains])
-        init = np.array([start for _, start in chains])
-
-        def run(b):
-            return mcmc._mh_chains(lx[:b], ln_xl[:b], prior, cfg,
-                                   [RngStream(cfg.seed, 1 + k) for k in range(b)], init[:b])
-
-        want = run(len(chains)), run(1)
-        monkeypatch.setattr(mcmc, "_RNG_BLOCK", block)
-        for got, ref in zip((run(len(chains)), run(1)), want):
-            for g, w in zip(got, ref):
-                assert np.array_equal(g, w)
-
-
-def _batch_mcse(values, n_chains, batches=40):
-    """Mean over chains and the batch-means standard error of that mean."""
-    b = values.reshape(n_chains * batches, -1).mean(axis=1)
-    return float(values.mean()), float(b.std(ddof=1) / math.sqrt(b.size))
+        # blocks every step gets the same ones, for a bank and a lone chain,
+        # walking, screened or gated.
+        for bank in ("screened, off-mode, boundary", "below the floor"):
+            chains = banks[bank]
+            monkeypatch.setattr(mcmc, "_RNG_BLOCK", 512)
+            want = self._run(chains, self.CFG), self._run(chains, self.CFG, [0])
+            monkeypatch.setattr(mcmc, "_RNG_BLOCK", block)
+            for got, ref in zip((self._run(chains, self.CFG), self._run(chains, self.CFG, [0])),
+                                want):
+                for g, w in zip(got, ref):
+                    assert np.array_equal(g, w, equal_nan=True)
 
 
 class TestDelayedAcceptanceExactness:
     """A screened chain samples the exact posterior: compare with a dense grid.
 
     The sample sits at x_L = 1 and n at the screen floor, where the Laplace
-    quadratic is least accurate.  The oracle is a 301 x 301 grid over
-    (ln alpha, ln beta) of log_posterior plus the Jacobian ln alpha + ln beta.
+    quadratic is least accurate.  The oracle is ``grid_posterior``.
     """
 
     CFG = McmcConfig(iterations=42000, burn_in=2000, thin=1, seed=8, chains=4)
@@ -436,65 +541,63 @@ class TestDelayedAcceptanceExactness:
     @pytest.fixture(scope="class")
     def case(self):
         s = draw_ltll(mcmc._SCREEN_MIN_N, LTLLParams(2.0, 3.0, 1.0), RngStream(31, 0))
-        fit = fit_mle(s)
         prior = PriorSpec.diffuse()
-        z0 = np.log([fit.alpha, fit.beta])
-        half = 10.0 * np.array([np.log(fit.ci_alpha[1] / fit.ci_alpha[0]),
-                               np.log(fit.ci_beta[1] / fit.ci_beta[0])]) / (2 * 1.96)
-        za = np.linspace(z0[0] - half[0], z0[0] + half[0], 301)
-        zb = np.linspace(z0[1] - half[1], z0[1] + half[1], 301)
-        lp = np.array([[log_posterior(s, math.exp(a), math.exp(b), prior) + a + b
-                        for b in zb] for a in za])
-        w = np.exp(lp - lp.max())
-        w /= w.sum()
-        exact = {}
-        for j, (grid, marg) in enumerate([(za, w.sum(axis=1)), (zb, w.sum(axis=0))]):
-            assert max(marg[0], marg[-1]) < 1e-9  # the grid holds the posterior
-            theta = np.exp(grid)
-            mean = float(marg @ theta)
-            var = float(marg @ (theta - mean) ** 2)
-            # Marginal CDF by the trapezoid rule, inverted linearly.
-            cdf = np.concatenate([[0.0], np.cumsum(0.5 * (marg[1:] + marg[:-1]))])
-            cdf /= cdf[-1]
-            q = [float(np.exp(np.interp(p, cdf, grid))) for p in (0.025, 0.975)]
-            exact[j] = (mean, var, q)
-        zsd = [math.sqrt(float(w.sum(axis=1) @ (za - z0[0]) ** 2)),
-               math.sqrt(float(w.sum(axis=0) @ (zb - z0[1]) ** 2))]
-        return s, prior, exact, np.array(zsd)
-
-    def _check_against_grid(self, res, exact):
-        draws = res.draws.reshape(self.CFG.chains, -1, 2)
-        for j in (0, 1):
-            mean, var, (q_lo, q_hi) = exact[j]
-            x = draws[:, :, j]
-            # Mean; variance about the exact mean (so the sd); the CDF at
-            # the exact 2.5% and 97.5% quantiles.
-            for values, want in [(x, mean), ((x - mean) ** 2, var),
-                                 ((x <= q_lo).astype(float), 0.025),
-                                 ((x <= q_hi).astype(float), 0.975)]:
-                got, se = _batch_mcse(values, self.CFG.chains)
-                assert abs(got - want) <= 4.0 * se, (j, got, want, se)
+        exact, zsd = grid_posterior(s, prior, fit_mle(s))
+        return s, prior, exact, zsd
 
     def test_matches_grid_posterior(self, case):
         s, prior, exact, _ = case
         res = run_chain(s, prior, self.CFG)
         assert np.all(res.screen_pass < 0.6)  # the screen is engaged
-        self._check_against_grid(res, exact)
+        assert grid_mismatches(res.draws, self.CFG.chains, exact) == []
 
     def test_shifted_quadratic_still_exact(self, case, monkeypatch):
         # Any fixed screen keeps the chain exact; a poor one only costs mixing.
         s, prior, exact, zsd = case
         good = run_chain(s, prior, self.CFG)
-        laplace = mcmc._laplace_screens
+        laplace = mcmc._laplace_quadratics
 
         def shifted(*args):
             centre, coef = laplace(*args)
             return centre + 2.0 * zsd[:, None], coef
 
-        monkeypatch.setattr(mcmc, "_laplace_screens", shifted)
+        monkeypatch.setattr(mcmc, "_laplace_quadratics", shifted)
         res = run_chain(s, prior, self.CFG)
-        self._check_against_grid(res, exact)
+        assert grid_mismatches(res.draws, self.CFG.chains, exact) == []
         assert min(res.ess_alpha, res.ess_beta) < min(good.ess_alpha, good.ess_beta)
+
+
+class TestMixtureExactness:
+    """A gated chain (walk/independence cycle) samples the exact posterior,
+    alone and in a 4-chain bank: bladder at x_L = 1 (n = 121), an n = 100
+    sample, and an n = 60 sample just above the beta0/beta_C margin, whose
+    posterior reaches far toward alpha -> 0."""
+
+    LONE = McmcConfig(iterations=82000, burn_in=2000, thin=1, seed=8)
+    BANK = McmcConfig(iterations=42000, burn_in=2000, thin=1, seed=8, chains=4)
+
+    @pytest.fixture(scope="class", params=["bladder x_L=1", "n=100", "above the margin"])
+    def case(self, request):
+        if request.param == "bladder x_L=1":
+            s = apply_truncation(load_bladder_cancer(), 1.0).sample
+        elif request.param == "n=100":
+            s = draw_ltll(100, LTLLParams(2.0, 3.0, 1.0), RngStream(0, 0))
+        else:
+            s = draw_ltll(60, LTLLParams(2.0, 3.0, 3.0), RngStream(41, 23))
+        fit = fit_mle(s)
+        ratio = fit.stats.beta0 / fit.stats.beta_c
+        assert ratio >= mcmc._MIX_MIN_RATIO
+        if request.param == "above the margin":
+            assert ratio < mcmc._MIX_MIN_RATIO + 0.005
+        prior = PriorSpec.diffuse()
+        return s, prior, grid_posterior(s, prior, fit)[0]
+
+    @pytest.mark.parametrize("cfg", [LONE, BANK], ids=["lone", "bank"])
+    def test_matches_grid_posterior(self, case, cfg):
+        s, prior, exact = case
+        res = run_chain(s, prior, cfg)
+        assert np.all(res.independence_acceptance > 0.0)  # the cycle is engaged
+        assert grid_mismatches(res.draws, cfg.chains, exact) == []
 
 
 class TestEss:

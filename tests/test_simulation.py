@@ -283,6 +283,31 @@ class TestSweeps:
         assert hi.metrics.bayes.beta.mean == pytest.approx(lo.metrics.bayes.beta.mean, abs=0.2)
 
 
+def test_small_n_with_boundary_replicates_is_bank_and_worker_invariant():
+    # At n = 50 the chains of interior replicates past the beta0/beta_C
+    # margin take independence steps, while boundary replicates walk; a
+    # replicate recomputed alone equals its bank's record, and two worker
+    # processes give the same records as one.
+    from ltll import mcmc
+    from ltll.distribution import draw_ltll
+    from ltll.mle import fit_mle
+
+    sc = Scenario(true_params=LTLLParams(2.0, 3.0, 3.0), n=50, replicates=24,
+                  prior=PriorSpec.diffuse(), mcmc=McmcConfig(iterations=600, burn_in=200, thin=2),
+                  master_seed=5)
+    seq = run_scenario(sc)
+    boundary = [rec.r for rec in seq if rec.boundary]
+    assert 0 < len(boundary) < sc.replicates
+    fits = [fit_mle(draw_ltll(sc.n, sc.true_params, ltll.simulation._data_stream(sc, r)))
+            for r in range(sc.replicates)]
+    gated = [r for r, f in enumerate(fits) if not f.boundary
+             and f.stats.beta0 >= mcmc._MIX_MIN_RATIO * f.stats.beta_c]
+    assert gated
+    for r in (boundary[0], gated[0]):
+        assert run_replicate(sc, r) == seq[r]
+    assert run_scenario(sc, workers=2) == seq
+
+
 def test_all_boundary_replicates_report_instead_of_aborting():
     # Aggregation must not crash when (almost) every MLE degenerated.
     from ltll.simulation import ReplicateResult, _aggregate_level
@@ -321,8 +346,9 @@ def _hand_record(r, mle=(2.1, 3.2), mle_ci=((1.6, 2.7), (2.3, 4.1)), boundary=Fa
 
 def _hand_levels():
     """Two levels of hand-made records: the first has two interior MLEs with
-    Wald intervals, one interior MLE without an interval and one boundary
-    replicate; the second has a single usable MLE, so its MLE aggregates
+    Wald intervals, one interior MLE without an interval (left out of the
+    win rate and counted) and one boundary replicate; the second has a
+    single usable MLE, so its MLE aggregates, interval endpoints included,
     are undefined."""
     from ltll.simulation import _aggregate_level
 
@@ -349,7 +375,7 @@ TABLE1_HAND = (
     "x_L,method,alpha_hat,beta_hat,alpha_ci_l,alpha_ci_u,beta_ci_l,beta_ci_u\n"
     "0.5,MLE,2.083333333,3.183333333,1.45,2.575,2.175,3.95\n"
     "0.5,Bayesian,2.1875,2.9375,1.7125,2.7875,2.175,3.7875\n"
-    "1,MLE,nan,nan,1.5,3.3,2.2,5.2\n"
+    "1,MLE,nan,nan,nan,nan,nan,nan\n"
     "1,Bayesian,2.475,3.05,1.775,3.4,2.1,4.1\n"
 )
 TABLE2_HAND = (
@@ -370,13 +396,15 @@ TRENDS_HAND = [
     ("x_L=0.5: Bayes Var(alpha) < MLE Var(alpha)", True, "0.07521 vs 0.08237"),
     ("x_L=1: Bayes Var(alpha) < MLE Var(alpha)", False, "0.1719 vs nan"),
     ("MLE |bias(beta)| nondecreasing in x_L", False, "0.1833 -> nan"),
-    ("x_L=0.5: credible <= Wald width in >= 60% of replicates", True, "win rate 0.667"),
+    ("x_L=0.5: credible <= Wald width in >= 60% of replicates", True,
+     "win rate 1.000, 1 without a Wald interval excluded"),
     ("x_L=1: credible <= Wald width in >= 60% of replicates", True, "win rate 1.000"),
 ]
 
 
 def test_tables_exact_text_from_hand_built_records():
     levels = _hand_levels()
+    assert [lv.no_wald for lv in levels] == [1, 0]
     assert table1_csv(levels) == TABLE1_HAND
     assert table2_csv(levels) == TABLE2_HAND
     assert table3_csv(levels) == TABLE3_HAND
