@@ -317,13 +317,14 @@ def cmd_simulate(args) -> int:
         prior=_prior(args), mcmc=_mcmc_config(args, seed), master_seed=seed,
     )
     if args.sweep == "truncation":
-        levels = _float_list(args.levels) if args.levels else list(TRUNCATION_GRID)
+        levels = list(TRUNCATION_GRID) if args.levels is None else _float_list(args.levels)
         res = truncation_sweep(base, levels, workers=args.workers)
         tables = {"table1_truncation.csv": table1_csv(res),
                   "table2_truncation.csv": table2_csv(res)}
         checks = truncation_trends(res)
     else:
-        sizes = [int(v) for v in _float_list(args.sizes)] if args.sizes else list(SAMPLE_SIZE_GRID)
+        sizes = (list(SAMPLE_SIZE_GRID) if args.sizes is None
+                 else [int(v) for v in _float_list(args.sizes)])
         res = sample_size_sweep(base, sizes, workers=args.workers)
         tables = {"table3_sample_size.csv": table3_csv(res)}
         checks = sample_size_trends(res)

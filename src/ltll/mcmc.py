@@ -233,14 +233,19 @@ def _laplace_quadratics(lx, ln_xl, prior: PriorSpec, lna, lnb, ll):
     >= _MIX_MIN_RATIO; every test reads that chain's own row only.  The
     quadratic is the second-order expansion, in z = (ln alpha, ln beta), of
     the log-likelihood plus the prior and Jacobian (_log_target_z), written
-    about its own maximum c: (1/2) (z - c)^T H (z - c).  Returns None when
-    no chain qualifies, else (c (2, B), coefficients (3, B) of d_a^2,
-    d_a d_b and d_b^2); a chain without a quadratic holds zeros, so its q is
-    0: as a screen, stage 1 passes every proposal and stage 2 is plain MH.
+    about its own maximum c: (1/2) (z - c)^T H (z - c).  Returns (c (2, B),
+    coefficients (3, B) of d_a^2, d_a d_b and d_b^2, L (3, B)), where
+    L = (l11, l21, l22) is the Cholesky factor of (-H)^-1 that shapes
+    independence proposals: with det = h_aa h_bb - h_ab^2, (-H)^-1 =
+    [[-h_bb, h_ab], [h_ab, -h_aa]] / det, so l11 = sqrt(-h_bb / det),
+    l21 = h_ab / (det l11) and l22 = 1 / sqrt(-h_bb).  A chain without a
+    quadratic holds zeros in all three, so its q is 0: as a screen, stage 1
+    passes every proposal and stage 2 is plain MH.
     """
     b_chains, n = lx.shape
     centre = np.zeros((2, b_chains))
     coef = np.zeros((3, b_chains))
+    chol = np.zeros((3, b_chains))
     for k in range(b_chains):
         g, h = _derivatives_z(lx[k], ln_xl[k], (lna[k], lnb[k]))
         stationary = np.hypot(*g) <= SCORE_TOL * (1.0 + abs(ll[k]))
@@ -256,72 +261,54 @@ def _laplace_quadratics(lx, ln_xl, prior: PriorSpec, lna, lnb, ll):
         h = h - np.diag(scaled)
         centre[:, k] = (lna[k], lnb[k]) - np.linalg.solve(h, g)
         coef[:, k] = 0.5 * h[0, 0], h[0, 1], 0.5 * h[1, 1]
-    if not coef.any():
-        return None
-    return centre, coef
+        det = h[0, 0] * h[1, 1] - h[0, 1] * h[0, 1]
+        l11 = np.sqrt(-h[1, 1] / det)
+        chol[:, k] = l11, h[0, 1] / (det * l11), 1.0 / np.sqrt(-h[1, 1])
+    return centre, coef, chol
 
 
-def _quadratic(la, lb, screen):
-    """Laplace quadratic q at (la, lb); screen is (centre, coefficients) as
-    ``_laplace_quadratics`` returns them, per chain or for one chain."""
-    (ca, cb), (qaa, qab, qbb) = screen
+def _quadratic(la, lb, quads):
+    """Laplace quadratic q at (la, lb); quads is ``_laplace_quadratics``'
+    (centre, coefficients, L), per chain or for one chain."""
+    (ca, cb), (qaa, qab, qbb), _ = quads
     da = la - ca
     db = lb - cb
     return da * (qaa * da + qab * db) + qbb * db * db
 
 
-def _t_proposals(quads):
-    """(c, coefficients, L) for independence proposals: L = (l11, l21, l22)
-    (3, B) is the Cholesky factor of (-H)^-1 for each chain with a quadratic,
-    zeros for the others.  With -H = [[a, b], [b, d]] and det = a d - b^2,
-    (-H)^-1 = [[d, -b], [-b, a]] / det, so l11 = sqrt(d / det),
-    l21 = -b / (det l11) and l22 = 1 / sqrt(d)."""
-    centre, coef = quads
-    chol = np.zeros_like(coef)
-    k = coef.any(axis=0)
-    a, b, d = -2.0 * coef[0, k], -coef[1, k], -2.0 * coef[2, k]
-    det = a * d - b * b
-    chol[0, k] = np.sqrt(d / det)
-    chol[1, k] = -b / (det * chol[0, k])
-    chol[2, k] = 1.0 / np.sqrt(d)
-    return centre, coef, chol
-
-
-def _log_t2(la, lb, proposal):
+def _log_t2(la, lb, quads):
     """ln g at (la, lb), up to a constant, for the t_2 proposal: with
     delta = (z - c)^T (-H) (z - c) = -2 q, g is (1 + delta / 2)^-2."""
-    return -2.0 * np.log1p(-_quadratic(la, lb, proposal[:2]))
+    return -2.0 * np.log1p(-_quadratic(la, lb, quads))
 
 
-def _independence_proposals(w, proposal):
-    """(ln alpha, ln beta, ln g) of the proposals y = c + L w for t_2
-    variates w, (steps, 2, B) for a bank or (steps, 2) for one chain."""
-    (ca, cb), _, (l11, l21, l22) = proposal
-    wa, wb = w[:, 0], w[:, 1]
-    ya = ca + l11 * wa
-    yb = cb + (l21 * wa + l22 * wb)
-    return ya, yb, _log_t2(ya, yb, proposal)
+def _independence_block(w, quads, gated, lx, sumlx, ln_xl, prior, c1, c2):
+    """A block's independence proposals y = c + L w, priced.
 
-
-def _targets(ya, yb, lx, sumlx, ln_xl, prior, c1, c2):
-    """Log-target at the proposals (ya, yb) (steps, B) of bank rows lx (B, n).
-
-    Independence proposals do not depend on the state, so a block's are
-    priced together, in ``_loglik_batch`` calls of at most _PRICE_ELEMENTS
-    log-data elements; every row gives the bits of its own evaluation.
+    w: t_2 variates (steps, 2, B) on the bank layout, for one chain as for
+    many.  Independence proposals do not depend on the state, so a block's
+    are priced together, for the ``gated`` rows of lx (B, n) only, in
+    ``_loglik_batch`` calls of at most _PRICE_ELEMENTS log-data elements;
+    every row gives the bits of its own evaluation.  Returns (ln alpha,
+    ln beta, ln g, log-target), each (steps, B); a row outside the gate
+    holds y = 0, ln g = 0 and log-target 0.
     """
-    steps, b_chains = ya.shape
-    out = np.empty((steps, b_chains))
-    per_call = max(1, _PRICE_ELEMENTS // lx.size)
+    (ca, cb), _, (l11, l21, l22) = quads
+    ya = ca + l11 * w[:, 0]
+    yb = cb + (l21 * w[:, 0] + l22 * w[:, 1])
+    target = np.zeros_like(ya)
+    rows, sums, lnx = lx[gated], sumlx[gated], ln_xl[gated]
+    per_call = max(1, _PRICE_ELEMENTS // rows.size)
     # A far-tail t proposal can overflow exp; its target is then -inf or nan,
     # and the step rejects it.
     with np.errstate(over="ignore", invalid="ignore"):
-        for s0 in range(0, steps, per_call):
-            la, lb = ya[s0:s0 + per_call].ravel(), yb[s0:s0 + per_call].ravel()
-            k = la.size // b_chains
-            ll = _loglik_batch(np.tile(lx, (k, 1)), np.tile(sumlx, k), np.tile(ln_xl, k), la, lb)
-            out[s0:s0 + k] = (ll + _log_target_z(la, lb, prior, c1, c2)).reshape(k, b_chains)
-    return out
+        for s0 in range(0, len(ya), per_call):
+            la = ya[s0:s0 + per_call, gated].ravel()
+            lb = yb[s0:s0 + per_call, gated].ravel()
+            k = la.size // len(rows)
+            ll = _loglik_batch(np.tile(rows, (k, 1)), np.tile(sums, k), np.tile(lnx, k), la, lb)
+            target[s0:s0 + k, gated] = (ll + _log_target_z(la, lb, prior, c1, c2)).reshape(k, -1)
+    return ya, yb, _log_t2(ya, yb, quads), target
 
 
 def _adapted(steps, hits, walks):
@@ -338,8 +325,8 @@ def _adapted(steps, hits, walks):
     return np.clip(steps * factor, *_STEP_BOUNDS)
 
 
-def _uniform_blocks(streams, iterations, gated=None):
-    """Yield (normals (B, block, 2), ln u (B, block)) for blocks of steps.
+def _uniform_blocks(streams, iterations, gated):
+    """Yield (normals (block, 2, B), ln u (block, B)) for blocks of steps.
 
     A walk step consumes three uniforms from its chain's stream: two normals
     for the proposal, then the accept draw.  A gated chain (``gated[k]``)
@@ -348,6 +335,7 @@ def _uniform_blocks(streams, iterations, gated=None):
     each pair of its steps reads 7 uniforms, and its normals at independence
     steps come out as the t_2 variates eps * sqrt(2 / W) = eps / sqrt(-ln u).
     Blocks hold an even number of steps, so each starts with a walk step.
+    Both loops read the bank layout, a lone chain as a bank of one.
     """
     size = _RNG_BLOCK + _RNG_BLOCK % 2
     for t in range(0, iterations, size):
@@ -357,22 +345,22 @@ def _uniform_blocks(streams, iterations, gated=None):
 
 def _uniform_block(streams, block, gated):
     pairs = block // 2
-    u = np.empty((len(streams), block, 3))
-    chi = np.empty((len(streams), pairs))
+    u = np.empty((block, 3, len(streams)))
+    chi = np.empty((pairs, len(streams)))
     for i, stream in enumerate(streams):
-        if gated is None or not gated[i]:
-            u[i] = stream.uniforms(3 * block).reshape(block, 3)
+        if not gated[i]:
+            u[:, :, i] = stream.uniforms(3 * block).reshape(block, 3)
             continue
         v = stream.uniforms(7 * pairs + 3 * (block % 2))
         pair = v[:7 * pairs].reshape(pairs, 7)
-        u[i, 0:2 * pairs:2] = pair[:, :3]
-        u[i, 1::2] = pair[:, (3, 4, 6)]
-        u[i, 2 * pairs:] = v[7 * pairs:].reshape(-1, 3)
-        chi[i] = pair[:, 5]
-    normals = normal_quantile(u[:, :, :2])
-    if gated is not None:
-        normals[gated, 1::2] /= np.sqrt(-np.log(chi[gated]))[:, :, None]
-    return normals, np.log(u[:, :, 2])
+        u[0:2 * pairs:2, :, i] = pair[:, :3]
+        u[1::2, :, i] = pair[:, (3, 4, 6)]
+        u[2 * pairs:, :, i] = v[7 * pairs:].reshape(-1, 3)
+        chi[:, i] = pair[:, 5]
+    normals = normal_quantile(u[:, :2])
+    if gated.any():
+        normals[1::2, :, gated] /= np.sqrt(-np.log(chi[:, gated]))[:, None]
+    return normals, np.log(u[:, 2])
 
 
 def _mh_chains(lx, ln_xl, prior: PriorSpec, cfg: McmcConfig, streams, init):
@@ -380,18 +368,19 @@ def _mh_chains(lx, ln_xl, prior: PriorSpec, cfg: McmcConfig, streams, init):
 
     lx: (B, n) log-data; ln_xl: (B,) log truncation points (``_log_xl``, so
     -inf where x_l = 0), one per chain; streams: B counter-based streams;
-    init: (B, 2) start states.  Chains with a Laplace quadratic (see
-    ``_laplace_quadratics``) run delayed acceptance from _SCREEN_MIN_N values
-    up and the walk/independence cycle below; the others run plain MH.
-    One chain steps on Python floats (``_mh_one``), two or more step
-    vectorized across the bank (``_mh_bank``).  Both loops share the start,
-    quadratics, adaptation rule, stream layout and ``_log_target_z``, and
-    take the same floating-point steps in the same order, so chain k of any
-    bank equals that chain run alone.  Returns (draws (B, retained, 2),
-    acceptance_rate (B,), steps (B, 2), shares (B, 2)), where shares holds
-    the share of proposals that reached the full likelihood (1 for chains
-    without a screen) and the acceptance of independence steps (nan for
-    chains that only walk).
+    init: (B, 2) start states.  The bank is screened (delayed acceptance)
+    when n >= _SCREEN_MIN_N and some chain has a Laplace quadratic (see
+    ``_laplace_quadratics``); below that floor the chains with one are
+    gated and run the walk/independence cycle.  Every other chain runs
+    plain MH.  One chain steps on Python floats (``_mh_one``), two or more
+    step vectorized across the bank (``_mh_bank``); both take the same
+    arguments, share the start, quadratics, adaptation rule, stream layout,
+    block pricing and ``_log_target_z``, and take the same floating-point
+    steps in the same order, so chain k of any bank equals that chain run
+    alone.  Returns (draws (B, retained, 2), acceptance_rate (B,), steps
+    (B, 2), shares (B, 2)), where shares holds the share of proposals that
+    reached the full likelihood (1 for chains without a screen) and the
+    acceptance of independence steps (nan for chains that only walk).
     """
     lx = np.ascontiguousarray(lx, dtype=np.float64)
     sumlx = lx.sum(axis=1)
@@ -401,25 +390,16 @@ def _mh_chains(lx, ln_xl, prior: PriorSpec, cfg: McmcConfig, streams, init):
     ll = _loglik_batch(lx, sumlx, ln_xl, state[0], state[1])
     target = ll + _log_target_z(state[0], state[1], prior, c1, c2)
     quads = _laplace_quadratics(lx, ln_xl, prior, state[0], state[1], ll)
-    screens = proposals = None
-    if quads is not None and lx.shape[1] >= _SCREEN_MIN_N:
-        screens = quads
-    elif quads is not None:
-        proposals = _t_proposals(quads)
-    if lx.shape[0] > 1:
-        return _mh_bank(lx, sumlx, ln_xl, prior, c1, c2, cfg, streams, state, target,
-                        screens, proposals)
-
-    def one(arrays):
-        return None if arrays is None else tuple(tuple(a[:, 0].tolist()) for a in arrays)
-
-    (lna,), (lnb,) = state.tolist()
-    return _mh_one(lx[0], float(sumlx[0]), float(ln_xl[0]), prior, c1, c2, cfg, streams[0],
-                   lna, lnb, float(target[0]), one(screens), one(proposals))
+    has = quads[1].any(axis=0)
+    screened = lx.shape[1] >= _SCREEN_MIN_N and bool(has.any())
+    gated = has & (lx.shape[1] < _SCREEN_MIN_N)
+    loop = _mh_bank if lx.shape[0] > 1 else _mh_one
+    return loop(lx, sumlx, ln_xl, prior, c1, c2, cfg, streams, state, target, quads, screened,
+                gated)
 
 
-def _mh_one(lx, sumlx, ln_xl, prior, c1, c2, cfg, stream, lna, lnb, target, screen,
-            proposal):
+def _mh_one(lx, sumlx, ln_xl, prior, c1, c2, cfg, streams, state, target, quads, screened,
+            gated):
     """``_mh_chains`` for one chain, stepping on Python floats.
 
     At one chain a vectorized step is a few dozen numpy calls on 1-element
@@ -432,27 +412,29 @@ def _mh_one(lx, sumlx, ln_xl, prior, c1, c2, cfg, stream, lna, lnb, target, scre
     evaluates ln g at its state (np.log1p) only after a walk move.
     """
     burn_in, thin = cfg.burn_in, cfg.thin
+    row, sum_row, ln_xl_row = lx[0], float(sumlx[0]), float(ln_xl[0])
+    (lna,), (lnb,) = state.tolist()
+    target = float(target[0])
+    quad = [tuple(a[:, 0].tolist()) for a in quads]  # this chain's, on Python floats
+    cycle = bool(gated[0])
     steps = np.array([cfg.step_alpha, cfg.step_beta])
-    q = q_p = 0.0 if screen is None else _quadratic(lna, lnb, screen)
-    gated = proposal is not None
-    walks = _ADAPT_WINDOW // 2 if gated else _ADAPT_WINDOW
+    q = q_p = _quadratic(lna, lnb, quad) if screened else 0.0
+    walks = _ADAPT_WINDOW // 2 if cycle else _ADAPT_WINDOW
     lg = None  # ln g at the current state, once an independence step needs it
     kept = []
     accepted = passed = indep = window_start = t = 0
-    for z, ln_u in _uniform_blocks([stream], cfg.iterations, np.array([True]) if gated else None):
-        z = z[0]
+    for z, ln_u in _uniform_blocks(streams, cfg.iterations, gated):
+        if cycle:
+            ya, yb, lg_y, target_y = (a[:, 0].tolist() for a in _independence_block(
+                z[1::2], quads, gated, lx, sumlx, ln_xl, prior, c1, c2))
+        z = z[:, :, 0]
         inc = (z * steps).tolist()
-        if gated:
-            ya, yb, lg_y = _independence_proposals(z[1::2], proposal)
-            target_y = _targets(ya[:, None], yb[:, None], lx[None], np.array([sumlx]),
-                                np.array([ln_xl]), prior, c1, c2)[:, 0].tolist()
-            ya, yb, lg_y = ya.tolist(), yb.tolist(), lg_y.tolist()
-        for i, lu in enumerate(ln_u[0].tolist()):
+        for i, lu in enumerate(ln_u[:, 0].tolist()):
             t += 1
-            if gated and t % 2 == 0:
+            if cycle and t % 2 == 0:
                 j = i // 2
                 if lg is None:
-                    lg = _log_t2(lna, lnb, proposal)
+                    lg = _log_t2(lna, lnb, quad)
                 if lu < target_y[j] - target + (lg - lg_y[j]):
                     lna, lnb, target, lg = ya[j], yb[j], target_y[j], lg_y[j]
                     accepted += 1
@@ -460,13 +442,13 @@ def _mh_one(lx, sumlx, ln_xl, prior, c1, c2, cfg, stream, lna, lnb, target, scre
             else:
                 lna_p = lna + inc[i][0]
                 lnb_p = lnb + inc[i][1]
-                if screen is not None:
-                    q_p = _quadratic(lna_p, lnb_p, screen)
+                if screened:
+                    q_p = _quadratic(lna_p, lnb_p, quad)
                 dq = q_p - q
                 bound = min(dq, 0.0)
                 if lu < bound:
                     passed += 1
-                    target_p = (_loglik_row(lx, sumlx, ln_xl, lna_p, lnb_p)
+                    target_p = (_loglik_row(row, sum_row, ln_xl_row, lna_p, lnb_p)
                                 + _log_target_z(lna_p, lnb_p, prior, c1, c2))
                     if lu < bound + min(target_p - target - dq, 0.0):
                         lna, lnb, target, q, lg = lna_p, lnb_p, target_p, q_p, None
@@ -479,14 +461,14 @@ def _mh_one(lx, sumlx, ln_xl, prior, c1, c2, cfg, stream, lna, lnb, target, scre
             elif (t - burn_in) % thin == 0:
                 kept.append((lna, lnb))
 
-    shares = [1.0 if screen is None else passed / cfg.iterations,
-              indep / (cfg.iterations // 2) if gated else np.nan]
+    shares = [passed / cfg.iterations if screened else 1.0,
+              indep / (cfg.iterations // 2) if cycle else np.nan]
     return (np.exp(np.array(kept))[None], np.array([accepted / cfg.iterations]),
             steps[None], np.array([shares]))
 
 
-def _mh_bank(lx, sumlx, ln_xl, prior, c1, c2, cfg, streams, state, target, screens,
-             proposals):
+def _mh_bank(lx, sumlx, ln_xl, prior, c1, c2, cfg, streams, state, target, quads, screened,
+             gated):
     """``_mh_chains`` for a bank of chains, one vectorized step for all.
 
     Proposal increments are formed once per block of uniforms (again after
@@ -499,15 +481,11 @@ def _mh_bank(lx, sumlx, ln_xl, prior, c1, c2, cfg, streams, state, target, scree
     b_chains = lx.shape[0]
     burn_in, thin = cfg.burn_in, cfg.thin
     steps = np.repeat([[cfg.step_alpha], [cfg.step_beta]], b_chains, axis=1)
-    if screens is not None:
-        q = _quadratic(state[0], state[1], screens)
-    gated = walkers = None
-    walks = _ADAPT_WINDOW
-    if proposals is not None:
-        gated = proposals[1].any(axis=0)
-        walks = np.where(gated, _ADAPT_WINDOW // 2, _ADAPT_WINDOW)
-        if not gated.all():
-            walkers = np.flatnonzero(~gated)
+    if screened:
+        q = _quadratic(state[0], state[1], quads)
+    cycle = gated.any()
+    walks = np.where(gated, _ADAPT_WINDOW // 2, _ADAPT_WINDOW)
+    walkers = None if gated.all() else np.flatnonzero(~gated)
     draws = np.empty((b_chains, cfg.retained, 2))
     accepted = np.zeros(b_chains, dtype=np.int64)
     passed = np.zeros(b_chains, dtype=np.int64)
@@ -515,19 +493,15 @@ def _mh_bank(lx, sumlx, ln_xl, prior, c1, c2, cfg, streams, state, target, scree
     window_start = accepted.copy()
     t = kept = 0
     for z, ln_u in _uniform_blocks(streams, cfg.iterations, gated):
-        z = np.ascontiguousarray(z.transpose(1, 2, 0))  # (block, 2, B)
-        ln_u = np.ascontiguousarray(ln_u.T)
         inc = z * steps
-        if gated is not None:
-            ya, yb, lg_y = _independence_proposals(z[1::2], proposals)
-            target_y = np.zeros_like(ya)
-            target_y[:, gated] = _targets(ya[:, gated], yb[:, gated], lx[gated], sumlx[gated],
-                                          ln_xl[gated], prior, c1, c2)
+        if cycle:
+            ya, yb, lg_y, target_y = _independence_block(z[1::2], quads, gated, lx, sumlx,
+                                                         ln_xl, prior, c1, c2)
         for i in range(len(inc)):
             t += 1
             prop = state + inc[i]
             lu = ln_u[i]
-            if gated is not None and t % 2 == 0:
+            if cycle and t % 2 == 0:
                 j = i // 2
                 np.copyto(prop[0], ya[j], where=gated)
                 np.copyto(prop[1], yb[j], where=gated)
@@ -538,16 +512,16 @@ def _mh_bank(lx, sumlx, ln_xl, prior, c1, c2, cfg, streams, state, target, scree
                     target_p[walkers] = (
                         _loglik_batch(lx[walkers], sumlx[walkers], ln_xl[walkers], la, lb)
                         + _log_target_z(la, lb, prior, c1, c2))
-                lg = _log_t2(state[0], state[1], proposals)
+                lg = _log_t2(state[0], state[1], quads)
                 accept = lu < target_p - target + (lg - lg_y[j])
                 indep += accept & gated
-            elif screens is None:
+            elif not screened:
                 target_p = (_loglik_batch(lx, sumlx, ln_xl, prop[0], prop[1])
                             + _log_target_z(prop[0], prop[1], prior, c1, c2))
                 accept = lu < target_p - target
             else:
                 # Stage 1 prices the move on the quadratic alone.
-                q_p = _quadratic(prop[0], prop[1], screens)
+                q_p = _quadratic(prop[0], prop[1], quads)
                 dq = q_p - q
                 bound = np.minimum(dq, 0.0)
                 screen = lu < bound
@@ -579,9 +553,8 @@ def _mh_bank(lx, sumlx, ln_xl, prior, c1, c2, cfg, streams, state, target, scree
 
     np.exp(draws, out=draws)
     shares = np.full((b_chains, 2), np.nan)
-    shares[:, 0] = 1.0 if screens is None else passed / cfg.iterations
-    if gated is not None:
-        shares[gated, 1] = indep[gated] / (cfg.iterations // 2)
+    shares[:, 0] = passed / cfg.iterations if screened else 1.0
+    shares[gated, 1] = indep[gated] / (cfg.iterations // 2)
     return draws, accepted / cfg.iterations, steps.T.copy(), shares
 
 

@@ -9,8 +9,9 @@ The bladder-cancer MLE criterion (c09) is checked against an oracle built
 inside this module from scipy.stats.logistic and scipy.optimize alone; the
 published pairs in REFERENCE_BLADDER_MLE are printed beside it for
 comparison, each with its measured log-likelihood shortfall.  The c06
-interval-width and c08 variance-ordering lines carry Monte Carlo standard
-errors, so a miss can be told apart from replicate noise.
+interval-width and c08 variance-ordering lines and the c09 containment line
+carry Monte Carlo standard errors, so a miss can be told apart from
+replicate noise.
 
 Run with `pytest tests/test_acceptance.py -v -s` to see the per-criterion
 lines; the whole module takes roughly four to eight minutes on two cores.
@@ -52,11 +53,13 @@ from ltll.simulation import (
     TRUNCATION_GRID,
     Scenario,
     _aggregate_level,
+    _data_stream,
     run_scenario,
     sample_size_sweep,
 )
 
 from finite_diff import finite_diff_gradient
+from grid_posterior import _batch_mcse, grid_posterior
 
 MASTER_SEED = 20240
 
@@ -382,6 +385,27 @@ def test_c08_beta_bias_monotone(truncation_run):
                   " -> ".join(f"{b:.4f}" for b in biases))
 
 
+def test_c06_c08_cause_exact_interval_wider_than_wald():
+    # c06 and c08 fail on the diffuse prior at n = 1000, not on the sampler:
+    # the exact posterior's alpha interval (dense grid, no chain) is already
+    # wider than Wald's on the sweep's own replicates, so a perfect sampler
+    # would lose c06 and miss c08 too.
+    base = Scenario(true_params=LTLLParams(2.0, 3.0, 1.0), n=1000, replicates=2,
+                    prior=PriorSpec.diffuse(), mcmc=McmcConfig(), master_seed=MASTER_SEED)
+    ratios = {}
+    for x_l in (0.1, 1.0):
+        sc = replace(base, true_params=LTLLParams(2.0, 3.0, x_l))
+        for r in range(sc.replicates):
+            s = draw_ltll(sc.n, sc.true_params, _data_stream(sc, r))
+            fit = fit_mle(s)
+            lo, hi = grid_posterior(s, sc.prior, fit)[0][0][2]
+            ratios[x_l, r] = (hi - lo) / (fit.ci_alpha[1] - fit.ci_alpha[0])
+    ok = all(v > 1.0 for v in ratios.values())
+    assert report("6/8 cause (exact alpha interval wider than Wald, diffuse prior)", ok,
+                  ", ".join(f"x_L={x_l} r={r}: grid/Wald width {v:.4f}"
+                            for (x_l, r), v in ratios.items()))
+
+
 # -- criterion 9: bladder-cancer case study -----------------------------------
 
 @pytest.fixture(scope="module")
@@ -450,7 +474,9 @@ def test_c09_bayes_containment(bladder_fits):
         (alo, ahi), (blo, bhi) = REFERENCE_BLADDER_BAYES_CI[x_l]
         inside = alo <= post.mean[0] <= ahi and blo <= post.mean[1] <= bhi
         ok &= inside
-        rows.append(f"x_L={x_l}: ({post.mean[0]:.3f},{post.mean[1]:.3f}) in "
+        se_a, se_b = (_batch_mcse(post.draws[:, j], 1)[1] for j in (0, 1))
+        rows.append(f"x_L={x_l}: ({post.mean[0]:.3f} +/- {se_a:.3f},"
+                    f"{post.mean[1]:.3f} +/- {se_b:.3f}) in "
                     f"[{alo},{ahi}]x[{blo},{bhi}] {inside}")
     assert report("9 (bladder Bayes containment)", ok, "; ".join(rows))
 

@@ -1,9 +1,11 @@
 """The package's public names, the call sites the benchmark tracer rebinds,
 the demos, and the imports each module uses.
 
-``perfbench/spans.py`` wraps entry points by rebinding module attributes, and
-the test suite does not collect ``perfbench/``; a renamed or deleted name would
-otherwise surface only in a traced benchmark run.  The demos' imports and
+``perfbench/spans.py`` wraps entry points by rebinding module attributes.  The
+suite also collects the benchmark's smoke tests (``pyproject.toml``
+``testpaths`` lists ``perfbench/``), which run each workload traced at toy
+size; the checks here name a renamed or deleted entry point directly, without
+running a workload.  The demos' imports and
 keyword arguments are checked statically, and each demo also runs to the end
 from a copy in a temporary directory against this checkout's ``src``.
 """

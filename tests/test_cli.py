@@ -340,6 +340,8 @@ class TestSimulateCommand:
         (["--truth", "2"], "--truth needs 2 comma-separated values, got 1"),
         (["--sizes", ","], "need at least one sample size"),
         (["--sweep", "truncation", "--levels", ","], "need at least one truncation level"),
+        (["--sizes", ""], "need at least one sample size"),
+        (["--sweep", "truncation", "--levels", ""], "need at least one truncation level"),
     ])
     def test_refused(self, tmp_path, capsys, flags, reason):
         out = os.path.join(tmp_path, "out")

@@ -307,8 +307,8 @@ def _mixture_mh(s, prior, cfg, stream, start):
     cur = target(z)
     lx = s.log_values[None, :]
     ll = np.array([log_likelihood(s, *start)])
-    centre, coef = mcmc._laplace_quadratics(lx, np.array([_log_xl(s.x_l)]), prior,
-                                            z[:1], z[1:], ll)
+    centre, coef, _ = mcmc._laplace_quadratics(lx, np.array([_log_xl(s.x_l)]), prior,
+                                               z[:1], z[1:], ll)
     (qaa,), (qab,), (qbb,) = coef
     cov = np.linalg.inv(-np.array([[2.0 * qaa, qab], [qab, 2.0 * qbb]]))
     chol = np.linalg.cholesky(cov)
@@ -517,16 +517,21 @@ class TestLoopIdentity:
     def test_uniform_block_size_changes_no_draw(self, banks, block, monkeypatch):
         # Streams are counter-based, so however the uniforms are cut into
         # blocks every step gets the same ones, for a bank and a lone chain,
-        # walking, screened or gated.
-        for bank in ("screened, off-mode, boundary", "below the floor"):
+        # walking, screened or gated.  However a block's independence
+        # proposals are cut into kernel calls, from one element a call to the
+        # whole block in one, every row gets the bits of its own evaluation.
+        for bank in self.BANKS:
             chains = banks[bank]
             monkeypatch.setattr(mcmc, "_RNG_BLOCK", 512)
+            monkeypatch.setattr(mcmc, "_PRICE_ELEMENTS", 1 << 15)
             want = self._run(chains, self.CFG), self._run(chains, self.CFG, [0])
             monkeypatch.setattr(mcmc, "_RNG_BLOCK", block)
-            for got, ref in zip((self._run(chains, self.CFG), self._run(chains, self.CFG, [0])),
-                                want):
-                for g, w in zip(got, ref):
-                    assert np.array_equal(g, w, equal_nan=True)
+            for price in (1, 1 << 22):
+                monkeypatch.setattr(mcmc, "_PRICE_ELEMENTS", price)
+                got = self._run(chains, self.CFG), self._run(chains, self.CFG, [0])
+                for run, ref in zip(got, want):
+                    for g, w in zip(run, ref):
+                        assert np.array_equal(g, w, equal_nan=True)
 
 
 class TestDelayedAcceptanceExactness:
@@ -558,8 +563,8 @@ class TestDelayedAcceptanceExactness:
         laplace = mcmc._laplace_quadratics
 
         def shifted(*args):
-            centre, coef = laplace(*args)
-            return centre + 2.0 * zsd[:, None], coef
+            centre, coef, chol = laplace(*args)
+            return centre + 2.0 * zsd[:, None], coef, chol
 
         monkeypatch.setattr(mcmc, "_laplace_quadratics", shifted)
         res = run_chain(s, prior, self.CFG)
