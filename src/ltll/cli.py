@@ -43,10 +43,18 @@ EXIT_BOUNDARY = 2
 
 class _Parser(argparse.ArgumentParser):
     # argparse exits with status 2 on usage errors; 2 is reserved for
-    # boundary fits here, so remap usage problems onto the error code.
+    # boundary fits here, so remap usage problems onto the error code, with
+    # the error line every other failure prints.
     def error(self, message):
         self.print_usage(sys.stderr)
-        self.exit(EXIT_ERROR, f"{self.prog}: error: {message}\n")
+        self.exit(EXIT_ERROR, f"ltll: error: {message}\n")
+
+
+def _path(text: str) -> str:
+    """A file path flag's value; the empty string names no file."""
+    if not text:
+        raise argparse.ArgumentTypeError("must not be empty")
+    return text
 
 
 def _float_list(text: str) -> list[float]:
@@ -77,12 +85,13 @@ def build_parser() -> _Parser:
     def add_common(p):
         p.add_argument("--seed", type=int, default=None,
                        help="RNG master seed (falls back to $LTLL_SEED, then %d)" % DEFAULT_SEED)
-        p.add_argument("--out", default=None, help="output path (default: stdout where sensible)")
-        p.add_argument("--config", default=None,
+        p.add_argument("--out", type=_path, default=None,
+                       help="output path (default: stdout where sensible)")
+        p.add_argument("--config", type=_path, default=None,
                        help="JSON file whose keys mirror the long flags; explicit flags win")
 
     def add_data(p):
-        p.add_argument("--data", required=True,
+        p.add_argument("--data", type=_path, required=True,
                        help="CSV path, or a bundled dataset name: %s" % ", ".join(BUNDLED_DATASETS))
         p.add_argument("--column", default=None,
                        help="column header name or 0-based index, >= 0 (default: first column)")
@@ -96,7 +105,10 @@ def build_parser() -> _Parser:
         p.add_argument("--burnin", type=int, default=5000)
         p.add_argument("--thin", type=int, default=5)
         p.add_argument("--steps", default="0.1,0.1",
-                       help="log-space proposal std devs: step_alpha,step_beta")
+                       help="log-space walk std devs step_alpha,step_beta of chains without "
+                            "a Laplace fit (boundary or off-mode starts, samples near the "
+                            "Pareto boundary) and of samples below 30 values; the others "
+                            "walk along their Laplace factor")
 
     p_fit = sub.add_parser("fit", help="fit the distribution to a dataset")
     add_data(p_fit)
@@ -150,7 +162,7 @@ def _apply_config(argv):
     either spelling (``--seed 5`` or ``--seed=5``).
     """
     pre = _Parser(prog="ltll", usage=argparse.SUPPRESS, add_help=False)
-    pre.add_argument("--config")
+    pre.add_argument("--config", type=_path)
     path = pre.parse_known_args(argv)[0].config
     if path is None:
         return argv
@@ -328,7 +340,7 @@ def cmd_simulate(args) -> int:
         res = sample_size_sweep(base, sizes, workers=args.workers)
         tables = {"table3_sample_size.csv": table3_csv(res)}
         checks = sample_size_trends(res)
-    out_dir = args.out or "."
+    out_dir = "." if args.out is None else args.out
     os.makedirs(out_dir, exist_ok=True)
     for name, text in tables.items():
         atomic_write_text(os.path.join(out_dir, name), text)
@@ -352,7 +364,7 @@ def cmd_ellipse(args) -> int:
     sample = apply_truncation(data, args.xl).sample
     gamma = 1.0 - args.level
     methods = ["wald", "credible"] if args.method == "both" else [args.method]
-    stem = args.out or "ellipse"
+    stem = "ellipse" if args.out is None else args.out
     cfg = _mcmc_config(args, seed) if "credible" in methods else None
 
     fit = fit_mle(sample)

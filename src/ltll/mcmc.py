@@ -2,11 +2,20 @@
 
 Independent Gamma priors on scale and shape combine with the truncated
 likelihood into an unnormalized posterior.  Sampling uses a Gaussian random
-walk on (ln alpha, ln beta): the log transform keeps proposals positive and
-makes them symmetric, at the cost of a Jacobian term ln(alpha* beta* /
-(alpha beta)) in the acceptance ratio.  Every chain adapts its step sizes
-during burn-in (targeting acceptance in [0.2, 0.5]) and freezes them
-afterwards so the retained draws come from a fixed kernel.
+walk on z = (ln alpha, ln beta): the log transform keeps proposals positive
+and makes them symmetric, at the cost of a Jacobian term ln(alpha* beta* /
+(alpha beta)) in the acceptance ratio.  A walk step proposes z + steps *
+(L eps) from two normals eps.  A chain with a Laplace record (below: every
+screened chain, and every gated chain of at least _LAPLACE_WALK_MIN_N
+values) takes L from it, the Cholesky factor of (-H)^-1, so its walk
+follows the posterior correlation of ln alpha and ln beta, and it walks
+with one scale s in both slots of steps, started at _WALK_SCALE: the
+adaptive Metropolis of Haario, Saksman & Tamminen (2001) with the
+covariance taken from the Laplace fit, at the scale of Roberts & Rosenthal
+(2001).  Every other chain has L = (1, 0, 1) and walks diagonally with the
+config's two steps.  Every chain adapts its steps during burn-in (targeting
+acceptance in [0.2, 0.5]) and freezes them afterwards so the retained draws
+come from a fixed kernel.
 
 Chains that start at an interior MLE of a large enough sample run
 delayed-acceptance MH (Christen & Fox 2005, "MCMC using an approximation").
@@ -35,6 +44,8 @@ constant its log density is ln g(y) = -2 ln(1 - q(y)), and the step accepts
 when ln u < dpi + ln g(x) - ln g(y).  Each kernel leaves the posterior
 invariant, so the cycle does too; the walk keeps the chain ergodic where the
 t fits poorly, and it adapts on its own acceptances, 50 per 100-step window.
+Below _LAPLACE_WALK_MIN_N values the Laplace shape fits the skewed posterior
+too poorly to steer the walk, so there the cycle walks diagonally.
 Every other chain below the floor walks alone, as above.
 
 Two loops run the chains, picked by the number of chains in the call.  A
@@ -77,6 +88,16 @@ __all__ = [
 _ADAPT_WINDOW = 100
 _ADAPT_FACTOR = 1.1
 _STEP_BOUNDS = (1e-6, 10.0)
+# Start of the one walk scale s of a chain that walks along its Laplace
+# factor L, proposing z + s L eps; s then adapts like any step.  Measured on
+# the sweep's bank (100 screened chains, n = 1000 at x_L 0.1 and 1.0, default
+# chain), seeds 1-10 against the diagonal walk: starts 2.38 to 3.0 all gave
+# summed min-ESS x1.25-1.26, while full evaluations fell steadily with the
+# start, from +3.3% at 2.38 to +2.0% at 3.0 (s settles near 1.8-1.9 either
+# way).  Held-out seed 7919: ESS x1.25 at 2.38 and x1.23 at 3.0, evaluations
+# +5.2% and +3.4%.  The textbook 2.38 / sqrt(2) = 1.68 never adapts (window
+# acceptance 0.35) and costs +17% evaluations for the same ESS (seeds 1-3).
+_WALK_SCALE = 3.0
 _RNG_BLOCK = 512
 # Most log-data elements one kernel call reads when a block's independence
 # proposals are priced together (256 KiB of float64).
@@ -91,6 +112,15 @@ _SCREEN_MIN_N = 500
 # (independence acceptance near 0 below 1.005); from 1.02 up it gained
 # x2.7 (geometric mean) on 117 random samples of n 12-486.
 _MIX_MIN_RATIO = 1.02
+# Smallest sample whose gated chains walk along their Laplace factor; below
+# it their cycle keeps the diagonal walk with the config's steps.  Measured
+# on 36 random gated samples of n 13-28 (two default chains from the MLE):
+# with the walk along L the cycle lost min-ESS to the diagonal walk alone on
+# 9 (x0.22-0.98) and to the cycle with the diagonal walk on 19 (geometric
+# mean x0.88, summed x1.05); the cycle with the diagonal walk lost to the walk alone on 5
+# and gained x2.17 summed, so a floor on the cycle itself would cost more.
+# On 36 samples of n 36-482 the walk along L held even (x1.02).
+_LAPLACE_WALK_MIN_N = 30
 # Fewest retained draws that quantile intervals and density grids accept.
 MIN_DRAWS = 100
 
@@ -131,9 +161,13 @@ class PriorSpec:
 class McmcConfig:
     """Metropolis-Hastings run settings.
 
-    Step sizes are proposal standard deviations in log-space.  Both steps are
-    rescaled by x1.1 every 100 burn-in iterations while the window
-    acceptance rate sits outside [0.2, 0.5], then frozen.
+    step_alpha and step_beta are the starting walk standard deviations of
+    ln alpha and ln beta for chains without a Laplace record (boundary and
+    off-mode starts, samples below the beta0/beta_C margin) and for samples
+    below _LAPLACE_WALK_MIN_N values; any other chain walks along its
+    Laplace factor with one scale started at _WALK_SCALE, whatever these
+    are.  Steps are rescaled by x1.1 every 100 burn-in iterations while the
+    window acceptance rate sits outside [0.2, 0.5], then frozen.
     """
 
     iterations: int = 20000
@@ -174,7 +208,8 @@ class PosteriorResult:
     cov: SymMatrix2
     ess_alpha: float
     ess_beta: float
-    # Per chain: final proposal steps (chains, 2), the share of proposals
+    # Per chain: final proposal steps (chains, 2), (s, s) for a chain that
+    # walks along its Laplace factor with scale s; the share of proposals
     # that reached the full likelihood (1 for plain MH) and the acceptance of
     # independence steps (nan for chains that only walk); None when unknown.
     steps: np.ndarray | None = None
@@ -235,8 +270,8 @@ def _laplace_quadratics(lx, ln_xl, prior: PriorSpec, lna, lnb, ll):
     the log-likelihood plus the prior and Jacobian (_log_target_z), written
     about its own maximum c: (1/2) (z - c)^T H (z - c).  Returns (c (2, B),
     coefficients (3, B) of d_a^2, d_a d_b and d_b^2, L (3, B)), where
-    L = (l11, l21, l22) is the Cholesky factor of (-H)^-1 that shapes
-    independence proposals: with det = h_aa h_bb - h_ab^2, (-H)^-1 =
+    L = (l11, l21, l22) is the Cholesky factor of (-H)^-1 that shapes the
+    walk and independence proposals: with det = h_aa h_bb - h_ab^2, (-H)^-1 =
     [[-h_bb, h_ab], [h_ab, -h_aa]] / det, so l11 = sqrt(-h_bb / det),
     l21 = h_ab / (det l11) and l22 = 1 / sqrt(-h_bb).  A chain without a
     quadratic holds zeros in all three, so its q is 0: as a screen, stage 1
@@ -311,6 +346,17 @@ def _independence_block(w, quads, gated, lx, sumlx, ln_xl, prior, c1, c2):
     return ya, yb, _log_t2(ya, yb, quads), target
 
 
+def _walk_normals(z, shape):
+    """Map a block's normals z (steps, 2, B) in place through each chain's
+    walk shape (l11, l21, l22) (3, B), to (l11 z_a, l21 z_a + l22 z_b).  A
+    diagonal walker's shape (1, 0, 1) keeps its normals bit for bit
+    (z_b + 0 * z_a is z_b)."""
+    l11, l21, l22 = shape
+    z[:, 1] *= l22
+    z[:, 1] += l21 * z[:, 0]
+    z[:, 0] *= l11
+
+
 def _adapted(steps, hits, walks):
     """Proposal steps after a burn-in window whose ``walks`` walk steps
     accepted ``hits`` moves.
@@ -372,15 +418,19 @@ def _mh_chains(lx, ln_xl, prior: PriorSpec, cfg: McmcConfig, streams, init):
     when n >= _SCREEN_MIN_N and some chain has a Laplace quadratic (see
     ``_laplace_quadratics``); below that floor the chains with one are
     gated and run the walk/independence cycle.  Every other chain runs
-    plain MH.  One chain steps on Python floats (``_mh_one``), two or more
-    step vectorized across the bank (``_mh_bank``); both take the same
-    arguments, share the start, quadratics, adaptation rule, stream layout,
-    block pricing and ``_log_target_z``, and take the same floating-point
-    steps in the same order, so chain k of any bank equals that chain run
-    alone.  Returns (draws (B, retained, 2), acceptance_rate (B,), steps
-    (B, 2), shares (B, 2)), where shares holds the share of proposals that
-    reached the full likelihood (1 for chains without a screen) and the
-    acceptance of independence steps (nan for chains that only walk).
+    plain MH.  A chain with a quadratic walks along its L with one scale
+    started at _WALK_SCALE, unless n < _LAPLACE_WALK_MIN_N; every other
+    chain walks diagonally with the config's steps.  One chain steps on
+    Python floats (``_mh_one``), two or more step vectorized across the
+    bank (``_mh_bank``); both take the same arguments, share the start,
+    quadratics, walk shapes (``_walk_normals``), adaptation rule, stream
+    layout, block pricing and ``_log_target_z``, and take the same
+    floating-point steps in the same order, so chain k of any bank equals
+    that chain run alone.  Returns (draws (B, retained, 2),
+    acceptance_rate (B,), steps (B, 2), shares (B, 2)), where shares holds
+    the share of proposals that reached the full likelihood (1 for chains
+    without a screen) and the acceptance of independence steps (nan for
+    chains that only walk).
     """
     lx = np.ascontiguousarray(lx, dtype=np.float64)
     sumlx = lx.sum(axis=1)
@@ -393,13 +443,18 @@ def _mh_chains(lx, ln_xl, prior: PriorSpec, cfg: McmcConfig, streams, init):
     has = quads[1].any(axis=0)
     screened = lx.shape[1] >= _SCREEN_MIN_N and bool(has.any())
     gated = has & (lx.shape[1] < _SCREEN_MIN_N)
+    # Walk shapes (3, B) and scales (2, B): L and s in both slots for a chain
+    # that walks along L, (1, 0, 1) and the config's steps for the others.
+    along = has & (lx.shape[1] >= _LAPLACE_WALK_MIN_N)
+    shape = np.where(along, quads[2], [[1.0], [0.0], [1.0]])
+    steps = np.where(along, _WALK_SCALE, [[cfg.step_alpha], [cfg.step_beta]])
     loop = _mh_bank if lx.shape[0] > 1 else _mh_one
     return loop(lx, sumlx, ln_xl, prior, c1, c2, cfg, streams, state, target, quads, screened,
-                gated)
+                gated, shape, steps)
 
 
 def _mh_one(lx, sumlx, ln_xl, prior, c1, c2, cfg, streams, state, target, quads, screened,
-            gated):
+            gated, shape, steps):
     """``_mh_chains`` for one chain, stepping on Python floats.
 
     At one chain a vectorized step is a few dozen numpy calls on 1-element
@@ -417,7 +472,7 @@ def _mh_one(lx, sumlx, ln_xl, prior, c1, c2, cfg, streams, state, target, quads,
     target = float(target[0])
     quad = [tuple(a[:, 0].tolist()) for a in quads]  # this chain's, on Python floats
     cycle = bool(gated[0])
-    steps = np.array([cfg.step_alpha, cfg.step_beta])
+    steps = steps[:, 0]
     q = q_p = _quadratic(lna, lnb, quad) if screened else 0.0
     walks = _ADAPT_WINDOW // 2 if cycle else _ADAPT_WINDOW
     lg = None  # ln g at the current state, once an independence step needs it
@@ -427,6 +482,7 @@ def _mh_one(lx, sumlx, ln_xl, prior, c1, c2, cfg, streams, state, target, quads,
         if cycle:
             ya, yb, lg_y, target_y = (a[:, 0].tolist() for a in _independence_block(
                 z[1::2], quads, gated, lx, sumlx, ln_xl, prior, c1, c2))
+        _walk_normals(z, shape)
         z = z[:, :, 0]
         inc = (z * steps).tolist()
         for i, lu in enumerate(ln_u[:, 0].tolist()):
@@ -468,7 +524,7 @@ def _mh_one(lx, sumlx, ln_xl, prior, c1, c2, cfg, streams, state, target, quads,
 
 
 def _mh_bank(lx, sumlx, ln_xl, prior, c1, c2, cfg, streams, state, target, quads, screened,
-             gated):
+             gated, shape, steps):
     """``_mh_chains`` for a bank of chains, one vectorized step for all.
 
     Proposal increments are formed once per block of uniforms (again after
@@ -480,7 +536,6 @@ def _mh_bank(lx, sumlx, ln_xl, prior, c1, c2, cfg, streams, state, target, quads
     """
     b_chains = lx.shape[0]
     burn_in, thin = cfg.burn_in, cfg.thin
-    steps = np.repeat([[cfg.step_alpha], [cfg.step_beta]], b_chains, axis=1)
     if screened:
         q = _quadratic(state[0], state[1], quads)
     cycle = gated.any()
@@ -493,10 +548,11 @@ def _mh_bank(lx, sumlx, ln_xl, prior, c1, c2, cfg, streams, state, target, quads
     window_start = accepted.copy()
     t = kept = 0
     for z, ln_u in _uniform_blocks(streams, cfg.iterations, gated):
-        inc = z * steps
         if cycle:
             ya, yb, lg_y, target_y = _independence_block(z[1::2], quads, gated, lx, sumlx,
                                                          ln_xl, prior, c1, c2)
+        _walk_normals(z, shape)
+        inc = z * steps
         for i in range(len(inc)):
             t += 1
             prop = state + inc[i]

@@ -452,3 +452,32 @@ def test_usage_error_is_exit_code_one(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["fit"])  # missing required --data
     assert exc.value.code == EXIT_ERROR
+
+
+# Each command with an empty path flag, run in an empty working directory.
+_EMPTY_PATH_ARGS = {
+    "fit --out": ["fit", "--data", "bladder_cancer", "--method", "mle", "--out", ""],
+    "simulate --out": ["simulate", "--sweep", "n", "--replicates", "2", "--sizes", "50",
+                       "--iters", "200", "--burnin", "50", "--thin", "1", "--out", ""],
+    "ellipse --out": ["ellipse", "--data", "bladder_cancer", "--method", "wald", "--out", ""],
+    "fit --data": ["fit", "--data", "", "--method", "mle", "--out", "fit.json"],
+    "fit --config": ["fit", "--data", "bladder_cancer", "--config", "", "--out", "fit.json"],
+}
+
+
+@pytest.mark.parametrize("case", list(_EMPTY_PATH_ARGS))
+def test_empty_path_refused(tmp_path, monkeypatch, capsys, case):
+    # An empty path names no file: the command must neither fall back to a
+    # default location nor write beside the working directory.
+    work = tmp_path / "work"
+    work.mkdir()
+    monkeypatch.chdir(work)
+    try:
+        code = main(_EMPTY_PATH_ARGS[case])
+    except SystemExit as exc:  # usage errors leave through argparse
+        code = exc.code
+    assert code == EXIT_ERROR
+    errors = [line for line in capsys.readouterr().err.splitlines() if "error:" in line]
+    flag = case.split()[1]
+    assert errors == [f"ltll: error: argument {flag}: must not be empty"]
+    assert os.listdir(work) == [] and os.listdir(tmp_path) == ["work"]

@@ -290,11 +290,15 @@ def _mixture_mh(s, prior, cfg, stream, start):
     """Reference walk/independence cycle on (ln alpha, ln beta), one step at
     a time, in the documented uniform layout.
 
-    Odd steps walk as in ``_plain_mh`` (three uniforms), adapting every 100
-    burn-in steps on the walk acceptances alone, 50 per window.  Even steps
-    take four uniforms: two normals eps, W = -2 ln u, then the accept draw.
-    They propose y = c + L eps sqrt(2 / W) with L L^T = (-H)^-1, for the
-    Laplace centre c and Hessian H the sampler builds, and accept when
+    L is the Cholesky factor (numpy's) of (-H)^-1, for the Laplace centre c
+    and Hessian H the sampler builds.  Odd steps take three uniforms, two
+    normals eps and the accept draw, and walk to z + s L eps, with one scale
+    s per chain started at ``mcmc._WALK_SCALE`` and adapted by x1.1 every
+    100 burn-in steps on the walk acceptances alone, 50 per window; below
+    ``mcmc._LAPLACE_WALK_MIN_N`` values they walk to z + steps * eps from
+    the config's steps instead.  Even
+    steps take four uniforms: two normals eps, W = -2 ln u, then the accept
+    draw.  They propose y = c + L eps sqrt(2 / W) and accept when
     ln u < target(y) - target(z) + ln g(z) - ln g(y), with g the bivariate
     t density with 2 degrees of freedom from scipy.
     Returns (retained draws, final steps, independence acceptance).
@@ -313,12 +317,15 @@ def _mixture_mh(s, prior, cfg, stream, start):
     cov = np.linalg.inv(-np.array([[2.0 * qaa, qab], [qab, 2.0 * qbb]]))
     chol = np.linalg.cholesky(cov)
     g = multivariate_t(loc=centre[:, 0], shape=cov, df=2)
-    step = np.array([cfg.step_alpha, cfg.step_beta])
+    if s.n >= mcmc._LAPLACE_WALK_MIN_N:
+        walk, step = chol, np.full(2, mcmc._WALK_SCALE)
+    else:
+        walk, step = np.eye(2), np.array([cfg.step_alpha, cfg.step_beta])
     kept, hits, indep = [], 0, 0
     for t in range(1, cfg.iterations + 1):
         if t % 2:
             u = stream.uniforms(3)
-            prop = z + step * normal_quantile(u[:2])
+            prop = z + step * (walk @ normal_quantile(u[:2]))
             new = target(prop)
             accepted = np.log(u[2]) < new - cur
             hits += accepted and t <= cfg.burn_in
@@ -341,6 +348,62 @@ def _mixture_mh(s, prior, cfg, stream, start):
     return np.exp(np.array(kept)), step, indep / (cfg.iterations // 2)
 
 
+def _screened_mh(s, prior, cfg, stream, start):
+    """Reference delayed-acceptance walk on (ln alpha, ln beta), one step at
+    a time.
+
+    q is the Laplace quadratic (1/2) (z - c)^T H (z - c) with the centre c
+    and Hessian H the sampler builds, and L the Cholesky factor (numpy's) of
+    (-H)^-1.  Each step takes three uniforms: two normals eps, then u.  It
+    proposes y = z + s L eps, with one scale s started at
+    ``mcmc._WALK_SCALE`` and adapted by x1.1 every 100 burn-in steps outside
+    [0.2, 0.5].  Stage 1 passes y when u < a1 = min(1, e^(q(y) - q(z))); a
+    passed proposal then reuses u / a1, uniform on (0, 1) given the pass, and
+    is accepted when that is below min(1, e^(dpi - dq)).
+    Returns (retained draws, final steps (s, s), share of steps passed).
+    """
+    def target(z):
+        return log_posterior(s, np.exp(z[0]), np.exp(z[1]), prior) + z[0] + z[1]
+
+    z = np.log(np.asarray(start, dtype=np.float64))
+    cur = target(z)
+    ll = np.array([log_likelihood(s, *start)])
+    centre, coef, _ = mcmc._laplace_quadratics(s.log_values[None, :], np.array([_log_xl(s.x_l)]),
+                                               prior, z[:1], z[1:], ll)
+    (qaa,), (qab,), (qbb,) = coef
+    hess = np.array([[2.0 * qaa, qab], [qab, 2.0 * qbb]])
+    chol = np.linalg.cholesky(np.linalg.inv(-hess))
+
+    def q(z):
+        d = z - centre[:, 0]
+        return 0.5 * d @ hess @ d
+
+    step = np.full(2, mcmc._WALK_SCALE)
+    kept, hits, passed = [], 0, 0
+    for t in range(1, cfg.iterations + 1):
+        u = stream.uniforms(3)
+        prop = z + step * (chol @ normal_quantile(u[:2]))
+        dq = q(prop) - q(z)
+        a1 = min(1.0, math.exp(dq))
+        accepted = False
+        if u[2] < a1:
+            passed += 1
+            new = target(prop)
+            accepted = u[2] / a1 < min(1.0, math.exp(min(0.0, new - cur - dq)))
+            if accepted:
+                z, cur = prop, new
+        if t <= cfg.burn_in:
+            hits += accepted
+            if t % 100 == 0:
+                rate = hits / 100
+                factor = 1.1 if rate > 0.5 else (1.0 / 1.1 if rate < 0.2 else 1.0)
+                step = np.clip(step * factor, 1e-6, 10.0)
+                hits = 0
+        if t > cfg.burn_in and (t - cfg.burn_in) % cfg.thin == 0:
+            kept.append(z)
+    return np.exp(np.array(kept)), step, passed / cfg.iterations
+
+
 def _pareto_sample(n, seed):
     # Pareto(2.5) above x_L = 1, where the MLE often falls on the boundary.
     return Sample(RngStream(seed, 0).uniforms(n) ** (-1.0 / 2.5), 1.0)
@@ -358,7 +421,8 @@ def _near_boundary_sample():
 
 class TestPlainPath:
     """Chains with neither a Laplace screen nor independence steps run plain
-    MH, bit for bit."""
+    MH, bit for bit; chains with a Laplace record replay their reference
+    step by step."""
 
     CFG = McmcConfig(iterations=3000, burn_in=1000, thin=2)
 
@@ -395,6 +459,37 @@ class TestPlainPath:
         assert np.array_equal(res.independence_acceptance, [indep])
         assert 0.5 < indep < 0.9
         assert np.array_equal(res.screen_pass, [1.0])
+
+    def test_tiny_gated_walks_diagonally(self):
+        # A gated sample below the walk floor keeps the cycle, walking
+        # diagonally from the config's steps.
+        s = draw_ltll(20, LTLLParams(2.0, 3.0, 1.0), RngStream(3, 0))
+        fit = fit_mle(s)
+        assert s.n < mcmc._LAPLACE_WALK_MIN_N and not fit.boundary
+        prior = PriorSpec.diffuse()
+        cfg = replace(self.CFG, seed=17, step_alpha=0.1, step_beta=0.2)
+        res = run_chain(s, prior, cfg, init=(fit.alpha, fit.beta))
+        want, steps, indep = _mixture_mh(s, prior, cfg, RngStream(17, 1), (fit.alpha, fit.beta))
+        assert np.allclose(res.draws, want, rtol=1e-9, atol=0.0)
+        assert np.array_equal(res.steps, steps[None, :])
+        assert steps[1] == 2.0 * steps[0] != 0.1  # the config's steps, adapted
+        assert np.array_equal(res.independence_acceptance, [indep])
+        assert indep > 0.2
+
+    def test_at_floor_screened(self):
+        # From its MLE a sample at the screen floor runs delayed acceptance,
+        # walking along its Laplace factor.
+        s = draw_ltll(mcmc._SCREEN_MIN_N, LTLLParams(2.0, 3.0, 1.0), RngStream(31, 0))
+        fit = fit_mle(s)
+        prior, cfg = PriorSpec.diffuse(), replace(self.CFG, seed=16)
+        res = run_chain(s, prior, cfg, init=(fit.alpha, fit.beta))
+        want, steps, passed = _screened_mh(s, prior, cfg, RngStream(16, 1), (fit.alpha, fit.beta))
+        assert np.allclose(res.draws, want, rtol=1e-9, atol=0.0)
+        assert np.array_equal(res.steps, steps[None, :])
+        assert steps[0] != mcmc._WALK_SCALE  # the scale adapted
+        assert np.array_equal(res.screen_pass, [passed])
+        assert 0.2 < passed < 0.6
+        assert np.isnan(res.independence_acceptance).all()
 
     def test_off_mode_start(self, sample_n1000):
         assert sample_n1000.n >= mcmc._SCREEN_MIN_N
@@ -439,8 +534,9 @@ class TestLoopIdentity:
     one that mixes gated chains with an off-mode and a boundary start.  Each
     bank also holds an untruncated sample at its MLE (ln x_L = -inf beside
     finite ones).  4501 iterations are odd and no multiple of the uniform
-    block, and the second step pair lands on both clip bounds at the first
-    adaptation.
+    block, and the second step pair lands a chain without a Laplace factor
+    on both clip bounds at the first adaptation; a chain with one starts
+    its one walk scale at ``_WALK_SCALE`` whatever the config's steps.
     """
 
     CFG = McmcConfig(iterations=4501, burn_in=1150, thin=3, seed=6)
@@ -497,6 +593,7 @@ class TestLoopIdentity:
         together = self._run(chains, cfg)
         shares = together[3]
         assert any(_log_xl(s.x_l) == -np.inf for s, _ in chains)
+        laplace = [0, 1, 2, 3] if bank == "gated" else [0, 3]  # rows walking along L
         if bank == "screened, off-mode, boundary":
             assert np.all(shares[[0, 3], 0] < 1.0) and np.all(shares[1:3, 0] == 1.0)
             assert np.isnan(shares[:, 1]).all()
@@ -505,8 +602,13 @@ class TestLoopIdentity:
             assert np.all(shares[:, 0] == 1.0)
             assert np.array_equal(np.isfinite(shares[:, 1]), np.isin(np.arange(4), gated))
             assert np.all(shares[gated, 1] > 0.0)
+        final = together[2]
+        plain = np.setdiff1d(np.arange(4), laplace)
         if steps[0] > mcmc._STEP_BOUNDS[1]:
-            assert np.all(together[2][:, 1] == mcmc._STEP_BOUNDS[0])
+            assert np.all(final[plain, 1] == mcmc._STEP_BOUNDS[0])
+        lo, hi = mcmc._STEP_BOUNDS
+        assert np.all((lo <= final[laplace]) & (final[laplace] <= hi))
+        assert np.array_equal(final[laplace, 0], final[laplace, 1])
         for k in range(len(chains)):
             alone = self._run(chains, cfg, [k])
             assert 0.0 < alone[1][0] < 1.0
