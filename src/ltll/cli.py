@@ -57,15 +57,28 @@ def _path(text: str) -> str:
     return text
 
 
-def _float_list(text: str) -> list[float]:
-    return [float(v) for v in text.split(",") if v.strip()]
+def _values(text: str, flag: str, count: int | None = None, kind=float,
+            noun: str = "value") -> list:
+    """A list flag's comma-separated values, each read by ``kind``.
 
-
-def _floats(text: str, flag: str, count: int) -> list[float]:
-    values = _float_list(text)
-    if len(values) != count:
-        raise ValueError(f"{flag} needs {count} comma-separated values, got {len(values)}")
-    return values
+    Refused, with a message that names the flag: a value without items
+    (``""`` or ``","``), an empty item (``1,,2``), an item that ``kind``
+    does not read (``--sizes 50.9``), and, given ``count``, any other
+    number of items.
+    """
+    items = [v.strip() for v in text.split(",")]
+    if not any(items):
+        raise ValueError(f"{flag} needs {count} comma-separated values, got 0" if count
+                         else f"{flag}: need at least one {noun}")
+    if "" in items:
+        raise ValueError(f"{flag} has an empty item in {text!r}")
+    if count and len(items) != count:
+        raise ValueError(f"{flag} needs {count} comma-separated values, got {len(items)}")
+    try:
+        return [kind(v) for v in items]
+    except ValueError:
+        raise ValueError(f"{flag} needs {'integers' if kind is int else 'numbers'}, "
+                         f"got {text!r}") from None
 
 
 def _grid_spec(text: str, flag: str):
@@ -104,11 +117,6 @@ def build_parser() -> _Parser:
         p.add_argument("--iters", type=int, default=20000)
         p.add_argument("--burnin", type=int, default=5000)
         p.add_argument("--thin", type=int, default=5)
-        p.add_argument("--steps", default="0.1,0.1",
-                       help="log-space walk std devs step_alpha,step_beta of chains without "
-                            "a Laplace fit (boundary or off-mode starts, samples near the "
-                            "Pareto boundary) and of samples below 30 values; the others "
-                            "walk along their Laplace factor")
 
     p_fit = sub.add_parser("fit", help="fit the distribution to a dataset")
     add_data(p_fit)
@@ -124,7 +132,6 @@ def build_parser() -> _Parser:
                        help="truncation point for the sample-size sweep (default 1.0)")
     p_sim.add_argument("--n", type=int, default=1000, help="sample size per replicate")
     p_sim.add_argument("--replicates", type=int, default=1000)
-    p_sim.add_argument("--fast", action="store_true", help="CI profile: 200 replicates")
     p_sim.add_argument("--levels", default=None,
                        help="truncation levels, e.g. 0.1,0.3,0.5,0.7,1.0")
     p_sim.add_argument("--sizes", default=None, help="sample sizes, e.g. 50,100,500,1000")
@@ -201,9 +208,7 @@ def _load_dataset(args) -> DatasetFile:
 
 def _mcmc_config(args, seed: int) -> McmcConfig:
     """Chain settings for a posterior summary, refused when it keeps too few draws."""
-    sa, sb = _floats(args.steps, "--steps", 2)
-    cfg = McmcConfig(iterations=args.iters, burn_in=args.burnin, thin=args.thin,
-                     step_alpha=sa, step_beta=sb, seed=seed,
+    cfg = McmcConfig(iterations=args.iters, burn_in=args.burnin, thin=args.thin, seed=seed,
                      chains=getattr(args, "chains", 1))
     if cfg.chains * cfg.retained < MIN_DRAWS:
         raise ValueError(
@@ -214,7 +219,7 @@ def _mcmc_config(args, seed: int) -> McmcConfig:
 
 
 def _prior(args) -> PriorSpec:
-    a1, b1, a2, b2 = _floats(args.prior, "--prior", 4)
+    a1, b1, a2, b2 = _values(args.prior, "--prior", 4)
     return PriorSpec(a1, b1, a2, b2)
 
 
@@ -239,6 +244,7 @@ def _pareto_note(fit) -> str:
 
 def cmd_fit(args) -> int:
     seed = _seed_of(args)
+    prior = _prior(args)
     data = _load_dataset(args)
     trunc = apply_truncation(data, args.xl)
     sample = trunc.sample
@@ -263,8 +269,7 @@ def cmd_fit(args) -> int:
             else:
                 boundary_only = False
         else:
-            res = run_chain(sample, prior=_prior(args), cfg=cfg,
-                            init=_chain_start(sample, fit))
+            res = run_chain(sample, prior=prior, cfg=cfg, init=_chain_start(sample, fit))
             doc.update(
                 alpha=res.mean[0], beta=res.mean[1],
                 ci_alpha=list(res.ci_alpha), ci_beta=list(res.ci_beta),
@@ -322,21 +327,21 @@ def cmd_simulate(args) -> int:
     if args.workers < 1:
         raise ValueError(f"--workers must be >= 1, got {args.workers}")
     seed = _seed_of(args)
-    alpha, beta = _floats(args.truth, "--truth", 2)
-    replicates = 200 if args.fast else args.replicates
+    alpha, beta = _values(args.truth, "--truth", 2)
+    levels = (list(TRUNCATION_GRID) if args.levels is None
+              else _values(args.levels, "--levels", noun="truncation level"))
+    sizes = (list(SAMPLE_SIZE_GRID) if args.sizes is None
+             else _values(args.sizes, "--sizes", kind=int, noun="sample size"))
     base = Scenario(
-        true_params=LTLLParams(alpha, beta, args.xl), n=args.n, replicates=replicates,
+        true_params=LTLLParams(alpha, beta, args.xl), n=args.n, replicates=args.replicates,
         prior=_prior(args), mcmc=_mcmc_config(args, seed), master_seed=seed,
     )
     if args.sweep == "truncation":
-        levels = list(TRUNCATION_GRID) if args.levels is None else _float_list(args.levels)
         res = truncation_sweep(base, levels, workers=args.workers)
         tables = {"table1_truncation.csv": table1_csv(res),
                   "table2_truncation.csv": table2_csv(res)}
         checks = truncation_trends(res)
     else:
-        sizes = (list(SAMPLE_SIZE_GRID) if args.sizes is None
-                 else [int(v) for v in _float_list(args.sizes)])
         res = sample_size_sweep(base, sizes, workers=args.workers)
         tables = {"table3_sample_size.csv": table3_csv(res)}
         checks = sample_size_trends(res)
@@ -360,6 +365,7 @@ def cmd_simulate(args) -> int:
 
 def cmd_ellipse(args) -> int:
     seed = _seed_of(args)
+    prior = _prior(args)
     data = _load_dataset(args)
     sample = apply_truncation(data, args.xl).sample
     gamma = 1.0 - args.level
@@ -376,7 +382,7 @@ def cmd_ellipse(args) -> int:
         if method == "wald":
             ell = confidence_ellipse(fit, gamma, args.npoints)
         else:
-            res = run_chain(sample, prior=_prior(args), cfg=cfg, init=_chain_start(sample, fit))
+            res = run_chain(sample, prior=prior, cfg=cfg, init=_chain_start(sample, fit))
             ell = credible_ellipse(res, gamma, args.npoints)
         rows = "\n".join(f"{p[0]:.10g},{p[1]:.10g}" for p in ell.points)
         atomic_write_text(f"{stem}_{method}.csv", "alpha,beta\n" + rows + "\n")

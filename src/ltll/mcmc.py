@@ -4,18 +4,18 @@ Independent Gamma priors on scale and shape combine with the truncated
 likelihood into an unnormalized posterior.  Sampling uses a Gaussian random
 walk on z = (ln alpha, ln beta): the log transform keeps proposals positive
 and makes them symmetric, at the cost of a Jacobian term ln(alpha* beta* /
-(alpha beta)) in the acceptance ratio.  A walk step proposes z + steps *
-(L eps) from two normals eps.  A chain with a Laplace record (below: every
-screened chain, and every gated chain of at least _LAPLACE_WALK_MIN_N
-values) takes L from it, the Cholesky factor of (-H)^-1, so its walk
-follows the posterior correlation of ln alpha and ln beta, and it walks
-with one scale s in both slots of steps, started at _WALK_SCALE: the
-adaptive Metropolis of Haario, Saksman & Tamminen (2001) with the
-covariance taken from the Laplace fit, at the scale of Roberts & Rosenthal
-(2001).  Every other chain has L = (1, 0, 1) and walks diagonally with the
-config's two steps.  Every chain adapts its steps during burn-in (targeting
-acceptance in [0.2, 0.5]) and freezes them afterwards so the retained draws
-come from a fixed kernel.
+(alpha beta)) in the acceptance ratio.  A walk step proposes z + s L eps
+from two normals eps, with one scale s per chain.  A chain with a Laplace
+record (below: every screened chain, and every gated chain of at least
+_LAPLACE_WALK_MIN_N values) takes L from it, the Cholesky factor of
+(-H)^-1, so its walk follows the posterior correlation of ln alpha and
+ln beta, and starts s at _WALK_SCALE: the adaptive Metropolis of Haario,
+Saksman & Tamminen (2001) with the covariance taken from the Laplace fit,
+at the scale of Roberts & Rosenthal (2001).  Every other chain has
+L = (1, 0, 1), walks diagonally, and starts s at _DIAGONAL_SCALE.  Every
+chain adapts its one scale during burn-in (targeting acceptance in
+[0.2, 0.5]; Andrieu & Thoms 2008) and freezes it afterwards so the retained
+draws come from a fixed kernel.
 
 Chains that start at an interior MLE of a large enough sample run
 delayed-acceptance MH (Christen & Fox 2005, "MCMC using an approximation").
@@ -98,6 +98,8 @@ _STEP_BOUNDS = (1e-6, 10.0)
 # +5.2% and +3.4%.  The textbook 2.38 / sqrt(2) = 1.68 never adapts (window
 # acceptance 0.35) and costs +17% evaluations for the same ESS (seeds 1-3).
 _WALK_SCALE = 3.0
+# Start of the walk scale s of a chain that walks diagonally, proposing z + s eps.
+_DIAGONAL_SCALE = 0.1
 _RNG_BLOCK = 512
 # Most log-data elements one kernel call reads when a block's independence
 # proposals are priced together (256 KiB of float64).
@@ -113,12 +115,12 @@ _SCREEN_MIN_N = 500
 # x2.7 (geometric mean) on 117 random samples of n 12-486.
 _MIX_MIN_RATIO = 1.02
 # Smallest sample whose gated chains walk along their Laplace factor; below
-# it their cycle keeps the diagonal walk with the config's steps.  Measured
-# on 36 random gated samples of n 13-28 (two default chains from the MLE):
-# with the walk along L the cycle lost min-ESS to the diagonal walk alone on
-# 9 (x0.22-0.98) and to the cycle with the diagonal walk on 19 (geometric
-# mean x0.88, summed x1.05); the cycle with the diagonal walk lost to the walk alone on 5
-# and gained x2.17 summed, so a floor on the cycle itself would cost more.
+# it their cycle keeps the diagonal walk.  Measured on 36 random gated
+# samples of n 13-28 (two default chains from the MLE): with the walk along
+# L the cycle lost min-ESS to the diagonal walk alone on 9 (x0.22-0.98) and
+# to the cycle with the diagonal walk on 19 (geometric mean x0.88, summed
+# x1.05); the cycle with the diagonal walk lost to the walk alone on 5 and
+# gained x2.17 summed, so a floor on the cycle itself would cost more.
 # On 36 samples of n 36-482 the walk along L held even (x1.02).
 _LAPLACE_WALK_MIN_N = 30
 # Fewest retained draws that quantile intervals and density grids accept.
@@ -161,20 +163,14 @@ class PriorSpec:
 class McmcConfig:
     """Metropolis-Hastings run settings.
 
-    step_alpha and step_beta are the starting walk standard deviations of
-    ln alpha and ln beta for chains without a Laplace record (boundary and
-    off-mode starts, samples below the beta0/beta_C margin) and for samples
-    below _LAPLACE_WALK_MIN_N values; any other chain walks along its
-    Laplace factor with one scale started at _WALK_SCALE, whatever these
-    are.  Steps are rescaled by x1.1 every 100 burn-in iterations while the
-    window acceptance rate sits outside [0.2, 0.5], then frozen.
+    Each chain's walk scale starts at a module constant (see ``_mh_chains``)
+    and is rescaled by x1.1 every 100 burn-in iterations while the window
+    acceptance rate sits outside [0.2, 0.5], then frozen.
     """
 
     iterations: int = 20000
     burn_in: int = 5000
     thin: int = 5
-    step_alpha: float = 0.1
-    step_beta: float = 0.1
     seed: int = 1
     chains: int = 1
 
@@ -185,8 +181,6 @@ class McmcConfig:
             raise ValueError("thin must be >= 1")
         if self.iterations - self.burn_in < self.thin:
             raise ValueError("no draws would be retained after burn-in and thinning")
-        if not (0.0 < self.step_alpha < np.inf and 0.0 < self.step_beta < np.inf):
-            raise ValueError("proposal steps must be positive and finite")
         if self.chains < 1:
             raise ValueError("chains must be >= 1")
 
@@ -208,8 +202,7 @@ class PosteriorResult:
     cov: SymMatrix2
     ess_alpha: float
     ess_beta: float
-    # Per chain: final proposal steps (chains, 2), (s, s) for a chain that
-    # walks along its Laplace factor with scale s; the share of proposals
+    # Per chain (chains,): the final walk scale s; the share of proposals
     # that reached the full likelihood (1 for plain MH) and the acceptance of
     # independence steps (nan for chains that only walk); None when unknown.
     steps: np.ndarray | None = None
@@ -358,12 +351,12 @@ def _walk_normals(z, shape):
 
 
 def _adapted(steps, hits, walks):
-    """Proposal steps after a burn-in window whose ``walks`` walk steps
+    """Walk scales after a burn-in window whose ``walks`` walk steps
     accepted ``hits`` moves.
 
-    Steps grow by _ADAPT_FACTOR when the window's acceptance exceeds 0.5 and
-    shrink by it below 0.2, clipped to _STEP_BOUNDS; steps is (2, B) for a
-    bank with hits and walks (B,), or (2,) for one chain.
+    A scale grows by _ADAPT_FACTOR when the window's acceptance exceeds 0.5
+    and shrinks by it below 0.2, clipped to _STEP_BOUNDS; steps, hits and
+    walks are (B,) for a bank, or scalars for one chain.
     """
     rate = hits / walks
     factor = np.where(rate > 0.5, _ADAPT_FACTOR,
@@ -418,16 +411,16 @@ def _mh_chains(lx, ln_xl, prior: PriorSpec, cfg: McmcConfig, streams, init):
     when n >= _SCREEN_MIN_N and some chain has a Laplace quadratic (see
     ``_laplace_quadratics``); below that floor the chains with one are
     gated and run the walk/independence cycle.  Every other chain runs
-    plain MH.  A chain with a quadratic walks along its L with one scale
-    started at _WALK_SCALE, unless n < _LAPLACE_WALK_MIN_N; every other
-    chain walks diagonally with the config's steps.  One chain steps on
-    Python floats (``_mh_one``), two or more step vectorized across the
-    bank (``_mh_bank``); both take the same arguments, share the start,
-    quadratics, walk shapes (``_walk_normals``), adaptation rule, stream
-    layout, block pricing and ``_log_target_z``, and take the same
+    plain MH.  Each chain walks with one scale s: a chain with a quadratic
+    walks along its L from s = _WALK_SCALE, unless n < _LAPLACE_WALK_MIN_N;
+    every other chain walks diagonally from s = _DIAGONAL_SCALE.  One chain
+    steps on Python floats (``_mh_one``), two or more step vectorized
+    across the bank (``_mh_bank``); both take the same arguments, share the
+    start, quadratics, walk shapes (``_walk_normals``), adaptation rule,
+    stream layout, block pricing and ``_log_target_z``, and take the same
     floating-point steps in the same order, so chain k of any bank equals
     that chain run alone.  Returns (draws (B, retained, 2),
-    acceptance_rate (B,), steps (B, 2), shares (B, 2)), where shares holds
+    acceptance_rate (B,), steps (B,), shares (B, 2)), where shares holds
     the share of proposals that reached the full likelihood (1 for chains
     without a screen) and the acceptance of independence steps (nan for
     chains that only walk).
@@ -443,11 +436,11 @@ def _mh_chains(lx, ln_xl, prior: PriorSpec, cfg: McmcConfig, streams, init):
     has = quads[1].any(axis=0)
     screened = lx.shape[1] >= _SCREEN_MIN_N and bool(has.any())
     gated = has & (lx.shape[1] < _SCREEN_MIN_N)
-    # Walk shapes (3, B) and scales (2, B): L and s in both slots for a chain
-    # that walks along L, (1, 0, 1) and the config's steps for the others.
+    # Walk shapes (3, B) and scales (B,): L for a chain that walks along it,
+    # (1, 0, 1) for the others.
     along = has & (lx.shape[1] >= _LAPLACE_WALK_MIN_N)
     shape = np.where(along, quads[2], [[1.0], [0.0], [1.0]])
-    steps = np.where(along, _WALK_SCALE, [[cfg.step_alpha], [cfg.step_beta]])
+    steps = np.where(along, _WALK_SCALE, _DIAGONAL_SCALE)
     loop = _mh_bank if lx.shape[0] > 1 else _mh_one
     return loop(lx, sumlx, ln_xl, prior, c1, c2, cfg, streams, state, target, quads, screened,
                 gated, shape, steps)
@@ -472,7 +465,7 @@ def _mh_one(lx, sumlx, ln_xl, prior, c1, c2, cfg, streams, state, target, quads,
     target = float(target[0])
     quad = [tuple(a[:, 0].tolist()) for a in quads]  # this chain's, on Python floats
     cycle = bool(gated[0])
-    steps = steps[:, 0]
+    steps = float(steps[0])
     q = q_p = _quadratic(lna, lnb, quad) if screened else 0.0
     walks = _ADAPT_WINDOW // 2 if cycle else _ADAPT_WINDOW
     lg = None  # ln g at the current state, once an independence step needs it
@@ -520,7 +513,7 @@ def _mh_one(lx, sumlx, ln_xl, prior, c1, c2, cfg, streams, state, target, quads,
     shares = [passed / cfg.iterations if screened else 1.0,
               indep / (cfg.iterations // 2) if cycle else np.nan]
     return (np.exp(np.array(kept))[None], np.array([accepted / cfg.iterations]),
-            steps[None], np.array([shares]))
+            np.array([steps]), np.array([shares]))
 
 
 def _mh_bank(lx, sumlx, ln_xl, prior, c1, c2, cfg, streams, state, target, quads, screened,
@@ -611,7 +604,7 @@ def _mh_bank(lx, sumlx, ln_xl, prior, c1, c2, cfg, streams, state, target, quads
     shares = np.full((b_chains, 2), np.nan)
     shares[:, 0] = passed / cfg.iterations if screened else 1.0
     shares[gated, 1] = indep[gated] / (cfg.iterations // 2)
-    return draws, accepted / cfg.iterations, steps.T.copy(), shares
+    return draws, accepted / cfg.iterations, steps, shares
 
 
 def _chain_start(s: Sample, fit: MleFit):

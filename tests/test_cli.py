@@ -1,11 +1,16 @@
+import contextlib
+import io
 import json
 import math
 import os
+import tempfile
 import warnings
 from importlib import resources
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, example, given, settings
+from hypothesis import strategies as st
 from jsonschema import Draft7Validator
 
 import ltll.cli
@@ -275,6 +280,15 @@ class TestFitCommand:
         assert "table1_truncation.csv" in tables[0]
         assert tables[0]["table1_truncation.csv"].count("\n0.5,") == 2
 
+    def test_malformed_prior_refused(self, tmp_path, capsys):
+        out = os.path.join(tmp_path, "fit.json")
+        assert main(["fit", "--data", "bladder_cancer", "--prior", "1,0.01,,1,0.01",
+                     "--iters", "600", "--burnin", "100", "--thin", "1",
+                     "--out", out]) == EXIT_ERROR
+        assert capsys.readouterr().err == (
+            "ltll: error: --prior has an empty item in '1,0.01,,1,0.01'\n")
+        assert not os.path.exists(out)
+
     def test_config_without_path_is_usage_error(self, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["fit", "--data", "bladder_cancer", "--config"])
@@ -333,17 +347,28 @@ class TestSimulateCommand:
         # One retained draw; the hint must not offer --chains, which simulate lacks.
         (["--iters", "2", "--burnin", "1", "--thin", "1"], "below the 100 draws"),
         (["--chains", "2"], "unrecognized arguments: --chains"),
-        (["--steps", "inf,0.1"], "positive and finite"),
+        # Walk scales are no flag, so an old --steps fails loudly in either spelling.
+        (["--steps", "0.1,0.1"], "unrecognized arguments: --steps 0.1,0.1"),
         (["--workers", "0"], "--workers must be >= 1"),
-        (["--steps", "0.1"], "--steps needs 2 comma-separated values, got 1"),
+        (["--config", {"steps": [0.1, 0.1]}], "unrecognized arguments: --steps 0.1,0.1"),
         (["--prior", "1,2,3"], "--prior needs 4 comma-separated values, got 3"),
         (["--truth", "2"], "--truth needs 2 comma-separated values, got 1"),
         (["--sizes", ","], "need at least one sample size"),
         (["--sweep", "truncation", "--levels", ","], "need at least one truncation level"),
         (["--sizes", ""], "need at least one sample size"),
         (["--sweep", "truncation", "--levels", ""], "need at least one truncation level"),
+        (["--sizes", "50.9"], "--sizes needs integers, got '50.9'"),
+        (["--sizes", "50,1e3"], "--sizes needs integers, got '50,1e3'"),
+        (["--prior", "1,0.01,,1,0.01"], "--prior has an empty item in '1,0.01,,1,0.01'"),
+        (["--truth", "2,"], "--truth has an empty item in '2,'"),
+        (["--sweep", "truncation", "--levels", "0.1,,1.0"],
+         "--levels has an empty item in '0.1,,1.0'"),
+        (["--sweep", "truncation", "--levels", "0.5,x"], "--levels needs numbers, got '0.5,x'"),
     ])
     def test_refused(self, tmp_path, capsys, flags, reason):
+        # A dict stands for a --config file holding it.
+        flags = [write(tmp_path, "cfg.json", json.dumps(f)) if isinstance(f, dict) else f
+                 for f in flags]
         out = os.path.join(tmp_path, "out")
         args = ["simulate", "--sweep", "n", "--replicates", "2", "--sizes", "50",
                 "--out", out, *flags]
@@ -353,7 +378,7 @@ class TestSimulateCommand:
             code = exc.code
         assert code == EXIT_ERROR
         err = capsys.readouterr().err
-        assert "ltll: error: " in err and reason in err
+        assert err.count("ltll: error: ") == 1 and reason in err
         assert err.count("--chains") == flags.count("--chains")
         assert not os.path.exists(out)
 
@@ -481,3 +506,109 @@ def test_empty_path_refused(tmp_path, monkeypatch, capsys, case):
     flag = case.split()[1]
     assert errors == [f"ltll: error: argument {flag}: must not be empty"]
     assert os.listdir(work) == [] and os.listdir(tmp_path) == ["work"]
+
+
+# The argv contract sweep.  Per command: flags every call starts with (tiny
+# chains and sweeps; a flag drawn into the --config file leaves them, so that
+# the file's value is read), then candidate values of the flags a call may
+# add, valid, empty and malformed alike; ``None`` marks a bare flag.  Every
+# call also names an --out among the command's first two candidates.
+_ARGV_SWEEP = {
+    "fit": ({"--data": "bladder_cancer", "--iters": "300", "--burnin": "100", "--thin": "1"}, {
+        "--out": ["fit.json", "res/fit.json", ""],
+        "--data": ["bladder_cancer", "", "missing.csv"],
+        "--xl": ["1.0", "6", "", "-1", "x", "500"],
+        "--method": ["mle", "bayes", "both", "", "nope"],
+        "--format": ["json", "csv", ""],
+        "--column": ["0", "-1", "x", ""],
+        "--prior": ["1,0.01,1,0.01", "", ",", "1,2", "1,,2,3", "a,b,c,d", "0,1,1,1"],
+        "--chains": ["2", "0", ""],
+        "--iters": ["400", "2", "", "x"],
+        "--thin": ["2", "0", ""],
+        "--seed": ["5", "", "x"],
+        "--steps": ["0.1,0.1"],
+        "--config": ["", "missing.json"],
+    }),
+    "simulate": ({"--sweep": "n", "--replicates": "2", "--n": "50", "--sizes": "50",
+                  "--levels": "1.0", "--iters": "300", "--burnin": "100", "--thin": "1"}, {
+        "--out": ["tables", "res/tables", ""],
+        "--sweep": ["truncation", "n", ""],
+        "--truth": ["2,3", "", "2", "2,", "a,3"],
+        "--prior": ["1,0.01,1,0.01", "", "1,,2,3"],
+        "--levels": ["0.5,1.0", "", ",", "0.1,,1.0", "nan", "x"],
+        "--sizes": ["30,50", "", ",", "50.9", "50,,60", "0"],
+        "--replicates": ["3", "0", ""],
+        "--n": ["40", "0", "x"],
+        "--xl": ["0.5", "-1", ""],
+        "--workers": ["1", "0", ""],
+        "--iters": ["2", ""],
+        "--fast": [None],
+        "--steps": ["0.1,0.1"],
+    }),
+    "ellipse": ({"--data": "bladder_cancer", "--npoints": "8", "--iters": "300",
+                 "--burnin": "100", "--thin": "1"}, {
+        "--out": ["ell", "res/ell", ""],
+        "--method": ["wald", "credible", "both", ""],
+        "--xl": ["1.0", "", "500"],
+        "--level": ["0.9", "0", "1.5", ""],
+        "--npoints": ["4", "0", "-3", ""],
+        "--prior": ["", "1,2"],
+        "--chains": ["2", "0"],
+        "--steps": ["0.1,0.1"],
+    }),
+    "moments": ({"--alpha-grid": "1:2:2", "--beta-grid": "2:3:2", "--draws": "200"}, {
+        "--out": ["m.csv", "res/m.csv", ""],
+        "--alpha-grid": ["1:2:1", "", "1:2", "1:2:0", "a:b:c"],
+        "--beta-grid": ["2:4:2", "", "2:4:x"],
+        "--xl": ["0", "-1", ""],
+        "--draws": ["0", "-5", "", "x"],
+        "--seed": ["3", ""],
+    }),
+}
+
+
+def _under(path, outs):
+    """Whether ``path`` is an --out in ``outs``, inside one, a file of its
+    stem (``<out>_wald.csv``), or a directory leading to one."""
+    return any(path == o or path.startswith((o + os.sep, o + "_")) or o.startswith(path + os.sep)
+               for o in outs if o)
+
+
+@pytest.mark.parametrize("command", list(_ARGV_SWEEP))
+def test_argv_contract(tmp_path, command):
+    base, options = _ARGV_SWEEP[command]
+    pairs = [(flag, value) for flag, values in options.items() for value in values]
+
+    @settings(max_examples=40, deadline=None, derandomize=True, database=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(out=st.sampled_from(options["--out"][:2]),
+           extra=st.lists(st.tuples(st.sampled_from(pairs), st.booleans()), max_size=4))
+    @example(out="", extra=[])
+    @example(out=options["--out"][0], extra=[(("--out", ""), True)])
+    def check(out, extra):
+        config = {flag[2:]: True if value is None else value
+                  for (flag, value), via_config in extra if via_config}
+        argv = [command, "--out", out]
+        argv += [a for flag, value in base.items() if flag[2:] not in config for a in (flag, value)]
+        for (flag, value), via_config in extra:
+            if not via_config:
+                argv += [flag] if value is None else [flag, value]
+        with tempfile.TemporaryDirectory(dir=tmp_path) as work, contextlib.chdir(work):
+            if config:
+                argv += ["--config", write(work, "cfg.json", json.dumps(config))]
+            stderr = io.StringIO()
+            with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(stderr):
+                try:
+                    code = main(argv)
+                except SystemExit as exc:  # usage errors leave through argparse
+                    code = exc.code
+            errors = [line for line in stderr.getvalue().splitlines()
+                      if line.startswith("ltll: error:")]
+            assert code in (EXIT_OK, EXIT_ERROR, EXIT_BOUNDARY), (argv, config)
+            assert len(errors) == (code == EXIT_ERROR), (argv, config, errors)
+            outs = [out] + [v for (f, v), _ in extra if f == "--out"]
+            made = [os.path.relpath(os.path.join(root, name), work)
+                    for root, dirs, files in os.walk(work) for name in dirs + files]
+            assert [p for p in made if p != "cfg.json" and not _under(p, outs)] == [], argv
+
+    check()

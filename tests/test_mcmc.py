@@ -226,8 +226,7 @@ class TestRunChain:
         s = Sample(np.array([1.5, 2.0, 3.0, 4.0, 6.0]), 1.0)
         prior = PriorSpec(20000.0, 1e4, 30000.0, 1e4)  # means 2 and 3, tiny variance
         res = run_chain(s, prior=prior, cfg=McmcConfig(iterations=6000, burn_in=1500,
-                                                       thin=3, seed=3, step_alpha=0.01,
-                                                       step_beta=0.01))
+                                                       thin=3, seed=3))
         assert abs(res.mean[0] - 2.0) / 2.0 < 0.10
         assert abs(res.mean[1] - 3.0) / 3.0 < 0.10
 
@@ -244,28 +243,33 @@ class TestRunChain:
         with pytest.raises(ValueError):
             McmcConfig(thin=0)
         with pytest.raises(ValueError):
-            McmcConfig(step_alpha=0.0)
-        with pytest.raises(ValueError):
             McmcConfig(chains=0)
-        # An unscreened chain prices moves on a zero quadratic; 0 * inf is nan.
-        for sa, sb in [(np.inf, 0.1), (0.1, np.inf)]:
-            with pytest.raises(ValueError, match="finite"):
-                McmcConfig(step_alpha=sa, step_beta=sb)
+        # Walk scales start at module constants; the config holds no steps.
+        with pytest.raises(TypeError):
+            McmcConfig(step_alpha=0.1)
+
+    def test_adapted_clips(self):
+        # Window rates below 0.2, above 0.5 and in range: shrink, grow, keep,
+        # each clipped to _STEP_BOUNDS; one chain's scale is a scalar.
+        scales = mcmc._adapted(np.array([20.0, 1e-7, 0.1]), np.array([10, 60, 30]), 100)
+        assert np.array_equal(scales, [10.0, 1e-6, 0.1])
+        assert mcmc._adapted(20.0, 10, 100) == 10.0
 
 
 def _plain_mh(s, prior, cfg, stream, start):
     """Reference random-walk MH on (ln alpha, ln beta), one step at a time.
 
     Each step takes three uniforms: two proposal normals, then the accept
-    draw.  Steps adapt by x1.1 per 100 burn-in iterations outside [0.2, 0.5].
-    Returns (retained draws, final steps).
+    draw.  The one walk scale starts at ``mcmc._DIAGONAL_SCALE`` and adapts
+    by x1.1 per 100 burn-in iterations outside [0.2, 0.5].
+    Returns (retained draws, final scale).
     """
     def target(z):
         return log_posterior(s, np.exp(z[0]), np.exp(z[1]), prior) + z[0] + z[1]
 
     z = np.log(np.asarray(start, dtype=np.float64))
     cur = target(z)
-    step = np.array([cfg.step_alpha, cfg.step_beta])
+    step = mcmc._DIAGONAL_SCALE
     kept, hits = [], 0
     for t in range(1, cfg.iterations + 1):
         u = stream.uniforms(3)
@@ -295,13 +299,13 @@ def _mixture_mh(s, prior, cfg, stream, start):
     normals eps and the accept draw, and walk to z + s L eps, with one scale
     s per chain started at ``mcmc._WALK_SCALE`` and adapted by x1.1 every
     100 burn-in steps on the walk acceptances alone, 50 per window; below
-    ``mcmc._LAPLACE_WALK_MIN_N`` values they walk to z + steps * eps from
-    the config's steps instead.  Even
+    ``mcmc._LAPLACE_WALK_MIN_N`` values they walk to z + s eps, with s
+    started at ``mcmc._DIAGONAL_SCALE`` instead.  Even
     steps take four uniforms: two normals eps, W = -2 ln u, then the accept
     draw.  They propose y = c + L eps sqrt(2 / W) and accept when
     ln u < target(y) - target(z) + ln g(z) - ln g(y), with g the bivariate
     t density with 2 degrees of freedom from scipy.
-    Returns (retained draws, final steps, independence acceptance).
+    Returns (retained draws, final scale, independence acceptance).
     """
     def target(z):
         with np.errstate(over="ignore"):
@@ -318,9 +322,9 @@ def _mixture_mh(s, prior, cfg, stream, start):
     chol = np.linalg.cholesky(cov)
     g = multivariate_t(loc=centre[:, 0], shape=cov, df=2)
     if s.n >= mcmc._LAPLACE_WALK_MIN_N:
-        walk, step = chol, np.full(2, mcmc._WALK_SCALE)
+        walk, step = chol, mcmc._WALK_SCALE
     else:
-        walk, step = np.eye(2), np.array([cfg.step_alpha, cfg.step_beta])
+        walk, step = np.eye(2), mcmc._DIAGONAL_SCALE
     kept, hits, indep = [], 0, 0
     for t in range(1, cfg.iterations + 1):
         if t % 2:
@@ -360,7 +364,7 @@ def _screened_mh(s, prior, cfg, stream, start):
     [0.2, 0.5].  Stage 1 passes y when u < a1 = min(1, e^(q(y) - q(z))); a
     passed proposal then reuses u / a1, uniform on (0, 1) given the pass, and
     is accepted when that is below min(1, e^(dpi - dq)).
-    Returns (retained draws, final steps (s, s), share of steps passed).
+    Returns (retained draws, final scale s, share of steps passed).
     """
     def target(z):
         return log_posterior(s, np.exp(z[0]), np.exp(z[1]), prior) + z[0] + z[1]
@@ -378,7 +382,7 @@ def _screened_mh(s, prior, cfg, stream, start):
         d = z - centre[:, 0]
         return 0.5 * d @ hess @ d
 
-    step = np.full(2, mcmc._WALK_SCALE)
+    step = mcmc._WALK_SCALE
     kept, hits, passed = [], 0, 0
     for t in range(1, cfg.iterations + 1):
         u = stream.uniforms(3)
@@ -432,7 +436,7 @@ class TestPlainPath:
         res = run_chain(s, prior, cfg, init=start)
         want, steps = _plain_mh(s, prior, cfg, RngStream(seed, 1), start)
         assert np.array_equal(res.draws, want)
-        assert np.array_equal(res.steps, steps[None, :])
+        assert np.array_equal(res.steps, [steps])
         assert np.array_equal(res.screen_pass, [1.0])
         assert np.isnan(res.independence_acceptance).all()
 
@@ -455,24 +459,24 @@ class TestPlainPath:
         res = run_chain(s, prior, cfg, init=(fit.alpha, fit.beta))
         want, steps, indep = _mixture_mh(s, prior, cfg, RngStream(11, 1), (fit.alpha, fit.beta))
         assert np.allclose(res.draws, want, rtol=1e-9, atol=0.0)
-        assert np.array_equal(res.steps, steps[None, :])
+        assert np.array_equal(res.steps, [steps])
         assert np.array_equal(res.independence_acceptance, [indep])
         assert 0.5 < indep < 0.9
         assert np.array_equal(res.screen_pass, [1.0])
 
-    def test_tiny_gated_walks_diagonally(self):
+    def test_tiny_gated_walks_diagonally(self, monkeypatch):
         # A gated sample below the walk floor keeps the cycle, walking
-        # diagonally from the config's steps.
+        # diagonally from _DIAGONAL_SCALE.
         s = draw_ltll(20, LTLLParams(2.0, 3.0, 1.0), RngStream(3, 0))
         fit = fit_mle(s)
         assert s.n < mcmc._LAPLACE_WALK_MIN_N and not fit.boundary
-        prior = PriorSpec.diffuse()
-        cfg = replace(self.CFG, seed=17, step_alpha=0.1, step_beta=0.2)
+        monkeypatch.setattr(mcmc, "_DIAGONAL_SCALE", 0.2)
+        prior, cfg = PriorSpec.diffuse(), replace(self.CFG, seed=17)
         res = run_chain(s, prior, cfg, init=(fit.alpha, fit.beta))
         want, steps, indep = _mixture_mh(s, prior, cfg, RngStream(17, 1), (fit.alpha, fit.beta))
         assert np.allclose(res.draws, want, rtol=1e-9, atol=0.0)
-        assert np.array_equal(res.steps, steps[None, :])
-        assert steps[1] == 2.0 * steps[0] != 0.1  # the config's steps, adapted
+        assert np.array_equal(res.steps, [steps])
+        assert steps != 0.2  # the diagonal scale, adapted
         assert np.array_equal(res.independence_acceptance, [indep])
         assert indep > 0.2
 
@@ -485,8 +489,8 @@ class TestPlainPath:
         res = run_chain(s, prior, cfg, init=(fit.alpha, fit.beta))
         want, steps, passed = _screened_mh(s, prior, cfg, RngStream(16, 1), (fit.alpha, fit.beta))
         assert np.allclose(res.draws, want, rtol=1e-9, atol=0.0)
-        assert np.array_equal(res.steps, steps[None, :])
-        assert steps[0] != mcmc._WALK_SCALE  # the scale adapted
+        assert np.array_equal(res.steps, [steps])
+        assert steps != mcmc._WALK_SCALE  # the scale adapted
         assert np.array_equal(res.screen_pass, [passed])
         assert 0.2 < passed < 0.6
         assert np.isnan(res.independence_acceptance).all()
@@ -534,9 +538,9 @@ class TestLoopIdentity:
     one that mixes gated chains with an off-mode and a boundary start.  Each
     bank also holds an untruncated sample at its MLE (ln x_L = -inf beside
     finite ones).  4501 iterations are odd and no multiple of the uniform
-    block, and the second step pair lands a chain without a Laplace factor
-    on both clip bounds at the first adaptation; a chain with one starts
-    its one walk scale at ``_WALK_SCALE`` whatever the config's steps.
+    block, and diagonal scales of 20 and 1e-7 land a chain without a Laplace
+    factor on a clip bound at the first adaptation; a chain with one starts
+    its one walk scale at ``_WALK_SCALE`` whatever ``_DIAGONAL_SCALE`` is.
     """
 
     CFG = McmcConfig(iterations=4501, burn_in=1150, thin=3, seed=6)
@@ -586,11 +590,11 @@ class TestLoopIdentity:
                                [RngStream(cfg.seed, 1 + k) for k in rows], init)
 
     @pytest.mark.parametrize("bank", BANKS)
-    @pytest.mark.parametrize("steps", [(0.1, 0.1), (20.0, 1e-7)])
-    def test_bank_rows_equal_lone_chains(self, banks, bank, steps):
+    @pytest.mark.parametrize("steps", [0.1, 20.0, 1e-7], ids=["steps0", "steps1", "steps2"])
+    def test_bank_rows_equal_lone_chains(self, banks, bank, steps, monkeypatch):
         chains = banks[bank]
-        cfg = replace(self.CFG, step_alpha=steps[0], step_beta=steps[1])
-        together = self._run(chains, cfg)
+        monkeypatch.setattr(mcmc, "_DIAGONAL_SCALE", steps)
+        together = self._run(chains, self.CFG)
         shares = together[3]
         assert any(_log_xl(s.x_l) == -np.inf for s, _ in chains)
         laplace = [0, 1, 2, 3] if bank == "gated" else [0, 3]  # rows walking along L
@@ -604,14 +608,16 @@ class TestLoopIdentity:
             assert np.all(shares[gated, 1] > 0.0)
         final = together[2]
         plain = np.setdiff1d(np.arange(4), laplace)
-        if steps[0] > mcmc._STEP_BOUNDS[1]:
-            assert np.all(final[plain, 1] == mcmc._STEP_BOUNDS[0])
         lo, hi = mcmc._STEP_BOUNDS
-        assert np.all((lo <= final[laplace]) & (final[laplace] <= hi))
-        assert np.array_equal(final[laplace, 0], final[laplace, 1])
+        assert np.all((lo <= final) & (final <= hi))
+        if plain.size and not lo <= steps <= hi:
+            # Clipped at the first of 11 adaptations, then moved x1.1 by each other one.
+            moves = 10 if steps < lo else -10
+            assert final[plain] == pytest.approx(np.clip(steps, lo, hi) * 1.1 ** moves, rel=1e-12)
         for k in range(len(chains)):
-            alone = self._run(chains, cfg, [k])
-            assert 0.0 < alone[1][0] < 1.0
+            alone = self._run(chains, self.CFG, [k])
+            # A diagonal walk of scale near 1e-6 accepts (nearly) every move.
+            assert 0.0 < alone[1][0] < 1.0 or (steps < lo and k in plain)
             for got, want in zip(together, alone):
                 assert np.array_equal(got[k], want[0], equal_nan=True)
 

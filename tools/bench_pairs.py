@@ -17,6 +17,9 @@ Host speed drifts between sessions by more than most effects, so the file
 written compares only within itself: for every end-to-end metric that
 BENCHMARK.json declares it holds each pair's two values, per side the median
 and quartiles, and the number of pairs in which the working tree did better.
+A workload that writes tables also gets ``same_tables_pairs``, the number
+of pairs whose two sides wrote tables of equal SHA-256, so a change that
+keeps the output bytes shows it.
 """
 
 from __future__ import annotations
@@ -126,8 +129,12 @@ def main(argv=None) -> int:
                           + "  ".join(f"{k} {v:.6g}" for k, v in pair[side]["metrics"].items()),
                           flush=True)
                 pairs.append(pair)
-            record["workloads"][workload] = {"pairs": pairs,
-                                             "summary": summarize(pairs, spec["end_to_end"])}
+            entry = {"pairs": pairs, "summary": summarize(pairs, spec["end_to_end"])}
+            same = [p["base"]["table_sha256"] == p["change"]["table_sha256"]
+                    for p in pairs if p["base"]["table_sha256"]]
+            if same:
+                entry["same_tables_pairs"] = sum(same)
+            record["workloads"][workload] = entry
     Path(args.out).write_text(json.dumps(record, indent=2) + "\n", encoding="utf-8")
     return 0
 
