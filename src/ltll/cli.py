@@ -177,6 +177,8 @@ def _apply_config(argv):
         cfg = json.load(fh)
     if not isinstance(cfg, dict):
         raise ValueError("--config file must hold a JSON object")
+    if "config" in cfg:
+        raise ValueError("--config file must not hold a \"config\" key")
     extra = []
     for key, value in cfg.items():
         flag = "--" + str(key).replace("_", "-")
@@ -199,6 +201,8 @@ def _seed_of(args) -> int:
 
 def _load_dataset(args) -> DatasetFile:
     if args.data in BUNDLED_DATASETS:
+        if args.column is not None:
+            raise ValueError(f"--column does not apply to the bundled dataset {args.data}")
         return BUNDLED_DATASETS[args.data]()
     column = args.column
     if isinstance(column, str) and column.lstrip("-").isdigit():

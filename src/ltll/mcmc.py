@@ -48,20 +48,25 @@ Below _LAPLACE_WALK_MIN_N values the Laplace shape fits the skewed posterior
 too poorly to steer the walk, so there the cycle walks diagonally.
 Every other chain below the floor walks alone, as above.
 
-Two loops run the chains, picked by the number of chains in the call.  A
-lone chain (every default ``run_chain``) steps on Python floats and calls
-numpy only for its likelihood and exponentials, and for work done once per
-block of steps: at one chain a vectorized step is interpreter-bound.  Two
-or more chains (``run_chain`` with ``chains > 1``, the simulation harness's
-banks) step together, vectorized across the bank.  Both take the same
-floating-point steps in the same order; every chain draws from its own
-counter-based stream, and both gates read only their own chain's sample and
-start, so results never depend on how chains are grouped or scheduled.
+Two loops run the chains.  A lone chain (``_mh_one``) steps on Python
+floats and calls numpy only for its likelihood and exponentials, and for
+work done once per block of steps: at one chain a vectorized step is
+interpreter-bound.  A bank (``_mh_bank``, the simulation harness's banks)
+steps vectorized across its chains.  Both take the same floating-point
+steps in the same order; every chain draws from its own counter-based
+stream, and both gates read only their own chain's sample and start, so
+results never depend on how chains are grouped or scheduled.  ``run_chain``
+runs each chain alone, spread over the usable CPUs (``_pooled``).
 """
 
 from __future__ import annotations
 
+import multiprocessing
+import os
+import threading
+from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
+from functools import partial
 
 import numpy as np
 from scipy.special import gammaln
@@ -618,6 +623,32 @@ def _chain_start(s: Sample, fit: MleFit):
     return float(np.median(s.values)), fit.beta
 
 
+def _usable_cpus() -> int:
+    affinity = getattr(os, "sched_getaffinity", None)
+    return len(affinity(0)) if affinity else os.cpu_count() or 1
+
+
+def _pooled(fn, jobs, workers: int) -> list:
+    """[fn(job) for job in jobs], run by up to ``workers`` forked processes
+    (fork: a worker imports nothing again), so fn must pickle by name.  The
+    jobs run here, in order, when fewer than two workers would start, or when
+    this process is daemonic or runs other threads, which fork does not copy
+    (a lock one of them holds would stay held in the child).
+    """
+    workers = min(workers, len(jobs))
+    if workers < 2 or multiprocessing.current_process().daemon or threading.active_count() > 1:
+        return [fn(job) for job in jobs]
+    with ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork")) as pool:
+        return list(pool.map(fn, jobs))
+
+
+def _chain_alone(s: Sample, prior: PriorSpec, cfg: McmcConfig, init, k: int):
+    """Chain k of ``run_chain``: ``_mh_chains`` on its own row, from stream
+    (cfg.seed, 1 + k)."""
+    return _mh_chains(s.log_values[None], np.array([_log_xl(s.x_l)]), prior, cfg,
+                      [RngStream(cfg.seed, 1 + k)], np.array([init], dtype=np.float64))
+
+
 def run_chain(s: Sample, prior: PriorSpec | None = None, cfg: McmcConfig | None = None,
               init=None) -> PosteriorResult:
     """Sample the posterior of (alpha, beta) and summarize it.
@@ -626,7 +657,8 @@ def run_chain(s: Sample, prior: PriorSpec | None = None, cfg: McmcConfig | None 
     else ValueError), otherwise at the MLE when it exists (at the sample
     median and the boundary exponent otherwise).  Chain k draws from the stream
     (cfg.seed, 1 + k) with its counter at zero, so a given seed replays
-    exactly.  Multiple chains are merged in chain order.
+    exactly.  Each chain runs alone, in one of min(chains, usable CPUs)
+    processes, and they are merged in chain order: the CPU count changes no bit.
     """
     prior = PriorSpec.diffuse() if prior is None else prior
     cfg = McmcConfig() if cfg is None else cfg
@@ -634,12 +666,8 @@ def run_chain(s: Sample, prior: PriorSpec | None = None, cfg: McmcConfig | None 
         init = _chain_start(s, fit_mle(s))
     elif not (np.shape(init) == (2,) and all(np.isfinite(v) and v > 0.0 for v in init)):
         raise ValueError(f"init must be a finite positive (alpha, beta), got {init}")
-    streams = [RngStream(cfg.seed, 1 + k) for k in range(cfg.chains)]
-    lx = np.repeat(s.log_values[None, :], cfg.chains, axis=0)
-    ln_xl = np.full(cfg.chains, _log_xl(s.x_l))
-    init_arr = np.tile(np.asarray(init, dtype=np.float64), (cfg.chains, 1))
-
-    draws_by_chain, acc, steps, shares = _mh_chains(lx, ln_xl, prior, cfg, streams, init_arr)
+    runs = _pooled(partial(_chain_alone, s, prior, cfg, init), range(cfg.chains), _usable_cpus())
+    draws_by_chain, acc, steps, shares = (np.concatenate(parts) for parts in zip(*runs))
     draws = draws_by_chain.reshape(-1, 2)
     ess_a = float(sum(_ess(draws_by_chain[k, :, 0]) for k in range(cfg.chains)))
     ess_b = float(sum(_ess(draws_by_chain[k, :, 1]) for k in range(cfg.chains)))

@@ -21,13 +21,13 @@ from __future__ import annotations
 
 import os
 import tempfile
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .distribution import LTLLParams, _log_xl, draw_ltll
-from .mcmc import McmcConfig, PriorSpec, _chain_start, _ess, _mh_chains, _quantile_intervals
+from .mcmc import (McmcConfig, PriorSpec, _chain_start, _ess, _mh_chains, _pooled,
+                   _quantile_intervals)
 from .mle import fit_mle
 from .numerics import RngStream, normal_quantile
 
@@ -256,13 +256,7 @@ def run_scenario(scenarios, workers: int = 1) -> list[ReplicateResult]:
         raise ValueError("need at least one scenario")
     banks = [bank for pool in _pools(scenarios) for bank in _banks(pool, workers)]
     jobs = [[(scenarios[i], r) for i, r in bank] for bank in banks]
-    workers = min(workers, len(banks))
-    if workers <= 1:
-        results = [_run_chunk(job) for job in jobs]
-    else:
-        with ProcessPoolExecutor(max_workers=workers) as executor:
-            futures = [executor.submit(_run_chunk, job) for job in jobs]
-            results = [f.result() for f in futures]
+    results = _pooled(_run_chunk, jobs, workers)
     records = [[] for _ in scenarios]
     for bank, recs in zip(banks, results):
         for (i, _), rec in zip(bank, recs):
@@ -438,7 +432,10 @@ def sample_size_trends(levels) -> list[tuple[str, bool, str]]:
 def atomic_write_text(path: str, text: str) -> None:
     """Write via a temp file in the same directory, then rename into place."""
     directory = os.path.dirname(os.path.abspath(path)) or "."
-    fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-", text=True)
+    try:
+        fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-", text=True)
+    except OSError as exc:  # it would name the temp file, which the caller never gave
+        raise OSError(exc.errno, exc.strerror, path) from exc
     try:
         with os.fdopen(fd, "w", encoding="utf-8", newline="\n") as fh:
             fh.write(text)

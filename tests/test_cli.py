@@ -289,6 +289,33 @@ class TestFitCommand:
             "ltll: error: --prior has an empty item in '1,0.01,,1,0.01'\n")
         assert not os.path.exists(out)
 
+    def test_nested_config_key_refused(self, tmp_path, capsys):
+        # A "config" key would name a second file that nothing opens.
+        cfg = write(tmp_path, "cfg.json", json.dumps({"config": "missing.json", "method": "mle"}))
+        out = os.path.join(tmp_path, "fit.json")
+        assert main(["fit", "--data", "bladder_cancer", "--config", cfg,
+                     "--out", out]) == EXIT_ERROR
+        assert capsys.readouterr().err == (
+            'ltll: error: --config file must not hold a "config" key\n')
+        assert not os.path.exists(out)
+
+    def test_column_with_bundled_data_refused(self, tmp_path, capsys):
+        out = os.path.join(tmp_path, "fit.json")
+        assert main(["fit", "--data", "bladder_cancer", "--column", "nosuch", "--method", "mle",
+                     "--out", out]) == EXIT_ERROR
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("ltll: error: --column")
+        assert not os.path.exists(out)
+
+    def test_missing_out_directory_named_as_given(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.chdir(tmp_path)
+        assert main(["fit", "--data", "bladder_cancer", "--method", "mle",
+                     "--out", os.path.join("nodir", "x.json")]) == EXIT_ERROR
+        assert capsys.readouterr().err == (
+            "ltll: error: [Errno 2] No such file or directory: "
+            f"{os.path.join('nodir', 'x.json')!r}\n")
+        assert os.listdir(tmp_path) == []
+
     def test_config_without_path_is_usage_error(self, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["fit", "--data", "bladder_cancer", "--config"])

@@ -1,4 +1,7 @@
 import math
+import multiprocessing
+import threading
+from concurrent.futures import ProcessPoolExecutor
 from dataclasses import replace
 
 import numpy as np
@@ -640,6 +643,86 @@ class TestLoopIdentity:
                 for run, ref in zip(got, want):
                     for g, w in zip(run, ref):
                         assert np.array_equal(g, w, equal_nan=True)
+
+
+class TestChainFanOut:
+    """run_chain runs each chain alone, over as many worker processes as it
+    has chains and usable CPUs; every chain equals that chain run alone, and
+    the bank of all of them, however many CPUs there are.  ``_usable_cpus``
+    is patched so that both the pool (4 CPUs) and the in-process path (1 CPU)
+    run on any host."""
+
+    CFG = McmcConfig(iterations=1501, burn_in=500, thin=2, seed=11)
+
+    @pytest.fixture(scope="class")
+    def cases(self, sample_n1000):
+        bladder = apply_truncation(load_bladder_cancer(), 1.0).sample
+        return {"gated": (bladder, fit_mle(bladder)),
+                "screened": (sample_n1000, fit_mle(sample_n1000))}
+
+    @staticmethod
+    def _counting_pools(monkeypatch, cpus):
+        pools = []
+
+        class Counted(ProcessPoolExecutor):
+            def __init__(self, workers, **kwargs):
+                pools.append(workers)
+                super().__init__(workers, **kwargs)
+
+        monkeypatch.setattr(mcmc, "_usable_cpus", lambda: cpus)
+        monkeypatch.setattr(mcmc, "ProcessPoolExecutor", Counted)
+        return pools
+
+    @pytest.mark.parametrize("case", ["gated", "screened"])
+    @pytest.mark.parametrize("cpus", [1, 4])
+    @pytest.mark.parametrize("chains", [2, 3, 4, 5])
+    def test_chains_equal_lone_chains(self, cases, case, cpus, chains, monkeypatch):
+        s, fit = cases[case]
+        cfg = replace(self.CFG, chains=chains)
+        pools = self._counting_pools(monkeypatch, cpus)
+        res = run_chain(s, cfg=cfg, init=(fit.alpha, fit.beta))
+        assert pools == ([min(chains, cpus)] if cpus > 1 else [])
+        assert multiprocessing.active_children() == []
+
+        def chains_of(rows):
+            return mcmc._mh_chains(np.repeat(s.log_values[None], len(rows), axis=0),
+                                   np.full(len(rows), _log_xl(s.x_l)), PriorSpec.diffuse(),
+                                   cfg, [RngStream(cfg.seed, 1 + k) for k in rows],
+                                   np.tile([fit.alpha, fit.beta], (len(rows), 1)))
+
+        alone = [np.concatenate(parts) for parts in zip(*(chains_of([k]) for k in range(chains)))]
+        bank = chains_of(range(chains))
+        for want in (alone, bank):
+            draws, acc, steps, shares = want
+            assert np.array_equal(res.draws, draws.reshape(-1, 2))
+            assert res.acceptance_rate == float(np.mean(acc))
+            assert np.array_equal(res.steps, steps)
+            assert np.array_equal(res.screen_pass, shares[:, 0])
+            assert np.array_equal(res.independence_acceptance, shares[:, 1], equal_nan=True)
+        if case == "gated":
+            assert np.all(res.independence_acceptance > 0.0)
+        else:
+            assert np.all(res.screen_pass < 1.0)
+
+    def test_other_threads_keep_chains_in_process(self, cases, monkeypatch):
+        # fork copies no thread, so a lock another thread holds would stay
+        # held in a worker: with a second thread alive no pool opens.
+        s, fit = cases["gated"]
+        cfg = replace(self.CFG, chains=3)
+        pools = self._counting_pools(monkeypatch, 4)
+        want = run_chain(s, cfg=cfg, init=(fit.alpha, fit.beta))
+        assert pools == [3]
+        release = threading.Event()
+        waiter = threading.Thread(target=release.wait, args=(60.0,))
+        waiter.start()
+        try:
+            got = run_chain(s, cfg=cfg, init=(fit.alpha, fit.beta))
+        finally:
+            release.set()
+            waiter.join(60.0)
+        assert not waiter.is_alive()
+        assert pools == [3]
+        assert np.array_equal(got.draws, want.draws)
 
 
 class TestDelayedAcceptanceExactness:

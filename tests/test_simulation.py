@@ -4,6 +4,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+import ltll.mcmc
 import ltll.simulation
 from ltll.distribution import LTLLParams
 from ltll.mcmc import _SCREEN_MIN_N, McmcConfig, PriorSpec
@@ -172,7 +173,7 @@ def inline_pool(monkeypatch):
     sizes = []
 
     class InlinePool:
-        def __init__(self, max_workers):
+        def __init__(self, max_workers, mp_context=None):
             sizes.append(max_workers)
 
         def __enter__(self):
@@ -181,11 +182,11 @@ def inline_pool(monkeypatch):
         def __exit__(self, *exc):
             return False
 
-        def submit(self, fn, *args):
-            result = fn(*args)
-            return type("Done", (), {"result": lambda self: result})()
+        def map(self, fn, jobs):
+            return map(fn, jobs)
 
-    monkeypatch.setattr(ltll.simulation, "ProcessPoolExecutor", InlinePool)
+    # run_scenario opens its pool through the one pool helper, in ltll.mcmc.
+    monkeypatch.setattr(ltll.mcmc, "ProcessPoolExecutor", InlinePool)
     return sizes
 
 
@@ -418,3 +419,12 @@ def test_atomic_write(tmp_path):
         assert fh.read() == "a,b\n1,2\n"
     leftovers = [f for f in os.listdir(tmp_path) if f.startswith(".tmp-")]
     assert leftovers == []
+
+
+def test_atomic_write_into_missing_directory_names_the_path(tmp_path):
+    # The error names the path the caller gave, not the random temp file.
+    path = os.path.join(tmp_path, "nodir", "out.csv")
+    with pytest.raises(FileNotFoundError) as exc:
+        atomic_write_text(path, "a,b\n")
+    assert exc.value.filename == path and ".tmp-" not in str(exc.value)
+    assert os.listdir(tmp_path) == []
