@@ -54,7 +54,6 @@ from .numerics import (
     normal_quantile,
 )
 from .simulation import (
-    MetricsReport,
     Scenario,
     error_metrics,
     run_replicate,

@@ -338,7 +338,7 @@ def cmd_simulate(args) -> int:
              else _values(args.sizes, "--sizes", kind=int, noun="sample size"))
     base = Scenario(
         true_params=LTLLParams(alpha, beta, args.xl), n=args.n, replicates=args.replicates,
-        prior=_prior(args), mcmc=_mcmc_config(args, seed), master_seed=seed,
+        prior=_prior(args), mcmc=_mcmc_config(args, seed),
     )
     if args.sweep == "truncation":
         res = truncation_sweep(base, levels, workers=args.workers)
@@ -356,7 +356,7 @@ def cmd_simulate(args) -> int:
 
     for name, ok, detail in checks:
         print(f"{'PASS' if ok else 'FAIL'}  {name}  [{detail}]")
-    boundary_total = sum(lv.metrics.mle.failures for lv in res)
+    boundary_total = sum(lv.mle.failures for lv in res)
     if boundary_total:
         print(f"note: {boundary_total} replicate(s) hit the Pareto boundary "
               "and were excluded from MLE aggregates", file=sys.stderr)

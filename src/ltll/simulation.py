@@ -1,16 +1,16 @@
 """Monte Carlo experiment harness: truncation and sample-size sweeps.
 
-A scenario fixes the true parameters, sample size, replicate count, priors,
-chain settings, and a master seed.  Replicate r draws its data from stream
-(master_seed, 2r) and its chain from stream (master_seed, 2r+1), so every
-replicate is a pure function of (scenario, r): reruns and parallel schedules
-cannot change any number.  A sweep hands all its scenarios to one
-``run_scenario`` call, which pools the replicates of scenarios whose chains
-can share a bank (same n, prior and chain settings, at any x_L, 0 included)
-and runs each pool as vectorized banks of at most _BANK chains.
-Chain k of any bank equals that chain run alone, so neither the pooling nor
-the number of worker processes, which only decides where each bank runs,
-can change an output byte.
+A scenario fixes the true parameters, sample size, replicate count, priors
+and chain settings, whose seed is the scenario's only seed.  Replicate r
+draws its data from stream (mcmc.seed, 2r) and its chain from stream
+(mcmc.seed, 2r+1), so every replicate is a pure function of (scenario, r):
+reruns and parallel schedules cannot change any number.  A sweep hands all
+its scenarios to one ``run_scenario`` call, which pools the replicates of
+scenarios whose chains can share a bank (same n, prior and chain settings,
+at any x_L, 0 included) and runs each pool as vectorized banks of at most
+_BANK chains.  Chain k of any bank equals that chain run alone, so neither
+the pooling nor the number of worker processes, which only decides where
+each bank runs, can change an output byte.
 
 Boundary (Pareto) fits are excluded from the MLE aggregates and surface as
 failure counts instead, since bias/variance summaries presuppose an interior
@@ -22,6 +22,7 @@ from __future__ import annotations
 import os
 import tempfile
 from dataclasses import dataclass, replace
+from itertools import islice
 
 import numpy as np
 
@@ -33,7 +34,6 @@ from .numerics import RngStream, normal_quantile
 
 __all__ = [
     "ErrorMetrics",
-    "MetricsReport",
     "MethodMetrics",
     "ReplicateResult",
     "Scenario",
@@ -63,14 +63,14 @@ _Z95 = float(normal_quantile(0.975))
 
 @dataclass(frozen=True)
 class Scenario:
-    """One simulation cell: truth, sample size, replicate count, seeds."""
+    """One simulation cell: truth, sample size, replicate count, prior and
+    chain settings.  ``mcmc.seed`` seeds both streams of every replicate."""
 
     true_params: LTLLParams
     n: int = 1000
     replicates: int = 1000
     prior: PriorSpec = PriorSpec.diffuse()
     mcmc: McmcConfig = McmcConfig()
-    master_seed: int = 20240
 
     def __post_init__(self):
         if self.replicates < 2:
@@ -100,10 +100,6 @@ class ReplicateResult:
     ess_alpha: float
     ess_beta: float
 
-    @property
-    def mle_ok(self) -> bool:
-        return not self.boundary
-
     def width(self, which: str, param: str) -> float:
         ci = getattr(self, f"{which}_ci_{param}")
         if ci is None:
@@ -123,20 +119,22 @@ class ErrorMetrics:
 
 @dataclass(frozen=True)
 class MethodMetrics:
+    """One method's aggregates at one sweep level: errors, mean 95% interval
+    endpoints and widths, and the replicates left out as failures."""
+
     alpha: ErrorMetrics
     beta: ErrorMetrics
+    mean_ci_alpha: tuple[float, float]
+    mean_ci_beta: tuple[float, float]
     mean_width_alpha: float
     mean_width_beta: float
     failures: int
 
-
-@dataclass(frozen=True)
-class MetricsReport:
-    """Per-scenario metrics for both estimation methods."""
-
-    mle: MethodMetrics
-    bayes: MethodMetrics
-    n_replicates: int
+    @property
+    def width_var(self) -> tuple[float, float]:
+        """Variances implied by the mean 95% widths, (width / (2 z_0.975))^2."""
+        return tuple((w / (2.0 * _Z95)) ** 2 for w in (self.mean_width_alpha,
+                                                        self.mean_width_beta))
 
 
 @dataclass(frozen=True)
@@ -145,9 +143,9 @@ class SweepLevel:
 
     key: float
     scenario: Scenario
-    metrics: MetricsReport
-    mean_ci: dict
-    width_var: dict
+    mle: MethodMetrics
+    bayes: MethodMetrics
+    n_replicates: int
     win_rate: float
     # Interior MLEs without a Wald interval (information not positive-
     # definite): like boundary fits, left out of the win rate and counted.
@@ -171,11 +169,11 @@ def error_metrics(estimates, theta0: float) -> ErrorMetrics:
 # ---------------------------------------------------------------------------
 
 def _data_stream(sc: Scenario, r: int) -> RngStream:
-    return RngStream(sc.master_seed, 2 * r)
+    return RngStream(sc.mcmc.seed, 2 * r)
 
 
 def _chain_stream(sc: Scenario, r: int) -> RngStream:
-    return RngStream(sc.master_seed, 2 * r + 1)
+    return RngStream(sc.mcmc.seed, 2 * r + 1)
 
 
 def _run_chunk(jobs) -> list[ReplicateResult]:
@@ -214,6 +212,13 @@ def _run_chunk(jobs) -> list[ReplicateResult]:
             ess_beta=_ess(d[:, 1]),
         ))
     return out
+
+
+def _bank(jobs) -> list[ReplicateResult]:
+    """``_run_chunk`` looked up when called: a pool worker receives this
+    function by name, which still pickles when ``_run_chunk`` is rebound to a
+    wrapper (as the benchmark's tracer does)."""
+    return _run_chunk(jobs)
 
 
 def run_replicate(sc: Scenario, r: int) -> ReplicateResult:
@@ -256,7 +261,7 @@ def run_scenario(scenarios, workers: int = 1) -> list[ReplicateResult]:
         raise ValueError("need at least one scenario")
     banks = [bank for pool in _pools(scenarios) for bank in _banks(pool, workers)]
     jobs = [[(scenarios[i], r) for i, r in bank] for bank in banks]
-    results = _pooled(_run_chunk, jobs, workers)
+    results = _pooled(_bank, jobs, workers)
     records = [[] for _ in scenarios]
     for bank, recs in zip(banks, results):
         for (i, _), rec in zip(bank, recs):
@@ -271,43 +276,29 @@ def run_scenario(scenarios, workers: int = 1) -> list[ReplicateResult]:
 _NAN_METRICS = ErrorMetrics(np.nan, np.nan, np.nan, np.nan)
 
 
-def _method_level(alpha, beta, truth: LTLLParams, failures: int):
-    """One method's MethodMetrics, mean interval endpoints and width-implied
-    variances, from the (estimate, interval or None) pairs of its usable
-    replicates for each parameter."""
-    errors, widths, mean_ci = [], [], {}
-    for param, pairs, theta0 in (("alpha", alpha, truth.alpha), ("beta", beta, truth.beta)):
+def _method_level(which: str, records, truth: LTLLParams, failures: int) -> MethodMetrics:
+    """The MethodMetrics of method ``which`` ("mle" or "bayes") over the
+    replicates it can use."""
+    fields = {}
+    for param in ("alpha", "beta"):
         # Fewer than two estimates or intervals define no aggregate, but the
         # scenario still reports rather than aborting.
-        errors.append(error_metrics([est for est, _ in pairs], theta0) if len(pairs) >= 2
-                      else _NAN_METRICS)
-        cis = [ci for _, ci in pairs if ci is not None]
+        est = [getattr(rec, f"{which}_{param}") for rec in records]
+        fields[param] = (error_metrics(est, getattr(truth, param)) if len(est) >= 2
+                         else _NAN_METRICS)
+        cis = [ci for rec in records if (ci := getattr(rec, f"{which}_ci_{param}")) is not None]
         if len(cis) < 2:
-            mean_ci[param] = (np.nan, np.nan)
-            widths.append(np.nan)
+            fields[f"mean_ci_{param}"], fields[f"mean_width_{param}"] = (np.nan, np.nan), np.nan
             continue
-        mean_ci[param] = (float(np.mean([ci[0] for ci in cis])),
-                          float(np.mean([ci[1] for ci in cis])))
-        widths.append(float(np.nanmean([np.nan if ci is None else ci[1] - ci[0]
-                                        for _, ci in pairs])))
-    metrics = MethodMetrics(alpha=errors[0], beta=errors[1], mean_width_alpha=widths[0],
-                            mean_width_beta=widths[1], failures=failures)
-    # Variance implied by a 95% interval width, (width / (2 z_0.975))^2.
-    width_var = tuple((w / (2.0 * _Z95)) ** 2 for w in widths)
-    return metrics, mean_ci, width_var
+        fields[f"mean_ci_{param}"] = (float(np.mean([ci[0] for ci in cis])),
+                                      float(np.mean([ci[1] for ci in cis])))
+        fields[f"mean_width_{param}"] = float(np.nanmean([rec.width(which, param)
+                                                          for rec in records]))
+    return MethodMetrics(failures=failures, **fields)
 
 
 def _aggregate_level(key: float, sc: Scenario, records) -> SweepLevel:
-    truth = sc.true_params
-    usable = [rec for rec in records if rec.mle_ok]
-    mle, mle_ci, mle_var = _method_level(
-        [(rec.mle_alpha, rec.mle_ci_alpha) for rec in usable],
-        [(rec.mle_beta, rec.mle_ci_beta) for rec in usable],
-        truth, len(records) - len(usable))
-    bayes, bayes_ci, bayes_var = _method_level(
-        [(rec.bayes_alpha, rec.bayes_ci_alpha) for rec in records],
-        [(rec.bayes_beta, rec.bayes_ci_beta) for rec in records],
-        truth, 0)
+    usable = [rec for rec in records if not rec.boundary]
     with_wald = [rec for rec in usable if rec.mle_ci_alpha is not None]
     wins = [
         0.5 * (rec.width("bayes", "alpha") + rec.width("bayes", "beta"))
@@ -317,9 +308,9 @@ def _aggregate_level(key: float, sc: Scenario, records) -> SweepLevel:
     return SweepLevel(
         key=key,
         scenario=sc,
-        metrics=MetricsReport(mle=mle, bayes=bayes, n_replicates=len(records)),
-        mean_ci={"mle": mle_ci, "bayes": bayes_ci},
-        width_var={"mle": mle_var, "bayes": bayes_var},
+        mle=_method_level("mle", usable, sc.true_params, len(records) - len(usable)),
+        bayes=_method_level("bayes", records, sc.true_params, 0),
+        n_replicates=len(records),
         win_rate=float(np.mean(wins)) if wins else np.nan,
         no_wald=len(usable) - len(with_wald),
     )
@@ -327,22 +318,18 @@ def _aggregate_level(key: float, sc: Scenario, records) -> SweepLevel:
 
 def _sweep(keys, scenarios, workers: int):
     """Aggregate per level, running every level's replicates in one call."""
-    records = run_scenario(scenarios, workers=workers)
-    levels = []
-    start = 0
-    for key, sc in zip(keys, scenarios):
-        levels.append(_aggregate_level(key, sc, records[start:start + sc.replicates]))
-        start += sc.replicates
-    return levels
+    records = iter(run_scenario(scenarios, workers=workers))
+    return [_aggregate_level(key, sc, list(islice(records, sc.replicates)))
+            for key, sc in zip(keys, scenarios)]
 
 
 def truncation_sweep(base: Scenario, x_l_list=TRUNCATION_GRID, workers: int = 1):
     """Run the scenario at each truncation level (common random numbers).
 
-    Levels share the master seed, so replicate r reuses the same uniform
-    stream at every level; cross-level comparisons then see the systematic
-    effect of truncation rather than fresh sampling noise.  Every level is
-    validated before any replicate runs.
+    Levels share the seed, so replicate r reuses the same uniform stream at
+    every level; cross-level comparisons then see the systematic effect of
+    truncation rather than fresh sampling noise.  Every level is validated
+    before any replicate runs.
     """
     keys = [float(x_l) for x_l in x_l_list]
     if not keys:
@@ -367,13 +354,11 @@ def sample_size_sweep(base: Scenario, n_list=SAMPLE_SIZE_GRID, workers: int = 1)
 
 def _table(header: str, levels, cells) -> str:
     """CSV text: the header, then a row per level and method holding the level
-    key, the method label and ``cells(metrics, mean_ci, width_var)`` of that
-    method at that level."""
+    key, the method label and ``cells`` of that method's MethodMetrics."""
     lines = [header]
     for lv in levels:
-        for method, label in (("mle", "MLE"), ("bayes", "Bayesian")):
-            values = cells(getattr(lv.metrics, method), lv.mean_ci[method], lv.width_var[method])
-            key, *rest = (format(float(v), ".10g") for v in (lv.key, *values))
+        for label, metrics in (("MLE", lv.mle), ("Bayesian", lv.bayes)):
+            key, *rest = (format(float(v), ".10g") for v in (lv.key, *cells(metrics)))
             lines.append(",".join([key, label, *rest]))
     return "\n".join(lines) + "\n"
 
@@ -381,31 +366,31 @@ def _table(header: str, levels, cells) -> str:
 def table1_csv(levels) -> str:
     """Point estimates and mean 95% interval endpoints per truncation level."""
     return _table("x_L,method,alpha_hat,beta_hat,alpha_ci_l,alpha_ci_u,beta_ci_l,beta_ci_u",
-                  levels, lambda m, ci, var: (m.alpha.mean, m.beta.mean, *ci["alpha"], *ci["beta"]))
+                  levels, lambda m: (m.alpha.mean, m.beta.mean, *m.mean_ci_alpha, *m.mean_ci_beta))
 
 
 def table2_csv(levels) -> str:
     """Bias and interval-width-implied variance per truncation level."""
     return _table("x_L,method,alpha_hat,bias_alpha,var_alpha,beta_hat,bias_beta,var_beta",
-                  levels, lambda m, ci, var: (m.alpha.mean, m.alpha.bias, var[0],
-                                              m.beta.mean, m.beta.bias, var[1]))
+                  levels, lambda m: (m.alpha.mean, m.alpha.bias, m.width_var[0],
+                                     m.beta.mean, m.beta.bias, m.width_var[1]))
 
 
 def table3_csv(levels) -> str:
     """Replicate-based bias/variance/RMSE per sample size."""
     return _table("n,method,bias_alpha,var_alpha,rmse_alpha,bias_beta,var_beta,rmse_beta",
-                  levels, lambda m, ci, var: (m.alpha.bias, m.alpha.variance, m.alpha.rmse,
-                                              m.beta.bias, m.beta.variance, m.beta.rmse))
+                  levels, lambda m: (m.alpha.bias, m.alpha.variance, m.alpha.rmse,
+                                     m.beta.bias, m.beta.variance, m.beta.rmse))
 
 
 def truncation_trends(levels) -> list[tuple[str, bool, str]]:
     """Pass/fail trend checks for a truncation sweep."""
     out = []
     for lv in levels:
-        ok = lv.width_var["bayes"][0] < lv.width_var["mle"][0]
-        out.append((f"x_L={lv.key:g}: Bayes Var(alpha) < MLE Var(alpha)", bool(ok),
-                    f"{lv.width_var['bayes'][0]:.4g} vs {lv.width_var['mle'][0]:.4g}"))
-    biases = [abs(lv.metrics.mle.beta.bias) for lv in levels]
+        bayes, mle = lv.bayes.width_var[0], lv.mle.width_var[0]
+        out.append((f"x_L={lv.key:g}: Bayes Var(alpha) < MLE Var(alpha)", bool(bayes < mle),
+                    f"{bayes:.4g} vs {mle:.4g}"))
+    biases = [abs(lv.mle.beta.bias) for lv in levels]
     ok = all(b2 >= b1 - 1e-12 for b1, b2 in zip(biases, biases[1:]))
     out.append(("MLE |bias(beta)| nondecreasing in x_L", bool(ok),
                 " -> ".join(f"{b:.4g}" for b in biases)))
@@ -422,7 +407,7 @@ def sample_size_trends(levels) -> list[tuple[str, bool, str]]:
     out = []
     for method in ("mle", "bayes"):
         for param in ("alpha", "beta"):
-            r = [getattr(getattr(lv.metrics, method), param).rmse for lv in levels]
+            r = [getattr(getattr(lv, method), param).rmse for lv in levels]
             ok = all(b < a for a, b in zip(r, r[1:]))
             out.append((f"RMSE({param}) strictly decreasing in n [{method}]", bool(ok),
                         " -> ".join(f"{v:.4g}" for v in r)))

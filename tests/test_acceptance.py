@@ -99,7 +99,7 @@ def truncation_records():
     widths.
     """
     base = Scenario(true_params=LTLLParams(2.0, 3.0, 1.0), n=1000, replicates=200,
-                    prior=PriorSpec.diffuse(), mcmc=McmcConfig(), master_seed=MASTER_SEED)
+                    prior=PriorSpec.diffuse(), mcmc=McmcConfig(seed=MASTER_SEED))
     scenarios = [replace(base, true_params=LTLLParams(2.0, 3.0, float(x_l)))
                  for x_l in TRUNCATION_GRID]
     records = run_scenario(scenarios, workers=2)
@@ -116,7 +116,7 @@ def truncation_run(truncation_records):
 @pytest.fixture(scope="module")
 def sample_size_run():
     base = Scenario(true_params=LTLLParams(2.0, 3.0, 1.0), n=1000, replicates=200,
-                    prior=PriorSpec.diffuse(), mcmc=McmcConfig(), master_seed=MASTER_SEED)
+                    prior=PriorSpec.diffuse(), mcmc=McmcConfig(seed=MASTER_SEED))
     return sample_size_sweep(base, workers=2)
 
 
@@ -306,7 +306,7 @@ def test_c06_point_estimates(truncation_run):
     detail = []
     for lv in truncation_run:
         for meth in ("mle", "bayes"):
-            m = getattr(lv.metrics, meth)
+            m = getattr(lv, meth)
             ref_a, ref_b = REFERENCE_T1[meth][lv.key]
             da, db = abs(m.alpha.mean - ref_a), abs(m.beta.mean - ref_b)
             worst = max(worst, da, db)
@@ -320,7 +320,7 @@ def test_c06_point_estimates(truncation_run):
 def test_c06_interval_width_trend(truncation_run):
     rates = {}
     for lv in truncation_run:
-        usable = lv.metrics.n_replicates - lv.metrics.mle.failures
+        usable = lv.n_replicates - lv.mle.failures
         p = lv.win_rate
         rates[lv.key] = (p, math.sqrt(p * (1.0 - p) / usable), usable)
     ok = all(r >= 0.6 for r, _, _ in rates.values())
@@ -337,15 +337,15 @@ def test_c07_sample_size_sweep(sample_size_run):
     details = []
     for meth in ("mle", "bayes"):
         for param in ("alpha", "beta"):
-            r = [getattr(getattr(lv.metrics, meth), param).rmse for lv in sample_size_run]
-            v = [getattr(getattr(lv.metrics, meth), param).variance for lv in sample_size_run]
+            r = [getattr(getattr(lv, meth), param).rmse for lv in sample_size_run]
+            v = [getattr(getattr(lv, meth), param).variance for lv in sample_size_run]
             mono = all(b < a for a, b in zip(r, r[1:]))
             mono_var = all(b < a for a, b in zip(v, v[1:]))
             ok &= mono and mono_var
             details.append(f"{meth}/{param}: " + "->".join(f"{x:.4f}" for x in r))
     final = sample_size_run[-1]
-    caps = (final.metrics.mle.alpha.rmse <= 0.12 and final.metrics.bayes.alpha.rmse <= 0.12
-            and final.metrics.mle.beta.rmse <= 0.16 and final.metrics.bayes.beta.rmse <= 0.16)
+    caps = (final.mle.alpha.rmse <= 0.12 and final.bayes.alpha.rmse <= 0.12
+            and final.mle.beta.rmse <= 0.16 and final.bayes.beta.rmse <= 0.16)
     ok &= caps
     assert report("7 (RMSE decreasing; n=1000 caps)", ok,
                   "; ".join(details) + f"; caps ok {caps}")
@@ -360,7 +360,7 @@ def _width_ratio_mcse(records) -> float:
     2R (w_bayes / mean_bayes - w_mle / mean_mle); the MCSE is the standard
     deviation of that influence over sqrt(N) replicates.
     """
-    usable = [rec for rec in records if rec.mle_ok]
+    usable = [rec for rec in records if not rec.boundary]
     wb = np.array([rec.width("bayes", "alpha") for rec in usable])
     wm = np.array([rec.width("mle", "alpha") for rec in usable])
     ratio = (wb.mean() / wm.mean()) ** 2
@@ -369,7 +369,7 @@ def _width_ratio_mcse(records) -> float:
 
 
 def test_c08_variance_ordering(truncation_run, truncation_records):
-    rows = {lv.key: (lv.width_var["bayes"][0], lv.width_var["mle"][0],
+    rows = {lv.key: (lv.bayes.width_var[0], lv.mle.width_var[0],
                      _width_ratio_mcse(truncation_records[lv.key][1]))
             for lv in truncation_run}
     ok = all(b < m for b, m, _ in rows.values())
@@ -379,7 +379,7 @@ def test_c08_variance_ordering(truncation_run, truncation_records):
 
 
 def test_c08_beta_bias_monotone(truncation_run):
-    biases = [abs(lv.metrics.mle.beta.bias) for lv in truncation_run]
+    biases = [abs(lv.mle.beta.bias) for lv in truncation_run]
     ok = all(b2 >= b1 - 1e-12 for b1, b2 in zip(biases, biases[1:]))
     assert report("8 (MLE |bias(beta)| nondecreasing in x_L)", ok,
                   " -> ".join(f"{b:.4f}" for b in biases))
@@ -391,7 +391,7 @@ def test_c06_c08_cause_exact_interval_wider_than_wald():
     # wider than Wald's on the sweep's own replicates, so a perfect sampler
     # would lose c06 and miss c08 too.
     base = Scenario(true_params=LTLLParams(2.0, 3.0, 1.0), n=1000, replicates=2,
-                    prior=PriorSpec.diffuse(), mcmc=McmcConfig(), master_seed=MASTER_SEED)
+                    prior=PriorSpec.diffuse(), mcmc=McmcConfig(seed=MASTER_SEED))
     ratios = {}
     for x_l in (0.1, 1.0):
         sc = replace(base, true_params=LTLLParams(2.0, 3.0, x_l))

@@ -33,6 +33,38 @@ SPANS = ROOT / "perfbench" / "spans.py"
 DEMOS = sorted((ROOT / "demos").glob("*.py"))
 
 
+# Every public name, pinned: a change to the public surface shows as a diff here.
+PUBLIC = {
+    "datasets": ["BUNDLED_DATASETS", "DatasetFile", "TruncationResult", "apply_truncation",
+                 "load_bladder_cancer", "load_csv"],
+    "distribution": ["DegenerateSampleError", "ExistenceStats", "LTLLParams", "Sample",
+                     "draw_ltll", "existence_stats", "ll_cdf", "ll_pdf", "log_likelihood",
+                     "ltll_cdf", "ltll_logpdf", "ltll_pdf", "ltll_quantile", "mc_moments",
+                     "phi_objective", "score_gradient"],
+    "mcmc": ["McmcConfig", "PosteriorResult", "PriorSpec", "credible_ellipse",
+             "credible_intervals", "log_posterior", "log_prior", "marginal_beta_log_kernel",
+             "posterior_density_grid", "run_chain", "summarize_draws"],
+    "mle": ["BoundaryFitError", "EllipsePoints", "MleFit", "confidence_ellipse", "fit_mle",
+            "observed_information", "wald_intervals"],
+    "numerics": ["RngStream", "SymMatrix2", "chi2_quantile_2dof", "normal_quantile"],
+    "simulation": ["ErrorMetrics", "MethodMetrics", "ReplicateResult", "Scenario", "SweepLevel",
+                   "atomic_write_text", "error_metrics", "run_replicate", "run_scenario",
+                   "sample_size_sweep", "sample_size_trends", "table1_csv", "table2_csv",
+                   "table3_csv", "truncation_sweep", "truncation_trends"],
+}
+PACKAGE = [
+    "BoundaryFitError", "DegenerateSampleError", "EllipsePoints", "ExistenceStats", "LTLLParams",
+    "McmcConfig", "MleFit", "PosteriorResult", "PriorSpec", "RngStream", "Sample", "Scenario",
+    "SymMatrix2", "apply_truncation", "chi2_quantile_2dof", "confidence_ellipse",
+    "credible_ellipse", "credible_intervals", "draw_ltll", "error_metrics", "existence_stats",
+    "fit_mle", "ll_cdf", "ll_pdf", "load_bladder_cancer", "load_csv", "log_likelihood",
+    "log_posterior", "log_prior", "ltll_cdf", "ltll_logpdf", "ltll_pdf", "ltll_quantile",
+    "marginal_beta_log_kernel", "mc_moments", "normal_quantile", "observed_information",
+    "phi_objective", "posterior_density_grid", "run_chain", "run_replicate", "run_scenario",
+    "sample_size_sweep", "score_gradient", "truncation_sweep", "wald_intervals",
+]
+
+
 def _load_spans():
     spec = importlib.util.spec_from_file_location("perfbench_spans", SPANS)
     mod = importlib.util.module_from_spec(spec)
@@ -45,6 +77,17 @@ def test_module_all_resolves(name):
     mod = importlib.import_module(f"ltll.{name}")
     missing = [n for n in getattr(mod, "__all__", ()) if not hasattr(mod, n)]
     assert not missing
+
+
+@pytest.mark.parametrize("name", MODULES)
+def test_module_all_is_pinned(name):
+    assert sorted(importlib.import_module(f"ltll.{name}").__all__) == PUBLIC[name]
+
+
+def test_package_exports_are_pinned():
+    exported = sorted(name for name, value in vars(ltll).items()
+                      if not name.startswith("_") and not inspect.ismodule(value))
+    assert exported == PACKAGE
 
 
 def test_package_reexports_public_names():
@@ -141,9 +184,9 @@ def test_sweep_records_pass_through_run_scenario(monkeypatch, sweep, values):
         return run_scenario
 
     monkeypatch.setattr(sim, "run_scenario", capture(sim.run_scenario))
-    cfg = sim.McmcConfig(iterations=300, burn_in=100, thin=2)
+    cfg = sim.McmcConfig(iterations=300, burn_in=100, thin=2, seed=5)
     base = sim.Scenario(true_params=sim.LTLLParams(2.0, 3.0, 1.0), n=40, replicates=3,
-                        mcmc=cfg, master_seed=5)
+                        mcmc=cfg)
     levels = getattr(sim, sweep)(base, values)
     assert len(levels) == len(values)
     assert len(records) == len(values) * base.replicates

@@ -25,10 +25,10 @@ from ltll.simulation import (
 TINY_MCMC = McmcConfig(iterations=2500, burn_in=500, thin=2, seed=1)
 
 
-def tiny_scenario(replicates=8, n=150, x_l=1.0, master_seed=314):
+def tiny_scenario(replicates=8, n=150, x_l=1.0, seed=314):
     return Scenario(
         true_params=LTLLParams(2.0, 3.0, x_l), n=n, replicates=replicates,
-        prior=PriorSpec.diffuse(), mcmc=TINY_MCMC, master_seed=master_seed,
+        prior=PriorSpec.diffuse(), mcmc=replace(TINY_MCMC, seed=seed),
     )
 
 
@@ -86,8 +86,8 @@ class TestReplicates:
         # _BANK + 1 replicates make two banks, 0..99 and 100..200.
         sc = Scenario(
             true_params=LTLLParams(2.0, 3.0, 1.0), n=_SCREEN_MIN_N, replicates=_BANK + 1,
-            prior=PriorSpec.diffuse(), mcmc=McmcConfig(iterations=400, burn_in=100, thin=2),
-            master_seed=271,
+            prior=PriorSpec.diffuse(),
+            mcmc=McmcConfig(iterations=400, burn_in=100, thin=2, seed=271),
         )
         recs = run_scenario(sc)
         for r in (7, _BANK):
@@ -161,6 +161,25 @@ class TestScenario:
         assert run_scenario(scs, workers=2) == seq
         assert inline_pool == [2]
 
+    def test_pool_takes_a_rebound_chunk_runner(self, monkeypatch):
+        # A wrapper rebound over _run_chunk, as the benchmark's tracer
+        # installs, is a closure that does not pickle; the pool still runs
+        # every bank, and through the wrapper the records stay the same.
+        calls = []
+
+        def wrap(fn):
+            def traced(jobs):
+                calls.append(len(jobs))
+                return fn(jobs)
+            return traced
+
+        sc = replace(tiny_scenario(replicates=4, n=40),
+                     mcmc=McmcConfig(iterations=300, burn_in=100, thin=2, seed=3))
+        monkeypatch.setattr(ltll.simulation, "_run_chunk", wrap(ltll.simulation._run_chunk))
+        seq = run_scenario(sc, workers=1)
+        assert calls == [4]
+        assert run_scenario(sc, workers=2) == seq
+
     def test_empty_scenario_list_refused(self):
         with pytest.raises(ValueError, match="at least one scenario"):
             run_scenario([])
@@ -227,8 +246,8 @@ class TestSweeps:
         # level's scenario run alone.
         base = Scenario(
             true_params=LTLLParams(2.0, 3.0, 1.0), n=_SCREEN_MIN_N, replicates=3,
-            prior=PriorSpec.diffuse(), mcmc=McmcConfig(iterations=400, burn_in=100, thin=2),
-            master_seed=17,
+            prior=PriorSpec.diffuse(),
+            mcmc=McmcConfig(iterations=400, burn_in=100, thin=2, seed=17),
         )
         calls = []
         real = ltll.simulation.run_scenario
@@ -264,24 +283,24 @@ class TestSweeps:
             sweep(tiny_scenario(replicates=2), values)
 
     def test_common_random_numbers_across_levels(self, trunc_levels):
-        # same master seed -> the same uniform stream feeds every level, so
+        # same seed -> the same uniform stream feeds every level, so
         # estimates move smoothly with x_L instead of resampling
-        a0 = trunc_levels[0].metrics.mle.alpha.mean
-        a1 = trunc_levels[1].metrics.mle.alpha.mean
+        a0 = trunc_levels[0].mle.alpha.mean
+        a1 = trunc_levels[1].mle.alpha.mean
         assert abs(a0 - a1) < 0.2
 
     def test_scale_equivariance_of_pipeline(self):
         lo = truncation_sweep(tiny_scenario(replicates=5), x_l_list=(1.0,))[0]
         sc10 = Scenario(true_params=LTLLParams(20.0, 3.0, 10.0), n=150, replicates=5,
-                        prior=PriorSpec.diffuse(), mcmc=TINY_MCMC, master_seed=314)
+                        prior=PriorSpec.diffuse(), mcmc=replace(TINY_MCMC, seed=314))
         hi = truncation_sweep(sc10, x_l_list=(10.0,))[0]
         # MLE columns scale exactly; Bayes within Monte Carlo noise (the
         # prior does not rescale, so allow 2 combined standard errors)
-        assert hi.metrics.mle.alpha.mean == pytest.approx(10 * lo.metrics.mle.alpha.mean, rel=1e-7)
-        assert hi.metrics.mle.beta.mean == pytest.approx(lo.metrics.mle.beta.mean, rel=1e-7)
-        se = 2.0 * np.sqrt(hi.metrics.bayes.alpha.variance / 5 + lo.metrics.bayes.alpha.variance * 100 / 5)
-        assert abs(hi.metrics.bayes.alpha.mean - 10 * lo.metrics.bayes.alpha.mean) < max(se, 0.5)
-        assert hi.metrics.bayes.beta.mean == pytest.approx(lo.metrics.bayes.beta.mean, abs=0.2)
+        assert hi.mle.alpha.mean == pytest.approx(10 * lo.mle.alpha.mean, rel=1e-7)
+        assert hi.mle.beta.mean == pytest.approx(lo.mle.beta.mean, rel=1e-7)
+        se = 2.0 * np.sqrt(hi.bayes.alpha.variance / 5 + lo.bayes.alpha.variance * 100 / 5)
+        assert abs(hi.bayes.alpha.mean - 10 * lo.bayes.alpha.mean) < max(se, 0.5)
+        assert hi.bayes.beta.mean == pytest.approx(lo.bayes.beta.mean, abs=0.2)
 
 
 def test_small_n_with_boundary_replicates_is_bank_and_worker_invariant():
@@ -294,8 +313,8 @@ def test_small_n_with_boundary_replicates_is_bank_and_worker_invariant():
     from ltll.mle import fit_mle
 
     sc = Scenario(true_params=LTLLParams(2.0, 3.0, 3.0), n=50, replicates=24,
-                  prior=PriorSpec.diffuse(), mcmc=McmcConfig(iterations=600, burn_in=200, thin=2),
-                  master_seed=5)
+                  prior=PriorSpec.diffuse(),
+                  mcmc=McmcConfig(iterations=600, burn_in=200, thin=2, seed=5))
     seq = run_scenario(sc)
     boundary = [rec.r for rec in seq if rec.boundary]
     assert 0 < len(boundary) < sc.replicates
@@ -324,10 +343,10 @@ def test_all_boundary_replicates_report_instead_of_aborting():
         for r in range(4)
     ]
     lv = _aggregate_level(1.0, tiny_scenario(replicates=4), recs)
-    assert lv.metrics.mle.failures == 4
-    assert np.isnan(lv.metrics.mle.alpha.bias)
+    assert lv.mle.failures == 4
+    assert np.isnan(lv.mle.alpha.bias)
     assert np.isnan(lv.win_rate)
-    assert lv.metrics.bayes.alpha.mean == pytest.approx(2.015)
+    assert lv.bayes.alpha.mean == pytest.approx(2.015)
 
 
 def _hand_record(r, mle=(2.1, 3.2), mle_ci=((1.6, 2.7), (2.3, 4.1)), boundary=False,
@@ -402,14 +421,24 @@ TRENDS_HAND = [
     ("x_L=1: credible <= Wald width in >= 60% of replicates", True, "win rate 1.000"),
 ]
 
+# The RMSE columns of TABLE3_HAND at 4 significant digits, level by level.
+SIZE_TRENDS_HAND = [
+    ("RMSE(alpha) strictly decreasing in n [mle]", False, "0.2404 -> nan"),
+    ("RMSE(beta) strictly decreasing in n [mle]", False, "0.3308 -> nan"),
+    ("RMSE(alpha) strictly decreasing in n [bayes]", False, "0.3547 -> 0.5717"),
+    ("RMSE(beta) strictly decreasing in n [bayes]", False, "0.391 -> 0.6384"),
+]
+
 
 def test_tables_exact_text_from_hand_built_records():
     levels = _hand_levels()
     assert [lv.no_wald for lv in levels] == [1, 0]
+    assert [lv.n_replicates for lv in levels] == [4, 2]
     assert table1_csv(levels) == TABLE1_HAND
     assert table2_csv(levels) == TABLE2_HAND
     assert table3_csv(levels) == TABLE3_HAND
     assert ltll.simulation.truncation_trends(levels) == TRENDS_HAND
+    assert ltll.simulation.sample_size_trends(levels) == SIZE_TRENDS_HAND
 
 
 def test_atomic_write(tmp_path):
