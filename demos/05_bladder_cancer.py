@@ -23,13 +23,13 @@ prior = PriorSpec.diffuse()
 
 print("\n x_L   n    MLE (alpha, beta)     Bayes (alpha, beta)   ellipse area")
 for x_l in (0.0, 0.25, 1.0, 6.0):
-    trunc = apply_truncation(data, x_l)
-    fit = fit_mle(trunc.sample)
-    post = run_chain(trunc.sample, prior=prior, cfg=cfg)
+    sample = apply_truncation(data, x_l)
+    fit = fit_mle(sample)
+    post = run_chain(sample, prior=prior, cfg=cfg)
     ell = credible_ellipse(post, gamma=0.05)
     np.savetxt(os.path.join(OUT, f"bladder_credible_xl{x_l:g}.csv"), ell.points,
                delimiter=",", header="alpha,beta", comments="")
-    print(f" {x_l:4.2f} {trunc.n_retained:4d}   ({fit.alpha:6.3f}, {fit.beta:5.3f})    "
+    print(f" {x_l:4.2f} {sample.n:4d}   ({fit.alpha:6.3f}, {fit.beta:5.3f})    "
           f"({post.mean[0]:6.3f}, {post.mean[1]:5.3f})      {ell.area:8.4f}")
 
 print(f"\ncredible-region polylines written to {OUT}/bladder_credible_xl*.csv")

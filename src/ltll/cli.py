@@ -1,9 +1,9 @@
 """Command-line surface: fit, simulate, ellipse, and moments commands.
 
 Every command is deterministic given its flags, seed, and input files.  The
-seed comes from --seed, falling back to the LTLL_SEED environment variable,
-then to a fixed default.  Output files are written atomically (temp file plus
-rename).  Exit codes: 0 success, 1 error, 2 boundary-degenerate fit.
+seed comes from --seed alone (directly or through a --config key), with a
+fixed default.  Output files are written atomically (temp file plus rename).
+Exit codes: 0 success, 1 error, 2 boundary-degenerate fit.
 """
 
 from __future__ import annotations
@@ -12,6 +12,7 @@ import argparse
 import json
 import os
 import sys
+import tempfile
 
 import numpy as np
 
@@ -24,7 +25,6 @@ from .simulation import (
     SAMPLE_SIZE_GRID,
     TRUNCATION_GRID,
     Scenario,
-    atomic_write_text,
     sample_size_sweep,
     sample_size_trends,
     table1_csv,
@@ -50,8 +50,8 @@ class _Parser(argparse.ArgumentParser):
         self.exit(EXIT_ERROR, f"ltll: error: {message}\n")
 
 
-def _path(text: str) -> str:
-    """A file path flag's value; the empty string names no file."""
+def _nonempty(text: str) -> str:
+    """A text flag's value: a path, a column or a label, never the empty string."""
     if not text:
         raise argparse.ArgumentTypeError("must not be empty")
     return text
@@ -96,20 +96,21 @@ def build_parser() -> _Parser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     def add_common(p):
-        p.add_argument("--seed", type=int, default=None,
-                       help="RNG master seed (falls back to $LTLL_SEED, then %d)" % DEFAULT_SEED)
-        p.add_argument("--out", type=_path, default=None,
+        p.add_argument("--seed", type=int, default=DEFAULT_SEED,
+                       help="RNG master seed (default %d)" % DEFAULT_SEED)
+        p.add_argument("--out", type=_nonempty, default=None,
                        help="output path (default: stdout where sensible)")
-        p.add_argument("--config", type=_path, default=None,
+        p.add_argument("--config", type=_nonempty, default=None,
                        help="JSON file whose keys mirror the long flags; explicit flags win")
 
     def add_data(p):
-        p.add_argument("--data", type=_path, required=True,
+        p.add_argument("--data", type=_nonempty, required=True,
                        help="CSV path, or a bundled dataset name: %s" % ", ".join(BUNDLED_DATASETS))
-        p.add_argument("--column", default=None,
+        p.add_argument("--column", type=_nonempty, default=None,
                        help="column header name or 0-based index, >= 0 (default: first column)")
         p.add_argument("--xl", type=float, default=0.0, help="left-truncation point (default 0)")
-        p.add_argument("--units", default=None, help="opaque unit label echoed into outputs")
+        p.add_argument("--units", type=_nonempty, default=None,
+                       help="opaque unit label echoed into outputs")
 
     def add_mcmc(p):
         p.add_argument("--prior", default="1.0,0.01,1.0,0.01",
@@ -169,7 +170,7 @@ def _apply_config(argv):
     either spelling (``--seed 5`` or ``--seed=5``).
     """
     pre = _Parser(prog="ltll", usage=argparse.SUPPRESS, add_help=False)
-    pre.add_argument("--config", type=_path)
+    pre.add_argument("--config", type=_nonempty)
     path = pre.parse_known_args(argv)[0].config
     if path is None:
         return argv
@@ -192,13 +193,6 @@ def _apply_config(argv):
     return argv[:1] + extra + argv[1:]
 
 
-def _seed_of(args) -> int:
-    if args.seed is not None:
-        return args.seed
-    env = os.environ.get("LTLL_SEED")
-    return int(env) if env else DEFAULT_SEED
-
-
 def _load_dataset(args) -> DatasetFile:
     if args.data in BUNDLED_DATASETS:
         if args.column is not None:
@@ -210,9 +204,9 @@ def _load_dataset(args) -> DatasetFile:
     return load_csv(args.data, column)
 
 
-def _mcmc_config(args, seed: int) -> McmcConfig:
+def _mcmc_config(args) -> McmcConfig:
     """Chain settings for a posterior summary, refused when it keeps too few draws."""
-    cfg = McmcConfig(iterations=args.iters, burn_in=args.burnin, thin=args.thin, seed=seed,
+    cfg = McmcConfig(iterations=args.iters, burn_in=args.burnin, thin=args.thin, seed=args.seed,
                      chains=getattr(args, "chains", 1))
     if cfg.chains * cfg.retained < MIN_DRAWS:
         raise ValueError(
@@ -227,11 +221,28 @@ def _prior(args) -> PriorSpec:
     return PriorSpec(a1, b1, a2, b2)
 
 
+def _atomic_write(path: str, text: str) -> None:
+    """Write via a temp file in the same directory, then rename into place."""
+    directory = os.path.dirname(os.path.abspath(path)) or "."
+    try:
+        fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-", text=True)
+    except OSError as exc:  # it would name the temp file, which the caller never gave
+        raise OSError(exc.errno, exc.strerror, path) from exc
+    try:
+        with os.fdopen(fd, "w", encoding="utf-8", newline="\n") as fh:
+            fh.write(text)
+        os.replace(tmp, path)
+    except BaseException:
+        if os.path.exists(tmp):
+            os.unlink(tmp)
+        raise
+
+
 def _emit(text: str, out: str | None) -> None:
     if out is None:
         sys.stdout.write(text)
     else:
-        atomic_write_text(out, text)
+        _atomic_write(out, text)
 
 
 def _pareto_note(fit) -> str:
@@ -247,57 +258,47 @@ def _pareto_note(fit) -> str:
 # ---------------------------------------------------------------------------
 
 def cmd_fit(args) -> int:
-    seed = _seed_of(args)
     prior = _prior(args)
     data = _load_dataset(args)
-    trunc = apply_truncation(data, args.xl)
-    sample = trunc.sample
-    methods = ["mle", "bayes"] if args.method == "both" else [args.method]
-    cfg = _mcmc_config(args, seed) if "bayes" in methods else None
+    sample = apply_truncation(data, args.xl)
+    cfg = None if args.method == "mle" else _mcmc_config(args)
+    tail = {"x_L": sample.x_l, "n": sample.n, "seed": args.seed, "data": data.path}
+    if args.units:
+        tail["units"] = args.units
 
     # One MLE serves both the mle document and the chain start.
     fit = fit_mle(sample)
     results = []
-    boundary_only = True
-    for method in methods:
-        doc: dict = {"method": method}
-        if method == "mle":
-            doc.update(
-                alpha=fit.alpha, beta=fit.beta,
-                ci_alpha=list(fit.ci_alpha) if fit.ci_alpha else None,
-                ci_beta=list(fit.ci_beta) if fit.ci_beta else None,
-                boundary=fit.boundary, loglik=fit.loglik,
-            )
-            if fit.boundary:
-                print(_pareto_note(fit), file=sys.stderr)
-            else:
-                boundary_only = False
-        else:
-            res = run_chain(sample, prior=prior, cfg=cfg, init=_chain_start(sample, fit))
-            doc.update(
-                alpha=res.mean[0], beta=res.mean[1],
-                ci_alpha=list(res.ci_alpha), ci_beta=list(res.ci_beta),
-                boundary=False,
-                loglik=log_likelihood(sample, res.mean[0], res.mean[1]),
-                acceptance_rate=res.acceptance_rate,
-                ess=[res.ess_alpha, res.ess_beta],
-            )
-            independence = res.independence_acceptance
-            if np.isfinite(independence).any():
-                doc["independence_acceptance"] = [float(v) if np.isfinite(v) else None
-                                                  for v in independence]
-            boundary_only = False
-        doc.update(x_L=sample.x_l, n=sample.n, seed=seed, data=data.path)
-        if args.units:
-            doc["units"] = args.units
-        results.append(doc)
+    if args.method != "bayes":
+        results.append({
+            "method": "mle", "alpha": fit.alpha, "beta": fit.beta,
+            "ci_alpha": list(fit.ci_alpha) if fit.ci_alpha else None,
+            "ci_beta": list(fit.ci_beta) if fit.ci_beta else None,
+            "boundary": fit.boundary, "loglik": fit.loglik, **tail,
+        })
+        if fit.boundary:
+            print(_pareto_note(fit), file=sys.stderr)
+    if args.method != "mle":
+        res = run_chain(sample, prior=prior, cfg=cfg, init=_chain_start(sample, fit))
+        doc = {
+            "method": "bayes", "alpha": res.mean[0], "beta": res.mean[1],
+            "ci_alpha": list(res.ci_alpha), "ci_beta": list(res.ci_beta), "boundary": False,
+            "loglik": log_likelihood(sample, res.mean[0], res.mean[1]),
+            "acceptance_rate": res.acceptance_rate, "ess": [res.ess_alpha, res.ess_beta],
+        }
+        independence = res.independence_acceptance
+        if np.isfinite(independence).any():
+            doc["independence_acceptance"] = [float(v) if np.isfinite(v) else None
+                                              for v in independence]
+        results.append(doc | tail)
 
     payload = results[0] if len(results) == 1 else results
     if args.format == "json":
         _emit(json.dumps(payload, indent=2, allow_nan=False) + "\n", args.out)
     else:
         _emit(_fit_csv(results), args.out)
-    return EXIT_BOUNDARY if boundary_only else EXIT_OK
+    # A boundary MLE is the whole answer only when no posterior summary goes with it.
+    return EXIT_BOUNDARY if args.method == "mle" and fit.boundary else EXIT_OK
 
 
 _FIT_CSV_HEADER = ("method,alpha,beta,alpha_ci_l,alpha_ci_u,beta_ci_l,beta_ci_u,"
@@ -330,7 +331,6 @@ def _fit_csv(results) -> str:
 def cmd_simulate(args) -> int:
     if args.workers < 1:
         raise ValueError(f"--workers must be >= 1, got {args.workers}")
-    seed = _seed_of(args)
     alpha, beta = _values(args.truth, "--truth", 2)
     levels = (list(TRUNCATION_GRID) if args.levels is None
               else _values(args.levels, "--levels", noun="truncation level"))
@@ -338,7 +338,7 @@ def cmd_simulate(args) -> int:
              else _values(args.sizes, "--sizes", kind=int, noun="sample size"))
     base = Scenario(
         true_params=LTLLParams(alpha, beta, args.xl), n=args.n, replicates=args.replicates,
-        prior=_prior(args), mcmc=_mcmc_config(args, seed),
+        prior=_prior(args), mcmc=_mcmc_config(args),
     )
     if args.sweep == "truncation":
         res = truncation_sweep(base, levels, workers=args.workers)
@@ -352,7 +352,7 @@ def cmd_simulate(args) -> int:
     out_dir = "." if args.out is None else args.out
     os.makedirs(out_dir, exist_ok=True)
     for name, text in tables.items():
-        atomic_write_text(os.path.join(out_dir, name), text)
+        _atomic_write(os.path.join(out_dir, name), text)
 
     for name, ok, detail in checks:
         print(f"{'PASS' if ok else 'FAIL'}  {name}  [{detail}]")
@@ -368,14 +368,17 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_ellipse(args) -> int:
-    seed = _seed_of(args)
+    if not 0.0 < args.level < 1.0:
+        raise ValueError(f"--level must lie in (0, 1), got {args.level}")
+    if args.npoints < 3:
+        raise ValueError(f"--npoints must be at least 3, got {args.npoints}")
     prior = _prior(args)
     data = _load_dataset(args)
-    sample = apply_truncation(data, args.xl).sample
+    sample = apply_truncation(data, args.xl)
     gamma = 1.0 - args.level
     methods = ["wald", "credible"] if args.method == "both" else [args.method]
     stem = "ellipse" if args.out is None else args.out
-    cfg = _mcmc_config(args, seed) if "credible" in methods else None
+    cfg = _mcmc_config(args) if "credible" in methods else None
 
     fit = fit_mle(sample)
     if fit.boundary:
@@ -389,7 +392,7 @@ def cmd_ellipse(args) -> int:
             res = run_chain(sample, prior=prior, cfg=cfg, init=_chain_start(sample, fit))
             ell = credible_ellipse(res, gamma, args.npoints)
         rows = "\n".join(f"{p[0]:.10g},{p[1]:.10g}" for p in ell.points)
-        atomic_write_text(f"{stem}_{method}.csv", "alpha,beta\n" + rows + "\n")
+        _atomic_write(f"{stem}_{method}.csv", "alpha,beta\n" + rows + "\n")
         sidecar = {
             "method": method,
             "center": [ell.center[0], ell.center[1]],
@@ -399,16 +402,15 @@ def cmd_ellipse(args) -> int:
             "area": ell.area,
             "n": sample.n,
             "x_L": sample.x_l,
-            "seed": seed,
+            "seed": args.seed,
         }
         if args.units:
             sidecar["units"] = args.units
-        atomic_write_text(f"{stem}_{method}.json", json.dumps(sidecar, indent=2) + "\n")
+        _atomic_write(f"{stem}_{method}.json", json.dumps(sidecar, indent=2) + "\n")
     return EXIT_OK
 
 
 def cmd_moments(args) -> int:
-    seed = _seed_of(args)
     a_lo, a_hi, a_n = _grid_spec(args.alpha_grid, "--alpha-grid")
     b_lo, b_hi, b_n = _grid_spec(args.beta_grid, "--beta-grid")
     alphas = np.linspace(a_lo, a_hi, a_n)
@@ -418,7 +420,7 @@ def cmd_moments(args) -> int:
     for a in alphas:
         for b in betas:
             m = mc_moments(LTLLParams(float(a), float(b), args.xl), args.draws,
-                           RngStream(seed, cell))
+                           RngStream(args.seed, cell))
             lines.append(",".join(format(v, ".10g") for v in (a, b, *m)))
             cell += 1
     _emit("\n".join(lines) + "\n", args.out)

@@ -10,7 +10,7 @@ downstream quantity needs strictly positive data.
 from __future__ import annotations
 
 import csv
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from importlib import resources
 
 import numpy as np
@@ -20,7 +20,6 @@ from .distribution import DegenerateSampleError, Sample
 __all__ = [
     "BUNDLED_DATASETS",
     "DatasetFile",
-    "TruncationResult",
     "apply_truncation",
     "load_bladder_cancer",
     "load_csv",
@@ -42,15 +41,6 @@ class DatasetFile:
     @property
     def n(self) -> int:
         return self.values.size
-
-
-@dataclass(frozen=True)
-class TruncationResult:
-    """A validated sample plus how much of the dataset the filter kept."""
-
-    sample: Sample
-    n_retained: int
-    n_dropped: int
 
 
 def _resolve_column(header_row: list[str], column: str) -> int:
@@ -122,8 +112,11 @@ def load_csv(path: str, column: str | int | None = None) -> DatasetFile:
     )
 
 
-def apply_truncation(d: DatasetFile, x_l: float) -> TruncationResult:
-    """Keep values strictly above x_l and wrap them as a Sample."""
+def apply_truncation(d: DatasetFile, x_l: float) -> Sample:
+    """The values strictly above x_l, as a Sample truncated at x_l.
+
+    The filter keeps ``sample.n`` values and drops ``d.n - sample.n``.
+    """
     if not (np.isfinite(x_l) and x_l >= 0.0):
         raise ValueError(f"x_l must be finite and >= 0, got {x_l}")
     kept = d.values[d.values > x_l]
@@ -132,23 +125,20 @@ def apply_truncation(d: DatasetFile, x_l: float) -> TruncationResult:
             f"truncation at {x_l} keeps {kept.size} value(s); "
             "need at least two distinct observations"
         )
-    return TruncationResult(
-        sample=Sample(kept, x_l),
-        n_retained=int(kept.size),
-        n_dropped=int(d.n - kept.size),
-    )
+    return Sample(kept, x_l)
 
 
 def load_bladder_cancer() -> DatasetFile:
-    """The bundled 128 remission times (months) of bladder cancer patients."""
+    """The bundled 128 remission times (months) of bladder cancer patients.
+
+    The file is parsed by ``load_csv``; only its path and provenance are
+    replaced, by the dataset's name and source.
+    """
     ref = resources.files("ltll").joinpath("data/bladder_cancer.csv")
     with resources.as_file(ref) as p:
-        out = load_csv(str(p), column="remission_months")
-    return DatasetFile(
-        path="bladder_cancer (bundled)", column=out.column, values=out.values,
-        n_comments=out.n_comments, n_skipped=out.n_skipped, warnings=out.warnings,
-        provenance="Lee & Wang (2003), remission times of 128 bladder cancer patients",
-    )
+        parsed = load_csv(str(p), column="remission_months")
+    return replace(parsed, path="bladder_cancer (bundled)",
+                   provenance="Lee & Wang (2003), remission times of 128 bladder cancer patients")
 
 
 BUNDLED_DATASETS = {

@@ -19,8 +19,6 @@ estimate.
 
 from __future__ import annotations
 
-import os
-import tempfile
 from dataclasses import dataclass, replace
 from itertools import islice
 
@@ -48,7 +46,6 @@ __all__ = [
     "table3_csv",
     "truncation_sweep",
     "truncation_trends",
-    "atomic_write_text",
 ]
 
 # Most chains per MH bank: past about 200 chains a bank step costs no less
@@ -412,20 +409,3 @@ def sample_size_trends(levels) -> list[tuple[str, bool, str]]:
             out.append((f"RMSE({param}) strictly decreasing in n [{method}]", bool(ok),
                         " -> ".join(f"{v:.4g}" for v in r)))
     return out
-
-
-def atomic_write_text(path: str, text: str) -> None:
-    """Write via a temp file in the same directory, then rename into place."""
-    directory = os.path.dirname(os.path.abspath(path)) or "."
-    try:
-        fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-", text=True)
-    except OSError as exc:  # it would name the temp file, which the caller never gave
-        raise OSError(exc.errno, exc.strerror, path) from exc
-    try:
-        with os.fdopen(fd, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(text)
-        os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-        raise

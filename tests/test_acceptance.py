@@ -413,7 +413,7 @@ def bladder_fits():
     data = load_bladder_cancer()
     out = {}
     for x_l in (0.0, 0.25, 1.0, 6.0):
-        sample = apply_truncation(data, x_l).sample
+        sample = apply_truncation(data, x_l)
         fit = fit_mle(sample)
         post = run_chain(sample, prior=PriorSpec.diffuse(), cfg=McmcConfig(seed=7))
         out[x_l] = (fit, post)
@@ -454,7 +454,7 @@ def test_c09_mle_reference_values(bladder_fits):
     rows = []
     ok = True
     for x_l, (fit, _) in bladder_fits.items():
-        values = apply_truncation(load_bladder_cancer(), x_l).sample.values
+        values = apply_truncation(load_bladder_cancer(), x_l).values
         alpha_o, beta_o, ll_o = _oracle_mle(values, x_l)
         ra, rb = abs(fit.alpha / alpha_o - 1.0), abs(fit.beta / beta_o - 1.0)
         ok &= ra <= 1e-6 and rb <= 1e-6 and fit.loglik >= ll_o - 1e-9

@@ -35,7 +35,7 @@ DEMOS = sorted((ROOT / "demos").glob("*.py"))
 
 # Every public name, pinned: a change to the public surface shows as a diff here.
 PUBLIC = {
-    "datasets": ["BUNDLED_DATASETS", "DatasetFile", "TruncationResult", "apply_truncation",
+    "datasets": ["BUNDLED_DATASETS", "DatasetFile", "apply_truncation",
                  "load_bladder_cancer", "load_csv"],
     "distribution": ["DegenerateSampleError", "ExistenceStats", "LTLLParams", "Sample",
                      "draw_ltll", "existence_stats", "ll_cdf", "ll_pdf", "log_likelihood",
@@ -48,7 +48,7 @@ PUBLIC = {
             "observed_information", "wald_intervals"],
     "numerics": ["RngStream", "SymMatrix2", "chi2_quantile_2dof", "normal_quantile"],
     "simulation": ["ErrorMetrics", "MethodMetrics", "ReplicateResult", "Scenario", "SweepLevel",
-                   "atomic_write_text", "error_metrics", "run_replicate", "run_scenario",
+                   "error_metrics", "run_replicate", "run_scenario",
                    "sample_size_sweep", "sample_size_trends", "table1_csv", "table2_csv",
                    "table3_csv", "truncation_sweep", "truncation_trends"],
 }

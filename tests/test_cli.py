@@ -112,15 +112,15 @@ class TestLoadCsv:
 class TestApplyTruncation:
     def test_zero_keeps_all(self):
         d = load_bladder_cancer()
-        t = apply_truncation(d, 0.0)
-        assert t.n_retained == 128 and t.n_dropped == 0
+        s = apply_truncation(d, 0.0)
+        assert s.n == d.n == 128
 
     def test_filter_contract(self):
         d = load_bladder_cancer()
-        t = apply_truncation(d, 6.0)
-        assert t.n_retained < 128
-        assert t.sample.values.min() > 6.0
-        assert t.n_retained + t.n_dropped == 128
+        s = apply_truncation(d, 6.0)
+        assert s.n < d.n == 128
+        assert s.values.min() > 6.0 and s.x_l == 6.0
+        assert s.n + int(np.sum(d.values <= 6.0)) == 128
 
     def test_too_few_left(self, tmp_path):
         path = write(tmp_path, "three.csv", "1\n2\n3\n")
@@ -194,7 +194,8 @@ class TestFitCommand:
         assert main(["fit", "--data", "/does/not/exist.csv"]) == EXIT_ERROR
         assert "error" in capsys.readouterr().err
 
-    def test_env_seed_fallback(self, tmp_path, monkeypatch):
+    def test_env_seed_ignored(self, tmp_path, monkeypatch):
+        # --seed is the only seed source: the environment cannot change a result.
         out1 = os.path.join(tmp_path, "a.json")
         out2 = os.path.join(tmp_path, "b.json")
         base = ["fit", "--data", "bladder_cancer", "--method", "bayes",
@@ -202,8 +203,9 @@ class TestFitCommand:
         monkeypatch.setenv("LTLL_SEED", "99")
         assert main(base + ["--out", out1]) == EXIT_OK
         monkeypatch.delenv("LTLL_SEED")
-        assert main(base + ["--seed", "99", "--out", out2]) == EXIT_OK
+        assert main(base + ["--seed", str(ltll.cli.DEFAULT_SEED), "--out", out2]) == EXIT_OK
         assert open(out1).read() == open(out2).read()
+        assert json.load(open(out1))["seed"] == ltll.cli.DEFAULT_SEED
 
     def test_both_methods_fit_once(self, tmp_path, monkeypatch):
         calls = []
@@ -460,6 +462,24 @@ class TestEllipseCommand:
         assert code == EXIT_BOUNDARY
         assert "Pareto" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("flags, reason", [
+        (["--level", "1.5"], "--level must lie in (0, 1), got 1.5"),
+        (["--level", "0"], "--level must lie in (0, 1), got 0.0"),
+        (["--npoints", "2"], "--npoints must be at least 3, got 2"),
+    ])
+    def test_bad_level_refused_before_any_chain_runs(self, tmp_path, capsys, monkeypatch,
+                                                     flags, reason):
+        calls = []
+        monkeypatch.setattr(ltll.mcmc, "_mh_chains", lambda *args: calls.append("chain"))
+        monkeypatch.setattr(ltll.datasets, "load_csv", lambda *args: calls.append("read"))
+        code = main(["ellipse", "--data", "bladder_cancer", "--xl", "1", "--method", "credible",
+                     "--out", os.path.join(tmp_path, "e"), *flags])
+        assert code == EXIT_ERROR
+        errors = [line for line in capsys.readouterr().err.splitlines() if "error:" in line]
+        assert errors == [f"ltll: error: {reason}"]
+        assert calls == []
+        assert os.listdir(tmp_path) == []
+
 
 class TestMomentsCommand:
     def test_surface_and_determinism(self, tmp_path):
@@ -514,6 +534,10 @@ _EMPTY_PATH_ARGS = {
     "ellipse --out": ["ellipse", "--data", "bladder_cancer", "--method", "wald", "--out", ""],
     "fit --data": ["fit", "--data", "", "--method", "mle", "--out", "fit.json"],
     "fit --config": ["fit", "--data", "bladder_cancer", "--config", "", "--out", "fit.json"],
+    "fit --units": ["fit", "--data", "bladder_cancer", "--units", "", "--method", "mle",
+                    "--out", "fit.json"],
+    "fit --column": ["fit", "--data", "data.csv", "--column", "", "--method", "mle",
+                     "--out", "fit.json"],
 }
 
 

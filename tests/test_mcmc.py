@@ -445,7 +445,7 @@ class TestPlainPath:
 
     def test_below_floor(self):
         # Below the screen floor an off-mode start stays outside the gate.
-        s = apply_truncation(load_bladder_cancer(), 1.0).sample
+        s = apply_truncation(load_bladder_cancer(), 1.0)
         assert s.n < mcmc._SCREEN_MIN_N
         fit = fit_mle(s)
         self._check(s, (2.0 * fit.alpha, fit.beta), 11)
@@ -456,7 +456,7 @@ class TestPlainPath:
 
     def test_below_floor_gated(self):
         # The same sample from its MLE is gated: a walk/independence cycle.
-        s = apply_truncation(load_bladder_cancer(), 1.0).sample
+        s = apply_truncation(load_bladder_cancer(), 1.0)
         fit = fit_mle(s)
         prior, cfg = PriorSpec.diffuse(), replace(self.CFG, seed=11)
         res = run_chain(s, prior, cfg, init=(fit.alpha, fit.beta))
@@ -556,7 +556,7 @@ class TestLoopIdentity:
         pfit = fit_mle(pareto)
         untruncated = draw_ltll(1000, LTLLParams(2.0, 3.0, 0.0), RngStream(9, 1))
         ufit = fit_mle(untruncated)
-        bladder = apply_truncation(load_bladder_cancer(), 1.0).sample
+        bladder = apply_truncation(load_bladder_cancer(), 1.0)
         bfit = fit_mle(bladder)
         n = bladder.n
         assert not fit.boundary and pfit.boundary and n < mcmc._SCREEN_MIN_N
@@ -656,7 +656,7 @@ class TestChainFanOut:
 
     @pytest.fixture(scope="class")
     def cases(self, sample_n1000):
-        bladder = apply_truncation(load_bladder_cancer(), 1.0).sample
+        bladder = apply_truncation(load_bladder_cancer(), 1.0)
         return {"gated": (bladder, fit_mle(bladder)),
                 "screened": (sample_n1000, fit_mle(sample_n1000))}
 
@@ -775,7 +775,7 @@ class TestMixtureExactness:
     @pytest.fixture(scope="class", params=["bladder x_L=1", "n=100", "above the margin"])
     def case(self, request):
         if request.param == "bladder x_L=1":
-            s = apply_truncation(load_bladder_cancer(), 1.0).sample
+            s = apply_truncation(load_bladder_cancer(), 1.0)
         elif request.param == "n=100":
             s = draw_ltll(100, LTLLParams(2.0, 3.0, 1.0), RngStream(0, 0))
         else:

@@ -6,12 +6,12 @@ import pytest
 
 import ltll.mcmc
 import ltll.simulation
+from ltll.cli import _atomic_write
 from ltll.distribution import LTLLParams
 from ltll.mcmc import _SCREEN_MIN_N, McmcConfig, PriorSpec
 from ltll.simulation import (
     _BANK,
     Scenario,
-    atomic_write_text,
     error_metrics,
     run_replicate,
     run_scenario,
@@ -443,7 +443,7 @@ def test_tables_exact_text_from_hand_built_records():
 
 def test_atomic_write(tmp_path):
     path = os.path.join(tmp_path, "out.csv")
-    atomic_write_text(path, "a,b\n1,2\n")
+    _atomic_write(path, "a,b\n1,2\n")
     with open(path) as fh:
         assert fh.read() == "a,b\n1,2\n"
     leftovers = [f for f in os.listdir(tmp_path) if f.startswith(".tmp-")]
@@ -454,6 +454,6 @@ def test_atomic_write_into_missing_directory_names_the_path(tmp_path):
     # The error names the path the caller gave, not the random temp file.
     path = os.path.join(tmp_path, "nodir", "out.csv")
     with pytest.raises(FileNotFoundError) as exc:
-        atomic_write_text(path, "a,b\n")
+        _atomic_write(path, "a,b\n")
     assert exc.value.filename == path and ".tmp-" not in str(exc.value)
     assert os.listdir(tmp_path) == []
