@@ -9,6 +9,8 @@ Exit codes: 0 success, 1 error, 2 boundary-degenerate fit.
 from __future__ import annotations
 
 import argparse
+import csv
+import io
 import json
 import os
 import sys
@@ -301,31 +303,34 @@ def cmd_fit(args) -> int:
     return EXIT_BOUNDARY if args.method == "mle" and fit.boundary else EXIT_OK
 
 
-_FIT_CSV_HEADER = ("method,alpha,beta,alpha_ci_l,alpha_ci_u,beta_ci_l,beta_ci_u,"
-                   "x_L,n,boundary,loglik,acceptance_rate,ess_alpha,ess_beta")
+# The columns of a fit document's two-element lists.
+_FIT_CSV_PAIRS = {"ci_alpha": ("alpha_ci_l", "alpha_ci_u"), "ci_beta": ("beta_ci_l", "beta_ci_u"),
+                  "ess": ("ess_alpha", "ess_beta")}
 
 
 def _fit_csv(results) -> str:
+    """The fit documents as CSV rows: a column per scalar key, in document
+    order, and two per interval or ESS pair; per-chain lists stay in the JSON."""
     def cell(v):
-        if v is None:
-            return ""
         if isinstance(v, bool):
             return str(v).lower()
-        if isinstance(v, float):
-            return format(v, ".10g")
-        return str(v)
+        return format(v, ".10g") if isinstance(v, float) else v
 
-    lines = [_FIT_CSV_HEADER]
+    rows = []
     for doc in results:
-        ca = doc.get("ci_alpha") or (None, None)
-        cb = doc.get("ci_beta") or (None, None)
-        ess = doc.get("ess") or (None, None)
-        lines.append(",".join(cell(v) for v in [
-            doc["method"], doc["alpha"], doc["beta"], ca[0], ca[1], cb[0], cb[1],
-            doc["x_L"], doc["n"], doc["boundary"], doc["loglik"],
-            doc.get("acceptance_rate"), ess[0], ess[1],
-        ]))
-    return "\n".join(lines) + "\n"
+        row = {}
+        for key, value in doc.items():
+            if key in _FIT_CSV_PAIRS:
+                row.update(zip(_FIT_CSV_PAIRS[key], value or (None, None)))
+            elif not isinstance(value, list):
+                row[key] = value
+        rows.append({key: cell(value) for key, value in row.items()})
+    out = io.StringIO()
+    writer = csv.DictWriter(out, list(dict.fromkeys(k for row in rows for k in row)),
+                            lineterminator="\n")
+    writer.writeheader()
+    writer.writerows(rows)
+    return out.getvalue()
 
 
 def cmd_simulate(args) -> int:

@@ -456,8 +456,7 @@ def mc_moments(p: LTLLParams, n_draws: int, rng: RngStream):
     """
     if n_draws < 4:
         raise ValueError(f"need at least 4 draws, got {n_draws}")
-    # Plain numpy rather than scipy.stats.describe: importing scipy.stats
-    # roughly doubles the package's cold import time.
+    # Plain numpy: the package's runtime needs numpy and the standard library only.
     x = draw_ltll(n_draws, p, rng).values
     mean = float(np.mean(x))
     d = x - mean

@@ -5,7 +5,9 @@ likelihood into an unnormalized posterior.  Sampling uses a Gaussian random
 walk on z = (ln alpha, ln beta): the log transform keeps proposals positive
 and makes them symmetric, at the cost of a Jacobian term ln(alpha* beta* /
 (alpha beta)) in the acceptance ratio.  A walk step proposes z + s L eps
-from two normals eps, with one scale s per chain.  A chain with a Laplace
+from two normals eps, with one scale s per chain; eps comes from two of the
+chain's uniforms u0, u1 by the Box-Muller transform (Box & Muller 1958),
+sqrt(-2 ln u0) (cos 2 pi u1, sin 2 pi u1).  A chain with a Laplace
 record (below: every screened chain, and every gated chain of at least
 _LAPLACE_WALK_MIN_N values) takes L from it, the Cholesky factor of
 (-H)^-1, so its walk follows the posterior correlation of ln alpha and
@@ -61,6 +63,7 @@ runs each chain alone, spread over the usable CPUs (``_pooled``).
 
 from __future__ import annotations
 
+import math
 import multiprocessing
 import os
 import threading
@@ -69,11 +72,11 @@ from dataclasses import dataclass, replace
 from functools import partial
 
 import numpy as np
-from scipy.special import gammaln
 
 from .distribution import (Sample, _beta_c, _derivatives_z, _log_xl, _loglik_batch,
                            _loglik_row, log_likelihood)
 from .mle import SCORE_TOL, EllipsePoints, MleFit, _trace_ellipse, fit_mle
+# normal_quantile goes unused here; the benchmark tracer rebinds it by this name.
 from .numerics import RngStream, SymMatrix2, chi2_quantile_2dof, normal_quantile
 
 __all__ = [
@@ -219,17 +222,12 @@ class PosteriorResult:
 # Posterior pieces
 # ---------------------------------------------------------------------------
 
-def _prior_consts(prior: PriorSpec):
-    c1 = prior.a1 * np.log(prior.b1) - gammaln(prior.a1)
-    c2 = prior.a2 * np.log(prior.b2) - gammaln(prior.a2)
-    return c1, c2
-
-
 def log_prior(alpha: float, beta: float, prior: PriorSpec) -> float:
     """Joint log-density of the independent Gamma priors (-inf off support)."""
     if not (alpha > 0.0 and beta > 0.0 and np.isfinite(alpha) and np.isfinite(beta)):
         return -np.inf
-    c1, c2 = _prior_consts(prior)
+    c1 = prior.a1 * np.log(prior.b1) - math.lgamma(prior.a1)
+    c2 = prior.a2 * np.log(prior.b2) - math.lgamma(prior.a2)
     return float(
         (prior.a1 - 1.0) * np.log(alpha) - prior.b1 * alpha + c1
         + (prior.a2 - 1.0) * np.log(beta) - prior.b2 * beta + c2
@@ -243,14 +241,15 @@ def log_posterior(s: Sample, alpha: float, beta: float, prior: PriorSpec) -> flo
     return log_likelihood(s, alpha, beta) + log_prior(alpha, beta, prior)
 
 
-def _log_target_z(lna, lnb, prior: PriorSpec, c1: float, c2: float):
+def _log_target_z(lna, lnb, prior: PriorSpec):
     """Prior plus random-walk Jacobian in (ln alpha, ln beta) coordinates.
 
     log p(alpha) + log p(beta) + ln alpha + ln beta collapses to
-    a1*ln(alpha) - b1*alpha + a2*ln(beta) - b2*beta + consts.
+    a1*ln(alpha) - b1*alpha + a2*ln(beta) - b2*beta plus the priors'
+    normalizing constants, which cancel in every acceptance ratio and are
+    left out.
     """
-    return (prior.a1 * lna - prior.b1 * np.exp(lna) + c1
-            + prior.a2 * lnb - prior.b2 * np.exp(lnb) + c2)
+    return prior.a1 * lna - prior.b1 * np.exp(lna) + prior.a2 * lnb - prior.b2 * np.exp(lnb)
 
 
 # ---------------------------------------------------------------------------
@@ -315,7 +314,7 @@ def _log_t2(la, lb, quads):
     return -2.0 * np.log1p(-_quadratic(la, lb, quads))
 
 
-def _independence_block(w, quads, gated, lx, sumlx, ln_xl, prior, c1, c2):
+def _independence_block(w, quads, gated, lx, sumlx, ln_xl, prior):
     """A block's independence proposals y = c + L w, priced.
 
     w: t_2 variates (steps, 2, B) on the bank layout, for one chain as for
@@ -340,7 +339,7 @@ def _independence_block(w, quads, gated, lx, sumlx, ln_xl, prior, c1, c2):
             lb = yb[s0:s0 + per_call, gated].ravel()
             k = la.size // len(rows)
             ll = _loglik_batch(np.tile(rows, (k, 1)), np.tile(sums, k), np.tile(lnx, k), la, lb)
-            target[s0:s0 + k, gated] = (ll + _log_target_z(la, lb, prior, c1, c2)).reshape(k, -1)
+            target[s0:s0 + k, gated] = (ll + _log_target_z(la, lb, prior)).reshape(k, -1)
     return ya, yb, _log_t2(ya, yb, quads), target
 
 
@@ -372,12 +371,13 @@ def _adapted(steps, hits, walks):
 def _uniform_blocks(streams, iterations, gated):
     """Yield (normals (block, 2, B), ln u (block, B)) for blocks of steps.
 
-    A walk step consumes three uniforms from its chain's stream: two normals
-    for the proposal, then the accept draw.  A gated chain (``gated[k]``)
-    takes an independence step at every even t, which consumes four: two
-    normals eps, the chi-squared draw W = -2 ln u, then the accept draw; so
-    each pair of its steps reads 7 uniforms, and its normals at independence
-    steps come out as the t_2 variates eps * sqrt(2 / W) = eps / sqrt(-ln u).
+    A walk step consumes three uniforms from its chain's stream: two for the
+    proposal's two normals (Box-Muller), then the accept draw.  A gated
+    chain (``gated[k]``) takes an independence step at every even t, which
+    consumes four: two normals eps, the chi-squared draw W = -2 ln u, then
+    the accept draw; so each pair of its steps reads 7 uniforms, and its
+    normals at independence steps come out as the t_2 variates
+    eps * sqrt(2 / W) = eps / sqrt(-ln u).
     Blocks hold an even number of steps, so each starts with a walk step.
     Both loops read the bank layout, a lone chain as a bank of one.
     """
@@ -401,7 +401,9 @@ def _uniform_block(streams, block, gated):
         u[1::2, :, i] = pair[:, (3, 4, 6)]
         u[2 * pairs:, :, i] = v[7 * pairs:].reshape(-1, 3)
         chi[:, i] = pair[:, 5]
-    normals = normal_quantile(u[:, :2])
+    # Box-Muller: the radius sqrt(-2 ln u0) and the angle 2 pi u1 give two normals.
+    angle = 2.0 * np.pi * u[:, 1]
+    normals = np.sqrt(-2.0 * np.log(u[:, 0]))[:, None] * np.stack((np.cos(angle), np.sin(angle)), 1)
     if gated.any():
         normals[1::2, :, gated] /= np.sqrt(-np.log(chi[:, gated]))[:, None]
     return normals, np.log(u[:, 2])
@@ -432,11 +434,10 @@ def _mh_chains(lx, ln_xl, prior: PriorSpec, cfg: McmcConfig, streams, init):
     """
     lx = np.ascontiguousarray(lx, dtype=np.float64)
     sumlx = lx.sum(axis=1)
-    c1, c2 = _prior_consts(prior)
     # (2, B): ln alpha and ln beta of every chain.
     state = np.log(np.ascontiguousarray(np.transpose(init), dtype=np.float64))
     ll = _loglik_batch(lx, sumlx, ln_xl, state[0], state[1])
-    target = ll + _log_target_z(state[0], state[1], prior, c1, c2)
+    target = ll + _log_target_z(state[0], state[1], prior)
     quads = _laplace_quadratics(lx, ln_xl, prior, state[0], state[1], ll)
     has = quads[1].any(axis=0)
     screened = lx.shape[1] >= _SCREEN_MIN_N and bool(has.any())
@@ -447,12 +448,12 @@ def _mh_chains(lx, ln_xl, prior: PriorSpec, cfg: McmcConfig, streams, init):
     shape = np.where(along, quads[2], [[1.0], [0.0], [1.0]])
     steps = np.where(along, _WALK_SCALE, _DIAGONAL_SCALE)
     loop = _mh_bank if lx.shape[0] > 1 else _mh_one
-    return loop(lx, sumlx, ln_xl, prior, c1, c2, cfg, streams, state, target, quads, screened,
-                gated, shape, steps)
+    return loop(lx, sumlx, ln_xl, prior, cfg, streams, state, target, quads, screened, gated,
+                shape, steps)
 
 
-def _mh_one(lx, sumlx, ln_xl, prior, c1, c2, cfg, streams, state, target, quads, screened,
-            gated, shape, steps):
+def _mh_one(lx, sumlx, ln_xl, prior, cfg, streams, state, target, quads, screened, gated,
+            shape, steps):
     """``_mh_chains`` for one chain, stepping on Python floats.
 
     At one chain a vectorized step is a few dozen numpy calls on 1-element
@@ -479,7 +480,7 @@ def _mh_one(lx, sumlx, ln_xl, prior, c1, c2, cfg, streams, state, target, quads,
     for z, ln_u in _uniform_blocks(streams, cfg.iterations, gated):
         if cycle:
             ya, yb, lg_y, target_y = (a[:, 0].tolist() for a in _independence_block(
-                z[1::2], quads, gated, lx, sumlx, ln_xl, prior, c1, c2))
+                z[1::2], quads, gated, lx, sumlx, ln_xl, prior))
         _walk_normals(z, shape)
         z = z[:, :, 0]
         inc = (z * steps).tolist()
@@ -503,7 +504,7 @@ def _mh_one(lx, sumlx, ln_xl, prior, c1, c2, cfg, streams, state, target, quads,
                 if lu < bound:
                     passed += 1
                     target_p = (_loglik_row(row, sum_row, ln_xl_row, lna_p, lnb_p)
-                                + _log_target_z(lna_p, lnb_p, prior, c1, c2))
+                                + _log_target_z(lna_p, lnb_p, prior))
                     if lu < bound + min(target_p - target - dq, 0.0):
                         lna, lnb, target, q, lg = lna_p, lnb_p, target_p, q_p, None
                         accepted += 1
@@ -521,8 +522,8 @@ def _mh_one(lx, sumlx, ln_xl, prior, c1, c2, cfg, streams, state, target, quads,
             np.array([steps]), np.array([shares]))
 
 
-def _mh_bank(lx, sumlx, ln_xl, prior, c1, c2, cfg, streams, state, target, quads, screened,
-             gated, shape, steps):
+def _mh_bank(lx, sumlx, ln_xl, prior, cfg, streams, state, target, quads, screened, gated,
+             shape, steps):
     """``_mh_chains`` for a bank of chains, one vectorized step for all.
 
     Proposal increments are formed once per block of uniforms (again after
@@ -548,7 +549,7 @@ def _mh_bank(lx, sumlx, ln_xl, prior, c1, c2, cfg, streams, state, target, quads
     for z, ln_u in _uniform_blocks(streams, cfg.iterations, gated):
         if cycle:
             ya, yb, lg_y, target_y = _independence_block(z[1::2], quads, gated, lx, sumlx,
-                                                         ln_xl, prior, c1, c2)
+                                                         ln_xl, prior)
         _walk_normals(z, shape)
         inc = z * steps
         for i in range(len(inc)):
@@ -565,13 +566,13 @@ def _mh_bank(lx, sumlx, ln_xl, prior, c1, c2, cfg, streams, state, target, quads
                     target_p = target_p.copy()
                     target_p[walkers] = (
                         _loglik_batch(lx[walkers], sumlx[walkers], ln_xl[walkers], la, lb)
-                        + _log_target_z(la, lb, prior, c1, c2))
+                        + _log_target_z(la, lb, prior))
                 lg = _log_t2(state[0], state[1], quads)
                 accept = lu < target_p - target + (lg - lg_y[j])
                 indep += accept & gated
             elif not screened:
                 target_p = (_loglik_batch(lx, sumlx, ln_xl, prop[0], prop[1])
-                            + _log_target_z(prop[0], prop[1], prior, c1, c2))
+                            + _log_target_z(prop[0], prop[1], prior))
                 accept = lu < target_p - target
             else:
                 # Stage 1 prices the move on the quadratic alone.
@@ -589,7 +590,7 @@ def _mh_bank(lx, sumlx, ln_xl, prior, c1, c2, cfg, streams, state, target, quads
                     la, lb = prop[0, rows], prop[1, rows]
                     target_p = target.copy()
                     target_p[rows] = (_loglik_batch(lx[rows], sumlx[rows], ln_xl[rows], la, lb)
-                                      + _log_target_z(la, lb, prior, c1, c2))
+                                      + _log_target_z(la, lb, prior))
                     accept = screen & (lu < bound + np.minimum(target_p - target - dq, 0.0))
                     np.copyto(q, q_p, where=accept)
             if accept is not None:

@@ -1,9 +1,9 @@
 """Small numerics shared by the layers, plus a splittable random-number source.
 
-Special functions come from scipy; this module keeps only what scipy does
-not provide in the shape the package needs: a counter-based uniform
-generator, the closed-form chi-squared(2) quantile, and a symmetric 2x2
-matrix type.
+The package needs numpy and the standard library only.  This module holds a
+counter-based uniform generator, the standard normal quantile (the
+standard library's, vectorized over arrays), the closed-form chi-squared(2)
+quantile, and a symmetric 2x2 matrix type.
 
 Everything here is deterministic: functions are pure, and random draws are a
 pure function of (master_seed, stream_id, counter).  The generator is
@@ -14,9 +14,9 @@ drawing from provably disjoint, reproducible streams.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from statistics import NormalDist
 
 import numpy as np
-from scipy.special import ndtri
 
 __all__ = [
     "RngStream",
@@ -104,15 +104,20 @@ def chi2_quantile_2dof(p: float) -> float:
     return -2.0 * np.log1p(-p)
 
 
+_inv_cdf = np.vectorize(NormalDist().inv_cdf, otypes=[np.float64])
+
+
 def normal_quantile(p):
     """Standard normal quantile (inverse CDF) for p in (0, 1).
 
-    Accepts scalars or arrays; a scalar argument returns a float.
+    Accepts scalars or arrays; a scalar argument returns a float.  The value
+    is ``statistics.NormalDist().inv_cdf``, Wichura's AS241, one call per
+    element.
     """
     p = np.asarray(p, dtype=np.float64)
     if np.any(p <= 0.0) or np.any(p >= 1.0):
         raise ValueError("normal_quantile requires 0 < p < 1")
-    out = ndtri(p)
+    out = _inv_cdf(p)
     return out if out.ndim else float(out)
 
 

@@ -5,8 +5,11 @@ plus or minus ``half_width`` Wald standard deviations (of ln alpha and
 ln beta, from the observed information; one value, or one per axis) and
 doubles the reach of any edge whose marginal still holds weight, so it finds
 the whole posterior, including the long tail toward alpha -> 0 that left
-truncation leaves.  A 301 x 301 pass then covers the box where the coarse
-marginals exceed TAIL, so the mesh stays fine where the mass is.  Each node
+truncation leaves.  A 301 x 301 pass (``points`` a side) then covers the
+box where the coarse marginals exceed TAIL, so the mesh stays fine where the
+mass is.  Where that box reaches far down the alpha -> 0 tail, its ln alpha
+step grows and the quantiles lose accuracy; such a case asks for more
+``points``.  Each node
 holds log_posterior plus the Jacobian ln alpha + ln beta; normalized, the
 weights give the marginal mean and variance of alpha and beta and their
 2.5% and 97.5% quantiles (trapezoid CDF, inverted linearly).
@@ -34,7 +37,7 @@ def _marginals(s, prior, za, zb):
     return w.sum(axis=1), w.sum(axis=0)
 
 
-def grid_posterior(s, prior, fit, half_width=10.0):
+def grid_posterior(s, prior, fit, half_width=10.0, points=POINTS):
     """(exact, zsd) for a sample with an interior MLE ``fit``.
 
     exact[j] = (mean, variance, (q_2.5%, q_97.5%)) of alpha (j = 0) and
@@ -58,7 +61,7 @@ def grid_posterior(s, prior, fit, half_width=10.0):
     for grid, marg in zip(grids, marginals):
         inside = np.flatnonzero(marg > TAIL)
         box.append(np.linspace(grid[max(inside[0] - 1, 0)],
-                               grid[min(inside[-1] + 1, COARSE - 1)], POINTS))
+                               grid[min(inside[-1] + 1, COARSE - 1)], points))
     exact = {}
     zsd = []
     for j, (grid, marg) in enumerate(zip(box, _marginals(s, prior, *box))):

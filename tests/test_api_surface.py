@@ -14,10 +14,12 @@ import ast
 import importlib
 import importlib.util
 import inspect
+import json
 import os
 import shutil
 import subprocess
 import sys
+import textwrap
 from pathlib import Path
 
 import numpy as np
@@ -199,12 +201,32 @@ def test_fit_info_has_definiteness_flag():
     assert fit.info.is_positive_definite
 
 
-def test_cli_import_leaves_out_scipy_optimize_and_stats():
-    # Either subpackage adds about a tenth of a second to every CLI start.
-    code = ("import sys, ltll.cli; print(sorted(m for m in sys.modules "
-            "if m.split('.')[:2] in (['scipy', 'optimize'], ['scipy', 'stats'])))")
+def test_cli_runtime_imports_no_scipy(tmp_path):
+    # The runtime needs numpy and the standard library only: importing
+    # scipy.special alone took about 65% of a cold CLI start.  One process
+    # imports the CLI, then fits with two chains and runs a 2-replicate sweep
+    # through ltll.cli.main, and lists the scipy modules loaded after each.
+    code = textwrap.dedent("""
+        import json, sys
+        import ltll.cli
+
+        def scipy_modules():
+            return sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
+
+        chain = ["--iters", "600", "--burnin", "100", "--thin", "1"]
+        seen = {"import": scipy_modules()}
+        seen["fit"] = (ltll.cli.main(["fit", "--data", "bladder_cancer", "--xl", "1",
+                                      "--method", "both", "--chains", "2", "--out", "fit.json",
+                                      *chain]), scipy_modules())
+        seen["simulate"] = (ltll.cli.main(["simulate", "--sweep", "n", "--sizes", "50",
+                                           "--n", "50", "--replicates", "2", "--out", "tables",
+                                           *chain]), scipy_modules())
+        print(json.dumps(seen))
+    """)
     src = str(Path(ltll.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
-    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
-                         text=True, check=True)
-    assert out.stdout.strip() == "[]"
+    out = subprocess.run([sys.executable, "-c", code], cwd=tmp_path, env=env,
+                         capture_output=True, text=True, check=True)
+    seen = json.loads(out.stdout.splitlines()[-1])
+    assert seen == {"import": [], "fit": [0, []], "simulate": [0, []]}
+    assert (tmp_path / "fit.json").is_file() and (tmp_path / "tables").is_dir()

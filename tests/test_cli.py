@@ -1,4 +1,5 @@
 import contextlib
+import csv
 import io
 import json
 import math
@@ -178,6 +179,28 @@ class TestFitCommand:
         lines = open(out).read().strip().split("\n")
         assert lines[0].startswith("method,alpha,beta,alpha_ci_l")
         assert lines[1].startswith("mle,")
+
+    def test_csv_names_every_scalar_json_key(self, tmp_path):
+        # The CSV rows carry the JSON documents' scalar keys, --units, seed and
+        # data among them, with the same values.
+        args = ["fit", "--data", "bladder_cancer", "--xl", "1", "--method", "both",
+                "--units", "months", "--iters", "3000", "--burnin", "500", "--thin", "2",
+                "--seed", "5", "--out"]
+        assert main(args + [os.path.join(tmp_path, "fit.json")]) == EXIT_OK
+        assert main(args + [os.path.join(tmp_path, "fit.csv"), "--format", "csv"]) == EXIT_OK
+        docs = json.load(open(os.path.join(tmp_path, "fit.json")))
+        with open(os.path.join(tmp_path, "fit.csv"), newline="") as fh:
+            reader = csv.DictReader(fh)
+            rows = list(reader)
+        scalars = {key for doc in docs for key, value in doc.items() if not isinstance(value, list)}
+        assert scalars >= {"units", "seed", "data", "acceptance_rate"}
+        assert scalars <= set(reader.fieldnames)
+        assert [row["method"] for row in rows] == ["mle", "bayes"]
+        for doc, row in zip(docs, rows):
+            assert (row["units"], row["seed"], row["data"]) == ("months", "5", doc["data"])
+            assert float(row["alpha"]) == pytest.approx(doc["alpha"], rel=1e-9)
+            assert float(row["ess_beta"] or "nan") == pytest.approx(
+                doc["ess"][1] if "ess" in doc else math.nan, rel=1e-9, nan_ok=True)
 
     def test_boundary_exit_code(self, tmp_path, capsys):
         rows = "\n".join(["1.01"] * 9 + [format(math.exp(60.0), ".6g")])

@@ -7,6 +7,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 from grid_posterior import grid_mismatches, grid_posterior
+from scipy import stats
 from scipy.stats import multivariate_t
 
 from ltll import mcmc
@@ -25,7 +26,7 @@ from ltll.mcmc import (
     summarize_draws,
 )
 from ltll.mle import fit_mle
-from ltll.numerics import RngStream, chi2_quantile_2dof, normal_quantile
+from ltll.numerics import RngStream, chi2_quantile_2dof
 
 FAST_CFG = McmcConfig(iterations=6000, burn_in=1500, thin=3, seed=77)
 
@@ -115,6 +116,12 @@ class TestLogPosterior:
         assert abs(betas[ib] - fit.beta) <= betas[1] - betas[0]
 
 
+def _box_muller(u):
+    """Two standard normals from the uniforms u[0] (radius) and u[1] (angle)."""
+    angle = 2.0 * np.pi * u[1]
+    return np.sqrt(-2.0 * np.log(u[0])) * np.array([np.cos(angle), np.sin(angle)])
+
+
 # One Metropolis-Hastings transition: a single iteration, retained (with no
 # burn-in, the steps never adapt).  The chain draws from stream (seed, 1).
 ONE_STEP = McmcConfig(iterations=1, burn_in=0, thin=1)
@@ -147,7 +154,7 @@ class TestMhStep:
         start = (1.9, 2.7)  # off the mode so uphill proposals are frequent
         checked = 0
         for seed in range(40):
-            z = normal_quantile(RngStream(seed, 1).uniforms(2))
+            z = _box_muller(RngStream(seed, 1).uniforms(2))
             prop = (start[0] * math.exp(0.1 * z[0]), start[1] * math.exp(0.1 * z[1]))
             if target(*prop) >= target(*start):
                 state, accepted = _one_step(start, sample_n1000, prior, seed)
@@ -276,7 +283,7 @@ def _plain_mh(s, prior, cfg, stream, start):
     kept, hits = [], 0
     for t in range(1, cfg.iterations + 1):
         u = stream.uniforms(3)
-        prop = z + step * normal_quantile(u[:2])
+        prop = z + step * _box_muller(u)
         new = target(prop)
         accepted = np.log(u[2]) < new - cur
         if accepted:
@@ -332,13 +339,13 @@ def _mixture_mh(s, prior, cfg, stream, start):
     for t in range(1, cfg.iterations + 1):
         if t % 2:
             u = stream.uniforms(3)
-            prop = z + step * (walk @ normal_quantile(u[:2]))
+            prop = z + step * (walk @ _box_muller(u))
             new = target(prop)
             accepted = np.log(u[2]) < new - cur
             hits += accepted and t <= cfg.burn_in
         else:
             u = stream.uniforms(4)
-            w = normal_quantile(u[:2]) * math.sqrt(2.0 / (-2.0 * math.log(u[2])))
+            w = _box_muller(u) * math.sqrt(2.0 / (-2.0 * math.log(u[2])))
             prop = centre[:, 0] + chol @ w
             new = target(prop)
             accepted = np.log(u[3]) < new - cur + g.logpdf(z) - g.logpdf(prop)
@@ -389,7 +396,7 @@ def _screened_mh(s, prior, cfg, stream, start):
     kept, hits, passed = [], 0, 0
     for t in range(1, cfg.iterations + 1):
         u = stream.uniforms(3)
-        prop = z + step * (chol @ normal_quantile(u[:2]))
+        prop = z + step * (chol @ _box_muller(u))
         dq = q(prop) - q(z)
         a1 = min(1.0, math.exp(dq))
         accepted = False
@@ -645,6 +652,32 @@ class TestLoopIdentity:
                         assert np.array_equal(g, w, equal_nan=True)
 
 
+class TestWalkNormals:
+    """The variates ``_uniform_block`` hands the loops: 10^5 steps of one
+    chain that only walks, and of one gated chain."""
+
+    STEPS = 100_000
+
+    def test_walk_normals_are_standard_normal(self):
+        stream = RngStream(2024, 1)
+        z, ln_u = mcmc._uniform_block([stream], self.STEPS, np.array([False]))
+        assert stream.counter == 3 * self.STEPS  # three uniforms a walk step
+        z = z[:, :, 0]
+        for k in (0, 1):
+            assert stats.kstest(z[:, k], stats.norm.cdf).pvalue > 1e-3
+        assert abs(np.corrcoef(z.T)[0, 1]) < 4.0 / math.sqrt(self.STEPS)
+        assert stats.kstest(np.exp(ln_u[:, 0]), "uniform").pvalue > 1e-3
+
+    def test_independence_variates_have_t2_marginals(self):
+        stream = RngStream(2024, 2)
+        z, _ = mcmc._uniform_block([stream], self.STEPS, np.array([True]))
+        assert stream.counter == 7 * self.STEPS // 2  # 3 + 4 uniforms a pair of steps
+        walk, indep = z[0::2, :, 0], z[1::2, :, 0]
+        for k in (0, 1):
+            assert stats.kstest(walk[:, k], stats.norm.cdf).pvalue > 1e-3
+            assert stats.kstest(indep[:, k], stats.t(2).cdf).pvalue > 1e-3
+
+
 class TestChainFanOut:
     """run_chain runs each chain alone, over as many worker processes as it
     has chains and usable CPUs; every chain equals that chain run alone, and
@@ -765,9 +798,11 @@ class TestDelayedAcceptanceExactness:
 
 class TestMixtureExactness:
     """A gated chain (walk/independence cycle) samples the exact posterior,
-    alone and in a 4-chain bank: bladder at x_L = 1 (n = 121), an n = 100
-    sample, and an n = 60 sample just above the beta0/beta_C margin, whose
-    posterior reaches far toward alpha -> 0."""
+    as one long chain and as 4 chains merged by ``run_chain`` (each runs
+    alone; that a bank's rows equal lone chains is ``TestLoopIdentity``'s):
+    bladder at x_L = 1 (n = 121), an n = 100 sample, and an n = 60 sample
+    just above the beta0/beta_C margin, whose posterior reaches far toward
+    alpha -> 0."""
 
     LONE = McmcConfig(iterations=82000, burn_in=2000, thin=1, seed=8)
     BANK = McmcConfig(iterations=42000, burn_in=2000, thin=1, seed=8, chains=4)
@@ -793,6 +828,36 @@ class TestMixtureExactness:
         s, prior, exact = case
         res = run_chain(s, prior, cfg)
         assert np.all(res.independence_acceptance > 0.0)  # the cycle is engaged
+        assert grid_mismatches(res.draws, cfg.chains, exact) == []
+
+
+class TestPlainWalkExactness:
+    """A chain that only walks, diagonally and without a screen, samples the
+    exact posterior: bladder at x_L = 1 from an off-mode start, and an n = 39
+    sample below the beta0/beta_C margin from its MLE.  The chain is
+    ``TestMixtureExactness``'s lone one.  The n = 39 oracle's box spans
+    ln alpha from -21.8 to 2.0, so it takes 901 points a side: alpha's 97.5%
+    quantile reads 3.517 at 301 points, 3.494 at 601, 3.489 at 901 and 3.487
+    at 1201, and 20 chains of seeds 1-20 pooled read the CDF at 0.97722
+    (+5.4 standard errors) at the first and 0.97478 (-0.5) at the last."""
+
+    @pytest.fixture(scope="class", params=["bladder x_L=1 off-mode", "below the margin"])
+    def case(self, request):
+        prior = PriorSpec.diffuse()
+        if request.param == "below the margin":
+            s, fit = _near_boundary_sample()
+            return s, prior, (fit.alpha, fit.beta), grid_posterior(s, prior, fit, points=901)[0]
+        s = apply_truncation(load_bladder_cancer(), 1.0)
+        fit = fit_mle(s)
+        return s, prior, (2.0 * fit.alpha, fit.beta), grid_posterior(s, prior, fit)[0]
+
+    def test_matches_grid_posterior(self, case):
+        s, prior, start, exact = case
+        cfg = TestMixtureExactness.LONE
+        res = run_chain(s, prior, cfg, init=start)
+        # The plain walk: no screen and no independence steps.
+        assert np.array_equal(res.screen_pass, [1.0])
+        assert np.isnan(res.independence_acceptance).all()
         assert grid_mismatches(res.draws, cfg.chains, exact) == []
 
 
