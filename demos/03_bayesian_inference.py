@@ -31,7 +31,9 @@ sample = draw_ltll(800, truth, RngStream(11, 0))
 
 prior = PriorSpec.diffuse()  # Gamma(1, 0.01) on both parameters
 cfg = McmcConfig(iterations=20000, burn_in=5000, thin=5, seed=123)
-res = run_chain(sample, prior=prior, cfg=cfg)
+# The MLE gives the chain its start and its Laplace record.
+mle = fit_mle(sample)
+res = run_chain(sample, prior=prior, cfg=cfg, fit=mle)
 
 print(f"acceptance rate {res.acceptance_rate:.3f}, "
       f"effective sample sizes ({res.ess_alpha:.0f}, {res.ess_beta:.0f})")
@@ -39,7 +41,6 @@ print(f"posterior mean  alpha={res.mean[0]:.4f} beta={res.mean[1]:.4f}")
 print(f"posterior median alpha={res.median[0]:.4f} beta={res.median[1]:.4f}")
 print(f"95% credible intervals: alpha {res.ci_alpha}, beta {res.ci_beta}")
 
-mle = fit_mle(sample)
 print(f"(MLE for reference: alpha={mle.alpha:.4f}, beta={mle.beta:.4f})")
 
 # Joint credible ellipse from the posterior covariance.

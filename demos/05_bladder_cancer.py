@@ -25,7 +25,7 @@ print("\n x_L   n    MLE (alpha, beta)     Bayes (alpha, beta)   ellipse area")
 for x_l in (0.0, 0.25, 1.0, 6.0):
     sample = apply_truncation(data, x_l)
     fit = fit_mle(sample)
-    post = run_chain(sample, prior=prior, cfg=cfg)
+    post = run_chain(sample, prior=prior, cfg=cfg, fit=fit)
     ell = credible_ellipse(post, gamma=0.05)
     np.savetxt(os.path.join(OUT, f"bladder_credible_xl{x_l:g}.csv"), ell.points,
                delimiter=",", header="alpha,beta", comments="")

@@ -20,7 +20,7 @@ import numpy as np
 
 from .datasets import BUNDLED_DATASETS, DatasetFile, apply_truncation, load_csv
 from .distribution import LTLLParams, log_likelihood, mc_moments
-from .mcmc import MIN_DRAWS, McmcConfig, PriorSpec, _chain_start, credible_ellipse, run_chain
+from .mcmc import MIN_DRAWS, McmcConfig, PriorSpec, credible_ellipse, run_chain
 from .mle import confidence_ellipse, fit_mle
 from .numerics import RngStream
 from .simulation import (
@@ -268,7 +268,7 @@ def cmd_fit(args) -> int:
     if args.units:
         tail["units"] = args.units
 
-    # One MLE serves both the mle document and the chain start.
+    # One MLE serves the mle document and the chains: their start and Laplace record.
     fit = fit_mle(sample)
     results = []
     if args.method != "bayes":
@@ -281,7 +281,7 @@ def cmd_fit(args) -> int:
         if fit.boundary:
             print(_pareto_note(fit), file=sys.stderr)
     if args.method != "mle":
-        res = run_chain(sample, prior=prior, cfg=cfg, init=_chain_start(sample, fit))
+        res = run_chain(sample, prior=prior, cfg=cfg, fit=fit)
         doc = {
             "method": "bayes", "alpha": res.mean[0], "beta": res.mean[1],
             "ci_alpha": list(res.ci_alpha), "ci_beta": list(res.ci_beta), "boundary": False,
@@ -394,7 +394,7 @@ def cmd_ellipse(args) -> int:
         if method == "wald":
             ell = confidence_ellipse(fit, gamma, args.npoints)
         else:
-            res = run_chain(sample, prior=prior, cfg=cfg, init=_chain_start(sample, fit))
+            res = run_chain(sample, prior=prior, cfg=cfg, fit=fit)
             ell = credible_ellipse(res, gamma, args.npoints)
         rows = "\n".join(f"{p[0]:.10g},{p[1]:.10g}" for p in ell.points)
         _atomic_write(f"{stem}_{method}.csv", "alpha,beta\n" + rows + "\n")

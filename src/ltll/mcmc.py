@@ -19,33 +19,33 @@ chain adapts its one scale during burn-in (targeting acceptance in
 [0.2, 0.5]; Andrieu & Thoms 2008) and freezes it afterwards so the retained
 draws come from a fixed kernel.
 
-Chains that start at an interior MLE of a large enough sample run
-delayed-acceptance MH (Christen & Fox 2005, "MCMC using an approximation").
-Stage 1 prices a proposal on q, the Laplace quadratic of the log-target about
-the start, and passes it when ln u < min(0, dq).  Only passing chains
-evaluate the full likelihood, and they accept when
+A chain's Laplace record comes from the MLE of its sample, never from its
+start, so its kernel is a function of its sample and fit alone.  Chains of
+at least _SCREEN_MIN_N values whose fit is interior with positive-definite
+information run delayed-acceptance MH (Christen & Fox 2005, "MCMC using an
+approximation").  Stage 1 prices a proposal on q, the Laplace quadratic of
+the log-target about the MLE, and passes it when ln u < min(0, dq).  Only
+passing chains evaluate the full likelihood, and they accept when
 ln u < min(0, dq) + min(0, dpi - dq).  Given a pass, u / e^min(0, dq) is
 uniform on (0, 1), so the one accept uniform serves both stages and a step
 still consumes three uniforms.  The two-stage kernel is reversible with
 respect to the exact posterior whatever q is: a poor quadratic costs mixing,
-never correctness.  A chain gets q only when its sample has at least
-_SCREEN_MIN_N values, its start is stationary and the information there is
-positive-definite; the quadratic screens small, skewed samples too poorly
-to pay off.  Every other chain (small samples, boundary and off-mode
-starts) runs plain MH, ln u < dpi, bit for bit.
+never correctness.  The quadratic screens small, skewed samples too poorly
+to pay off.  Every other chain (small samples, boundary fits) runs plain
+MH, ln u < dpi, bit for bit.
 
 Below _SCREEN_MIN_N the same quadratic serves a chain as an independence
 proposal instead (Tierney 1994, "Markov chains for exploring posterior
-distributions").  A gated chain, one that starts at a stationary point with
-positive-definite information whose sample is untruncated or clears
-beta0/beta_C >= _MIX_MIN_RATIO, alternates a fixed cycle: odd steps are the
-walk, even steps propose y = c + L w independently of the state, where L L^T
-= (-H)^-1 and w = eps * sqrt(2 / W) is a bivariate t with 2 degrees of
-freedom (eps two normals, W = -2 ln u a chi-squared with 2).  Up to a
-constant its log density is ln g(y) = -2 ln(1 - q(y)), and the step accepts
-when ln u < dpi + ln g(x) - ln g(y).  Each kernel leaves the posterior
-invariant, so the cycle does too; the walk keeps the chain ergodic where the
-t fits poorly, and it adapts on its own acceptances, 50 per 100-step window.
+distributions").  A gated chain, one with a record whose sample is
+untruncated or clears beta0/beta_C >= _MIX_MIN_RATIO, alternates a fixed
+cycle: odd steps are the walk, even steps propose y = c + L w independently
+of the state, where L L^T = (-H)^-1 and w = eps * sqrt(2 / W) is a
+bivariate t with 2 degrees of freedom (eps two normals, W = -2 ln u a
+chi-squared with 2).  Up to a constant its log density is
+ln g(y) = -2 ln(1 - q(y)), and the step accepts when
+ln u < dpi + ln g(x) - ln g(y).  Each kernel leaves the posterior invariant,
+so the cycle does too; the walk keeps the chain ergodic where the t fits
+poorly, and it adapts on its own acceptances, 50 per 100-step window.
 Below _LAPLACE_WALK_MIN_N values the Laplace shape fits the skewed posterior
 too poorly to steer the walk, so there the cycle walks diagonally.
 Every other chain below the floor walks alone, as above.
@@ -56,9 +56,9 @@ work done once per block of steps: at one chain a vectorized step is
 interpreter-bound.  A bank (``_mh_bank``, the simulation harness's banks)
 steps vectorized across its chains.  Both take the same floating-point
 steps in the same order; every chain draws from its own counter-based
-stream, and both gates read only their own chain's sample and start, so
-results never depend on how chains are grouped or scheduled.  ``run_chain``
-runs each chain alone, spread over the usable CPUs (``_pooled``).
+stream, and both gates read only their own chain's fit, so results never
+depend on how chains are grouped or scheduled.  ``run_chain`` runs each
+chain alone, spread over the usable CPUs (``_pooled``).
 """
 
 from __future__ import annotations
@@ -73,9 +73,8 @@ from functools import partial
 
 import numpy as np
 
-from .distribution import (Sample, _beta_c, _derivatives_z, _log_xl, _loglik_batch,
-                           _loglik_row, log_likelihood)
-from .mle import SCORE_TOL, EllipsePoints, MleFit, _trace_ellipse, fit_mle
+from .distribution import Sample, _log_xl, _loglik_batch, _loglik_row, log_likelihood
+from .mle import EllipsePoints, MleFit, _trace_ellipse, fit_mle
 # normal_quantile goes unused here; the benchmark tracer rebinds it by this name.
 from .numerics import RngStream, SymMatrix2, chi2_quantile_2dof, normal_quantile
 
@@ -256,42 +255,39 @@ def _log_target_z(lna, lnb, prior: PriorSpec):
 # Metropolis-Hastings core
 # ---------------------------------------------------------------------------
 
-def _laplace_quadratics(lx, ln_xl, prior: PriorSpec, lna, lnb, ll):
-    """Per-chain Laplace quadratic of the log-target about its start.
+def _laplace_quadratics(fits, prior: PriorSpec):
+    """Per-chain Laplace quadratic of the log-target, from each chain's ``MleFit``.
 
-    A chain gets one only when its start is stationary (||g_z|| <=
-    SCORE_TOL*(1 + |ll|)) and -H_z there is positive-definite, and, below
-    _SCREEN_MIN_N values, when its sample is untruncated or has beta0/beta_C
-    >= _MIX_MIN_RATIO; every test reads that chain's own row only.  The
-    quadratic is the second-order expansion, in z = (ln alpha, ln beta), of
-    the log-likelihood plus the prior and Jacobian (_log_target_z), written
-    about its own maximum c: (1/2) (z - c)^T H (z - c).  Returns (c (2, B),
-    coefficients (3, B) of d_a^2, d_a d_b and d_b^2, L (3, B)), where
-    L = (l11, l21, l22) is the Cholesky factor of (-H)^-1 that shapes the
-    walk and independence proposals: with det = h_aa h_bb - h_ab^2, (-H)^-1 =
-    [[-h_bb, h_ab], [h_ab, -h_aa]] / det, so l11 = sqrt(-h_bb / det),
-    l21 = h_ab / (det l11) and l22 = 1 / sqrt(-h_bb).  A chain without a
-    quadratic holds zeros in all three, so its q is 0: as a screen, stage 1
-    passes every proposal and stage 2 is plain MH.
+    A chain gets one exactly when its fit is interior with positive-definite
+    information and, below _SCREEN_MIN_N values, its sample is untruncated or
+    has beta0/beta_C >= _MIX_MIN_RATIO (``fit.stats``).  The quadratic is the
+    second-order expansion, in z = (ln alpha, ln beta), of the log-likelihood
+    plus the prior and Jacobian (_log_target_z) about the MLE, where the
+    likelihood's score is 0 and its Hessian is H_z = -D info D with
+    D = diag(alpha, beta); it is written about its own maximum c:
+    (1/2) (z - c)^T H (z - c).  Returns (c (2, B), coefficients (3, B) of
+    d_a^2, d_a d_b and d_b^2, L (3, B)), where L = (l11, l21, l22) is the
+    Cholesky factor of (-H)^-1 that shapes the walk and independence
+    proposals: with det = h_aa h_bb - h_ab^2, (-H)^-1 = [[-h_bb, h_ab],
+    [h_ab, -h_aa]] / det, so l11 = sqrt(-h_bb / det), l21 = h_ab / (det l11)
+    and l22 = 1 / sqrt(-h_bb).  A chain without a quadratic holds zeros in
+    all three, so its q is 0: as a screen, stage 1 passes every proposal and
+    stage 2 is plain MH.
     """
-    b_chains, n = lx.shape
-    centre = np.zeros((2, b_chains))
-    coef = np.zeros((3, b_chains))
-    chol = np.zeros((3, b_chains))
-    for k in range(b_chains):
-        g, h = _derivatives_z(lx[k], ln_xl[k], (lna[k], lnb[k]))
-        stationary = np.hypot(*g) <= SCORE_TOL * (1.0 + abs(ll[k]))
-        if not (stationary and h[0, 0] < 0.0 and h[0, 0] * h[1, 1] > h[0, 1] ** 2):
+    centre = np.zeros((2, len(fits)))
+    coef = np.zeros((3, len(fits)))
+    chol = np.zeros((3, len(fits)))
+    for k, fit in enumerate(fits):
+        if fit.boundary or not fit.info.is_positive_definite:
             continue
-        if n < _SCREEN_MIN_N and ln_xl[k] > -np.inf:
-            lw = lx[k] - ln_xl[k]
-            if n / float(np.sum(lw)) < _MIX_MIN_RATIO * _beta_c(lw):
+        if fit.n < _SCREEN_MIN_N and fit.stats is not None:
+            if fit.stats.beta0 < _MIX_MIN_RATIO * fit.stats.beta_c:
                 continue
+        d = np.array([fit.alpha, fit.beta])
         # d/dz of a*z - b*e^z is a - b*e^z; its second derivative is -b*e^z.
-        scaled = np.array([prior.b1 * np.exp(lna[k]), prior.b2 * np.exp(lnb[k])])
-        g = g + np.array([prior.a1, prior.a2]) - scaled
-        h = h - np.diag(scaled)
-        centre[:, k] = (lna[k], lnb[k]) - np.linalg.solve(h, g)
+        scaled = np.array([prior.b1, prior.b2]) * d
+        h = -fit.info.to_array() * np.outer(d, d) - np.diag(scaled)
+        centre[:, k] = np.log(d) - np.linalg.solve(h, np.array([prior.a1, prior.a2]) - scaled)
         coef[:, k] = 0.5 * h[0, 0], h[0, 1], 0.5 * h[1, 1]
         det = h[0, 0] * h[1, 1] - h[0, 1] * h[0, 1]
         l11 = np.sqrt(-h[1, 1] / det)
@@ -409,36 +405,36 @@ def _uniform_block(streams, block, gated):
     return normals, np.log(u[:, 2])
 
 
-def _mh_chains(lx, ln_xl, prior: PriorSpec, cfg: McmcConfig, streams, init):
+def _mh_chains(lx, ln_xl, prior: PriorSpec, cfg: McmcConfig, streams, init, fits):
     """Run one MH chain per row of ``lx``.
 
     lx: (B, n) log-data; ln_xl: (B,) log truncation points (``_log_xl``, so
     -inf where x_l = 0), one per chain; streams: B counter-based streams;
-    init: (B, 2) start states.  The bank is screened (delayed acceptance)
-    when n >= _SCREEN_MIN_N and some chain has a Laplace quadratic (see
-    ``_laplace_quadratics``); below that floor the chains with one are
-    gated and run the walk/independence cycle.  Every other chain runs
-    plain MH.  Each chain walks with one scale s: a chain with a quadratic
-    walks along its L from s = _WALK_SCALE, unless n < _LAPLACE_WALK_MIN_N;
-    every other chain walks diagonally from s = _DIAGONAL_SCALE.  One chain
-    steps on Python floats (``_mh_one``), two or more step vectorized
-    across the bank (``_mh_bank``); both take the same arguments, share the
-    start, quadratics, walk shapes (``_walk_normals``), adaptation rule,
-    stream layout, block pricing and ``_log_target_z``, and take the same
-    floating-point steps in the same order, so chain k of any bank equals
-    that chain run alone.  Returns (draws (B, retained, 2),
-    acceptance_rate (B,), steps (B,), shares (B, 2)), where shares holds
-    the share of proposals that reached the full likelihood (1 for chains
-    without a screen) and the acceptance of independence steps (nan for
-    chains that only walk).
+    init: (B, 2) start states; fits: the B rows' ``MleFit``, which alone give
+    the Laplace records (``_laplace_quadratics``).  The bank is screened
+    (delayed acceptance) when n >= _SCREEN_MIN_N and some chain has a
+    record; below that floor the chains with one are gated and run the
+    walk/independence cycle.  Every other chain runs plain MH.  Each chain
+    walks with one scale s: a chain with a record walks along its L from
+    s = _WALK_SCALE, unless n < _LAPLACE_WALK_MIN_N; every other chain walks
+    diagonally from s = _DIAGONAL_SCALE.  One chain steps on Python floats
+    (``_mh_one``), two or more step vectorized across the bank
+    (``_mh_bank``); both share the start, quadratics, walk shapes
+    (``_walk_normals``), adaptation rule, stream layout, block pricing and
+    ``_log_target_z``, and take the same floating-point steps in the same
+    order, so chain k of any bank equals that chain run alone.  Returns
+    (draws (B, retained, 2), acceptance_rate (B,), steps (B,), shares
+    (B, 2)), where shares holds the share of proposals that reached the full
+    likelihood (1 for chains without a screen) and the acceptance of
+    independence steps (nan for chains that only walk).
     """
     lx = np.ascontiguousarray(lx, dtype=np.float64)
     sumlx = lx.sum(axis=1)
     # (2, B): ln alpha and ln beta of every chain.
     state = np.log(np.ascontiguousarray(np.transpose(init), dtype=np.float64))
-    ll = _loglik_batch(lx, sumlx, ln_xl, state[0], state[1])
-    target = ll + _log_target_z(state[0], state[1], prior)
-    quads = _laplace_quadratics(lx, ln_xl, prior, state[0], state[1], ll)
+    target = (_loglik_batch(lx, sumlx, ln_xl, state[0], state[1])
+              + _log_target_z(state[0], state[1], prior))
+    quads = _laplace_quadratics(fits, prior)
     has = quads[1].any(axis=0)
     screened = lx.shape[1] >= _SCREEN_MIN_N and bool(has.any())
     gated = has & (lx.shape[1] < _SCREEN_MIN_N)
@@ -643,31 +639,33 @@ def _pooled(fn, jobs, workers: int) -> list:
         return list(pool.map(fn, jobs))
 
 
-def _chain_alone(s: Sample, prior: PriorSpec, cfg: McmcConfig, init, k: int):
+def _chain_alone(s: Sample, prior: PriorSpec, cfg: McmcConfig, fit: MleFit, k: int):
     """Chain k of ``run_chain``: ``_mh_chains`` on its own row, from stream
     (cfg.seed, 1 + k)."""
     return _mh_chains(s.log_values[None], np.array([_log_xl(s.x_l)]), prior, cfg,
-                      [RngStream(cfg.seed, 1 + k)], np.array([init], dtype=np.float64))
+                      [RngStream(cfg.seed, 1 + k)], np.array([_chain_start(s, fit)]), [fit])
 
 
 def run_chain(s: Sample, prior: PriorSpec | None = None, cfg: McmcConfig | None = None,
-              init=None) -> PosteriorResult:
+              fit: MleFit | None = None) -> PosteriorResult:
     """Sample the posterior of (alpha, beta) and summarize it.
 
-    Chains start at ``init`` when given (a finite positive (alpha, beta),
-    else ValueError), otherwise at the MLE when it exists (at the sample
-    median and the boundary exponent otherwise).  Chain k draws from the stream
+    ``fit`` is the MLE of ``s`` (``fit_mle(s)`` when None; one of another
+    sample, by n or x_l, is a ValueError).  It gives every chain its start,
+    the MLE when it exists (the sample median and the boundary exponent
+    otherwise), and its Laplace record.  Chain k draws from the stream
     (cfg.seed, 1 + k) with its counter at zero, so a given seed replays
     exactly.  Each chain runs alone, in one of min(chains, usable CPUs)
     processes, and they are merged in chain order: the CPU count changes no bit.
     """
     prior = PriorSpec.diffuse() if prior is None else prior
     cfg = McmcConfig() if cfg is None else cfg
-    if init is None:
-        init = _chain_start(s, fit_mle(s))
-    elif not (np.shape(init) == (2,) and all(np.isfinite(v) and v > 0.0 for v in init)):
-        raise ValueError(f"init must be a finite positive (alpha, beta), got {init}")
-    runs = _pooled(partial(_chain_alone, s, prior, cfg, init), range(cfg.chains), _usable_cpus())
+    if fit is None:
+        fit = fit_mle(s)
+    elif (fit.n, fit.x_l) != (s.n, s.x_l):
+        raise ValueError(f"fit is of a sample with n = {fit.n} and x_l = {fit.x_l}, "
+                         f"not of this one (n = {s.n}, x_l = {s.x_l})")
+    runs = _pooled(partial(_chain_alone, s, prior, cfg, fit), range(cfg.chains), _usable_cpus())
     draws_by_chain, acc, steps, shares = (np.concatenate(parts) for parts in zip(*runs))
     draws = draws_by_chain.reshape(-1, 2)
     ess_a = float(sum(_ess(draws_by_chain[k, :, 0]) for k in range(cfg.chains)))

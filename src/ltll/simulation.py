@@ -185,7 +185,7 @@ def _run_chunk(jobs) -> list[ReplicateResult]:
     ln_xl = np.array([_log_xl(s.x_l) for s in samples])
     first = jobs[0][0]
     streams = [_chain_stream(sc, r) for sc, r in jobs]
-    draws, acc, _, _ = _mh_chains(lx, ln_xl, first.prior, first.mcmc, streams, inits)
+    draws, acc, _, _ = _mh_chains(lx, ln_xl, first.prior, first.mcmc, streams, inits, fits)
 
     out = []
     for i, (_, r) in enumerate(jobs):

@@ -5,14 +5,13 @@ plus or minus ``half_width`` Wald standard deviations (of ln alpha and
 ln beta, from the observed information; one value, or one per axis) and
 doubles the reach of any edge whose marginal still holds weight, so it finds
 the whole posterior, including the long tail toward alpha -> 0 that left
-truncation leaves.  A 301 x 301 pass (``points`` a side) then covers the
-box where the coarse marginals exceed TAIL, so the mesh stays fine where the
-mass is.  Where that box reaches far down the alpha -> 0 tail, its ln alpha
-step grows and the quantiles lose accuracy; such a case asks for more
-``points``.  Each node
-holds log_posterior plus the Jacobian ln alpha + ln beta; normalized, the
-weights give the marginal mean and variance of alpha and beta and their
-2.5% and 97.5% quantiles (trapezoid CDF, inverted linearly).
+truncation leaves.  A fine pass then covers the box where the coarse
+marginals exceed TAIL, so the mesh stays fine where the mass is: each axis
+gets POINTS nodes, or more where its box is so wide that POINTS would space
+them by more than FINE_STEP.  Each node holds log_posterior plus the
+Jacobian ln alpha + ln beta; normalized, the weights give the marginal mean
+and variance of alpha and beta and their 2.5% and 97.5% quantiles
+(trapezoid CDF, inverted linearly).
 """
 
 import math
@@ -22,6 +21,13 @@ import numpy as np
 from ltll.mcmc import log_posterior
 
 COARSE, POINTS = 101, 301
+# Widest fine-pass step in ln alpha or ln beta.  A box that reaches far down
+# the alpha -> 0 tail needs it: on an n = 39 sample at x_L = 3 with
+# beta0/beta_C = 1.003 the box spans ln alpha from -21.8 to 2.0, and alpha's
+# 97.5% quantile reads 3.517 at 301 nodes (step 0.080), 3.494 at 601, 3.489
+# at 901 (step 0.027) and 3.487 at 1201; 20 chains pooled put the CDF at
+# 0.97722 (+5.4 standard errors) at the first and 0.97478 (-0.5) at the last.
+FINE_STEP = 0.025
 # Weight of a marginal node, relative to the total: an edge above EDGE has
 # not reached the end of the posterior; coarse nodes at or below TAIL lie
 # outside the fine box (at most COARSE * TAIL of the mass in all).
@@ -37,7 +43,7 @@ def _marginals(s, prior, za, zb):
     return w.sum(axis=1), w.sum(axis=0)
 
 
-def grid_posterior(s, prior, fit, half_width=10.0, points=POINTS):
+def grid_posterior(s, prior, fit, half_width=10.0):
     """(exact, zsd) for a sample with an interior MLE ``fit``.
 
     exact[j] = (mean, variance, (q_2.5%, q_97.5%)) of alpha (j = 0) and
@@ -60,8 +66,8 @@ def grid_posterior(s, prior, fit, half_width=10.0, points=POINTS):
     box = []
     for grid, marg in zip(grids, marginals):
         inside = np.flatnonzero(marg > TAIL)
-        box.append(np.linspace(grid[max(inside[0] - 1, 0)],
-                               grid[min(inside[-1] + 1, COARSE - 1)], points))
+        lo, hi = grid[max(inside[0] - 1, 0)], grid[min(inside[-1] + 1, COARSE - 1)]
+        box.append(np.linspace(lo, hi, max(POINTS, math.ceil((hi - lo) / FINE_STEP) + 1)))
     exact = {}
     zsd = []
     for j, (grid, marg) in enumerate(zip(box, _marginals(s, prior, *box))):

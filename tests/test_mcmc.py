@@ -10,7 +10,7 @@ from grid_posterior import grid_mismatches, grid_posterior
 from scipy import stats
 from scipy.stats import multivariate_t
 
-from ltll import mcmc
+from ltll import distribution, mcmc, mle
 from ltll.datasets import apply_truncation, load_bladder_cancer
 from ltll.distribution import LTLLParams, Sample, _log_xl, draw_ltll, log_likelihood
 from ltll.mcmc import (
@@ -25,7 +25,7 @@ from ltll.mcmc import (
     run_chain,
     summarize_draws,
 )
-from ltll.mle import fit_mle
+from ltll.mle import confidence_ellipse, fit_mle
 from ltll.numerics import RngStream, chi2_quantile_2dof
 
 FAST_CFG = McmcConfig(iterations=6000, burn_in=1500, thin=3, seed=77)
@@ -122,34 +122,57 @@ def _box_muller(u):
     return np.sqrt(-2.0 * np.log(u[0])) * np.array([np.cos(angle), np.sin(angle)])
 
 
+def _lone(s, prior, cfg, start, fit=None):
+    """``_mh_chains`` for one chain of ``s`` from ``start``, on stream (cfg.seed, 1)."""
+    fit = fit_mle(s) if fit is None else fit
+    return mcmc._mh_chains(s.log_values[None], np.array([_log_xl(s.x_l)]), prior, cfg,
+                           [RngStream(cfg.seed, 1)], np.array([start], dtype=float), [fit])
+
+
+def _pareto_sample(n, seed):
+    # Pareto(2.5) above x_L = 1, where the MLE often falls on the boundary.
+    return Sample(RngStream(seed, 0).uniforms(n) ** (-1.0 / 2.5), 1.0)
+
+
 # One Metropolis-Hastings transition: a single iteration, retained (with no
 # burn-in, the steps never adapt).  The chain draws from stream (seed, 1).
 ONE_STEP = McmcConfig(iterations=1, burn_in=0, thin=1)
 
 
-def _one_step(state, s, prior, seed):
-    res = run_chain(s, prior, replace(ONE_STEP, seed=seed), init=state)
-    return tuple(res.draws[0]), res.acceptance_rate == 1.0
+@pytest.fixture(scope="module")
+def pareto_n1000():
+    """A sample whose MLE falls on the Pareto boundary: its chains have no
+    Laplace record, so every step is plain MH (a screened step can reject an
+    uphill move at stage 1)."""
+    s = _pareto_sample(1000, 1)
+    fit = fit_mle(s)
+    assert fit.boundary
+    return s, fit
 
 
-# The covariance summary of a single retained draw is undefined (nan, with
-# numpy's RuntimeWarnings); these tests read only the draw and the acceptance.
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def _one_step(state, pareto, prior, seed):
+    s, fit = pareto
+    draws, acc, _, shares = _lone(s, prior, replace(ONE_STEP, seed=seed), state, fit)
+    assert shares[0, 0] == 1.0  # no screen
+    return tuple(draws[0, 0]), acc[0] == 1.0
+
+
 class TestMhStep:
-    def test_deterministic(self, sample_n1000):
+    def test_deterministic(self, pareto_n1000):
         p = PriorSpec.diffuse()
-        a = _one_step((2.0, 3.0), sample_n1000, p, 5)
-        b = _one_step((2.0, 3.0), sample_n1000, p, 5)
+        a = _one_step((2.0, 3.0), pareto_n1000, p, 5)
+        b = _one_step((2.0, 3.0), pareto_n1000, p, 5)
         assert a == b
 
-    def test_uphill_proposals_always_accepted(self, sample_n1000):
+    def test_uphill_proposals_always_accepted(self, pareto_n1000):
         # Whenever the proposal's target density (including the Jacobian)
         # exceeds the current one, the ratio is >= 1 and the move must happen.
         # A step consumes three uniforms: two proposal normals, then the accept draw.
         prior = PriorSpec.diffuse()
+        s = pareto_n1000[0]
 
         def target(a, b):
-            return log_posterior(sample_n1000, a, b, prior) + math.log(a) + math.log(b)
+            return log_posterior(s, a, b, prior) + math.log(a) + math.log(b)
 
         start = (1.9, 2.7)  # off the mode so uphill proposals are frequent
         checked = 0
@@ -157,7 +180,7 @@ class TestMhStep:
             z = _box_muller(RngStream(seed, 1).uniforms(2))
             prop = (start[0] * math.exp(0.1 * z[0]), start[1] * math.exp(0.1 * z[1]))
             if target(*prop) >= target(*start):
-                state, accepted = _one_step(start, sample_n1000, prior, seed)
+                state, accepted = _one_step(start, pareto_n1000, prior, seed)
                 assert accepted and state == pytest.approx(prop)
                 checked += 1
         assert checked >= 5
@@ -240,12 +263,12 @@ class TestRunChain:
         assert abs(res.mean[0] - 2.0) / 2.0 < 0.10
         assert abs(res.mean[1] - 3.0) / 3.0 < 0.10
 
-    @pytest.mark.parametrize("start", [(-1.0, 2.0), (0.0, 2.0), (np.inf, 2.0), (2.0, np.nan)])
-    def test_rejects_start_off_support(self, start):
-        # Such a start would leave the chain stuck at a NaN or infinite target.
+    def test_rejects_fit_of_another_sample(self):
+        # The fit gives the chains their start and Laplace record.
         s = draw_ltll(200, LTLLParams(2.0, 3.0, 1.0), RngStream(21, 0))
-        with pytest.raises(ValueError, match="init"):
-            run_chain(s, cfg=FAST_CFG, init=start)
+        for other in (Sample(s.values[1:], s.x_l), Sample(s.values, 0.5)):
+            with pytest.raises(ValueError, match="^fit is of a sample"):
+                run_chain(s, cfg=FAST_CFG, fit=fit_mle(other))
 
     def test_config_validation(self):
         with pytest.raises(ValueError):
@@ -323,10 +346,7 @@ def _mixture_mh(s, prior, cfg, stream, start):
 
     z = np.log(np.asarray(start, dtype=np.float64))
     cur = target(z)
-    lx = s.log_values[None, :]
-    ll = np.array([log_likelihood(s, *start)])
-    centre, coef, _ = mcmc._laplace_quadratics(lx, np.array([_log_xl(s.x_l)]), prior,
-                                               z[:1], z[1:], ll)
+    centre, coef, _ = mcmc._laplace_quadratics([fit_mle(s)], prior)
     (qaa,), (qab,), (qbb,) = coef
     cov = np.linalg.inv(-np.array([[2.0 * qaa, qab], [qab, 2.0 * qbb]]))
     chol = np.linalg.cholesky(cov)
@@ -381,9 +401,7 @@ def _screened_mh(s, prior, cfg, stream, start):
 
     z = np.log(np.asarray(start, dtype=np.float64))
     cur = target(z)
-    ll = np.array([log_likelihood(s, *start)])
-    centre, coef, _ = mcmc._laplace_quadratics(s.log_values[None, :], np.array([_log_xl(s.x_l)]),
-                                               prior, z[:1], z[1:], ll)
+    centre, coef, _ = mcmc._laplace_quadratics([fit_mle(s)], prior)
     (qaa,), (qab,), (qbb,) = coef
     hess = np.array([[2.0 * qaa, qab], [qab, 2.0 * qbb]])
     chol = np.linalg.cholesky(np.linalg.inv(-hess))
@@ -418,11 +436,6 @@ def _screened_mh(s, prior, cfg, stream, start):
     return np.exp(np.array(kept)), step, passed / cfg.iterations
 
 
-def _pareto_sample(n, seed):
-    # Pareto(2.5) above x_L = 1, where the MLE often falls on the boundary.
-    return Sample(RngStream(seed, 0).uniforms(n) ** (-1.0 / 2.5), 1.0)
-
-
 def _near_boundary_sample():
     # n = 39 above x_L = 3 with beta0/beta_C = 1.0031: an interior MLE with
     # positive-definite information, just below the independence margin.
@@ -443,18 +456,17 @@ class TestPlainPath:
     def _check(self, s, start, seed):
         prior = PriorSpec.diffuse()
         cfg = replace(self.CFG, seed=seed)
-        res = run_chain(s, prior, cfg, init=start)
-        want, steps = _plain_mh(s, prior, cfg, RngStream(seed, 1), start)
-        assert np.array_equal(res.draws, want)
-        assert np.array_equal(res.steps, [steps])
-        assert np.array_equal(res.screen_pass, [1.0])
-        assert np.isnan(res.independence_acceptance).all()
+        draws, _, steps, shares = _lone(s, prior, cfg, start)
+        want, want_steps = _plain_mh(s, prior, cfg, RngStream(seed, 1), start)
+        assert np.array_equal(draws[0], want)
+        assert np.array_equal(steps, [want_steps])
+        assert shares[0, 0] == 1.0 and np.isnan(shares[0, 1])
 
     def test_below_floor(self):
-        # Below the screen floor an off-mode start stays outside the gate.
-        s = apply_truncation(load_bladder_cancer(), 1.0)
+        # Below the screen floor a sample without a record walks plainly
+        # from an off-mode start too.
+        s, fit = _near_boundary_sample()
         assert s.n < mcmc._SCREEN_MIN_N
-        fit = fit_mle(s)
         self._check(s, (2.0 * fit.alpha, fit.beta), 11)
 
     def test_below_margin(self):
@@ -462,17 +474,24 @@ class TestPlainPath:
         self._check(s, (fit.alpha, fit.beta), 15)
 
     def test_below_floor_gated(self):
-        # The same sample from its MLE is gated: a walk/independence cycle.
+        # Bladder at x_L = 1 is gated: a walk/independence cycle, about the
+        # MLE's record from the MLE and from an off-mode start alike.
         s = apply_truncation(load_bladder_cancer(), 1.0)
         fit = fit_mle(s)
         prior, cfg = PriorSpec.diffuse(), replace(self.CFG, seed=11)
-        res = run_chain(s, prior, cfg, init=(fit.alpha, fit.beta))
+        res = run_chain(s, prior, cfg)
         want, steps, indep = _mixture_mh(s, prior, cfg, RngStream(11, 1), (fit.alpha, fit.beta))
         assert np.allclose(res.draws, want, rtol=1e-9, atol=0.0)
         assert np.array_equal(res.steps, [steps])
         assert np.array_equal(res.independence_acceptance, [indep])
         assert 0.5 < indep < 0.9
         assert np.array_equal(res.screen_pass, [1.0])
+        start = (2.0 * fit.alpha, fit.beta)
+        draws, _, steps, shares = _lone(s, prior, cfg, start, fit)
+        want, want_steps, indep = _mixture_mh(s, prior, cfg, RngStream(11, 1), start)
+        assert np.allclose(draws[0], want, rtol=1e-9, atol=0.0)
+        assert np.array_equal(steps, [want_steps])
+        assert np.array_equal(shares[0], [1.0, indep]) and indep > 0.5
 
     def test_tiny_gated_walks_diagonally(self, monkeypatch):
         # A gated sample below the walk floor keeps the cycle, walking
@@ -482,7 +501,7 @@ class TestPlainPath:
         assert s.n < mcmc._LAPLACE_WALK_MIN_N and not fit.boundary
         monkeypatch.setattr(mcmc, "_DIAGONAL_SCALE", 0.2)
         prior, cfg = PriorSpec.diffuse(), replace(self.CFG, seed=17)
-        res = run_chain(s, prior, cfg, init=(fit.alpha, fit.beta))
+        res = run_chain(s, prior, cfg, fit=fit)
         want, steps, indep = _mixture_mh(s, prior, cfg, RngStream(17, 1), (fit.alpha, fit.beta))
         assert np.allclose(res.draws, want, rtol=1e-9, atol=0.0)
         assert np.array_equal(res.steps, [steps])
@@ -496,7 +515,7 @@ class TestPlainPath:
         s = draw_ltll(mcmc._SCREEN_MIN_N, LTLLParams(2.0, 3.0, 1.0), RngStream(31, 0))
         fit = fit_mle(s)
         prior, cfg = PriorSpec.diffuse(), replace(self.CFG, seed=16)
-        res = run_chain(s, prior, cfg, init=(fit.alpha, fit.beta))
+        res = run_chain(s, prior, cfg, fit=fit)
         want, steps, passed = _screened_mh(s, prior, cfg, RngStream(16, 1), (fit.alpha, fit.beta))
         assert np.allclose(res.draws, want, rtol=1e-9, atol=0.0)
         assert np.array_equal(res.steps, [steps])
@@ -506,27 +525,32 @@ class TestPlainPath:
         assert np.isnan(res.independence_acceptance).all()
 
     def test_off_mode_start(self, sample_n1000):
+        # Off the mode a chain is screened by its MLE's record all the same.
         assert sample_n1000.n >= mcmc._SCREEN_MIN_N
-        self._check(sample_n1000, (1.9, 2.7), 12)
+        prior, cfg = PriorSpec.diffuse(), replace(self.CFG, seed=12)
+        draws, _, steps, shares = _lone(sample_n1000, prior, cfg, (1.9, 2.7))
+        want, want_steps, passed = _screened_mh(sample_n1000, prior, cfg, RngStream(12, 1),
+                                                (1.9, 2.7))
+        assert np.allclose(draws[0], want, rtol=1e-9, atol=0.0)
+        assert np.array_equal(steps, [want_steps])
+        assert np.array_equal(shares[0], [passed, np.nan], equal_nan=True) and passed < 0.6
 
-    def test_boundary_start(self):
-        s = _pareto_sample(1000, 1)
-        fit = fit_mle(s)
-        assert fit.boundary
+    def test_boundary_start(self, pareto_n1000):
+        s, fit = pareto_n1000
         self._check(s, mcmc._chain_start(s, fit), 13)
 
-    def test_mixed_bank(self, sample_n1000):
-        # One bank, two chains on the same sample: row 0 starts at the MLE
-        # and is screened, row 1 starts off the mode and runs plain MH.
-        s, prior = sample_n1000, PriorSpec.diffuse()
-        fit = fit_mle(s)
-        init = np.array([[fit.alpha, fit.beta], [1.9, 2.7]])
-        lx = np.repeat(s.log_values[None, :], 2, axis=0)
-        ln_xl = np.full(2, math.log(s.x_l))
+    def test_mixed_bank(self, sample_n1000, pareto_n1000):
+        # One bank of two samples of n = 1000: row 0 starts at its MLE and is
+        # screened, row 1 (a boundary fit) starts off the mode and runs plain MH.
+        (pareto, pfit), prior = pareto_n1000, PriorSpec.diffuse()
+        fits = [fit_mle(sample_n1000), pfit]
+        init = np.array([[fits[0].alpha, fits[0].beta], [1.9, 2.7]])
+        lx = np.stack([sample_n1000.log_values, pareto.log_values])
+        ln_xl = np.zeros(2)
         draws, _, steps, shares = mcmc._mh_chains(
-            lx, ln_xl, prior, self.CFG, [RngStream(14, 1), RngStream(14, 2)], init)
+            lx, ln_xl, prior, self.CFG, [RngStream(14, 1), RngStream(14, 2)], init, fits)
 
-        want, want_steps = _plain_mh(s, prior, self.CFG, RngStream(14, 2), (1.9, 2.7))
+        want, want_steps = _plain_mh(pareto, prior, self.CFG, RngStream(14, 2), (1.9, 2.7))
         assert np.array_equal(draws[1], want)
         assert np.array_equal(steps[1], want_steps)
         assert shares[1, 0] == 1.0
@@ -534,10 +558,50 @@ class TestPlainPath:
         assert shares[0, 0] < 0.6
         assert np.isnan(shares[:, 1]).all()  # no independence steps at this n
         alone = mcmc._mh_chains(lx[:1], ln_xl[:1], prior, self.CFG, [RngStream(14, 1)],
-                                init[:1])
+                                init[:1], fits[:1])
         assert np.array_equal(draws[0], alone[0][0])
         assert np.array_equal(steps[0], alone[2][0])
         assert np.array_equal(shares[0], alone[3][0], equal_nan=True)
+
+
+class TestKernelFromFit:
+    """A chain's kernel (screened, gated or plain) is a function of its
+    sample's fit alone: from the MLE and from an off-mode start a chain takes
+    the same one, and building it differentiates nothing and solves for no
+    beta_C, since ``fit_mle`` has done both."""
+
+    CFG = McmcConfig(iterations=1000, burn_in=400, thin=2, seed=4)
+    CASES = ["screened", "gated", "plain, n = 39", "plain, Pareto"]
+
+    @pytest.fixture(scope="class")
+    def samples(self, sample_n1000, pareto_n1000):
+        return {"screened": sample_n1000,
+                "gated": apply_truncation(load_bladder_cancer(), 1.0),
+                "plain, n = 39": _near_boundary_sample()[0],
+                "plain, Pareto": pareto_n1000[0]}
+
+    @pytest.mark.parametrize("case", CASES)
+    def test_same_kernel_from_any_start(self, samples, case, monkeypatch):
+        s = samples[case]
+        fit = fit_mle(s)
+        calls = []
+        for module in (distribution, mle, mcmc):
+            for name in ("_derivatives_z", "_beta_c"):
+                if hasattr(module, name):
+                    def counted(*args, _f=getattr(module, name), _name=name):
+                        calls.append(_name)
+                        return _f(*args)
+                    monkeypatch.setattr(module, name, counted)
+        a, b = mcmc._chain_start(s, fit)
+        draws, acc, _, shares = mcmc._mh_chains(
+            np.repeat(s.log_values[None], 2, axis=0), np.full(2, _log_xl(s.x_l)),
+            PriorSpec.diffuse(), self.CFG, [RngStream(4, 1), RngStream(4, 2)],
+            np.array([[a, b], [1.3 * a, 0.8 * b]]), [fit, fit])
+        assert calls == []
+        screened, gated = shares[:, 0] < 1.0, np.isfinite(shares[:, 1])
+        assert screened.tolist() == [case == "screened"] * 2
+        assert gated.tolist() == [case == "gated"] * 2
+        assert np.all((0.0 < acc) & (acc < 1.0))
 
 
 class TestLoopIdentity:
@@ -545,7 +609,8 @@ class TestLoopIdentity:
 
     Bank rows share n, so the chains below the screen floor form banks of
     their own: one where every chain is gated (walk/independence cycle) and
-    one that mixes gated chains with an off-mode and a boundary start.  Each
+    one that mixes gated chains with a boundary fit's chains from an off-mode
+    start and from the fit's own start.  Each
     bank also holds an untruncated sample at its MLE (ln x_L = -inf beside
     finite ones).  4501 iterations are odd and no multiple of the uniform
     block, and diagonal scales of 20 and 1e-7 land a chain without a Laplace
@@ -574,18 +639,21 @@ class TestLoopIdentity:
         small_untruncated = draw_ltll(n, LTLLParams(2.0, 3.0, 0.0), RngStream(9, 3))
         sufit = fit_mle(small_untruncated)
         assert spfit.boundary
+        def at_mle(s, f):
+            return s, (f.alpha, f.beta), f
+
+        # (sample, start, fit) per chain.
         return {
             "screened, off-mode, boundary": [
-                (sample_n1000, (fit.alpha, fit.beta)), (sample_n1000, (1.9, 2.7)),
-                (pareto, mcmc._chain_start(pareto, pfit)),
-                (untruncated, (ufit.alpha, ufit.beta))],
+                at_mle(sample_n1000, fit), (pareto, (1.9, 2.7), pfit),
+                (pareto, mcmc._chain_start(pareto, pfit), pfit), at_mle(untruncated, ufit)],
             "below the floor": [
-                (bladder, (bfit.alpha, bfit.beta)), (bladder, (2.0 * bfit.alpha, bfit.beta)),
-                (small_pareto, mcmc._chain_start(small_pareto, spfit)),
-                (small_untruncated, (sufit.alpha, sufit.beta))],
+                at_mle(bladder, bfit), (small_pareto, (1.9, 2.7), spfit),
+                (small_pareto, mcmc._chain_start(small_pareto, spfit), spfit),
+                at_mle(small_untruncated, sufit)],
             "gated": [
-                (bladder, (bfit.alpha, bfit.beta)), (small, (sfit.alpha, sfit.beta)),
-                (small_untruncated, (sufit.alpha, sufit.beta)), (bladder, (bfit.alpha, bfit.beta))],
+                at_mle(bladder, bfit), at_mle(small, sfit), at_mle(small_untruncated, sufit),
+                at_mle(bladder, bfit)],
         }
 
     @staticmethod
@@ -597,7 +665,8 @@ class TestLoopIdentity:
         ln_xl = np.array([_log_xl(chains[k][0].x_l) for k in rows])
         init = np.array([chains[k][1] for k in rows])
         return mcmc._mh_chains(lx, ln_xl, PriorSpec.diffuse(), cfg,
-                               [RngStream(cfg.seed, 1 + k) for k in rows], init)
+                               [RngStream(cfg.seed, 1 + k) for k in rows], init,
+                               [chains[k][2] for k in rows])
 
     @pytest.mark.parametrize("bank", BANKS)
     @pytest.mark.parametrize("steps", [0.1, 20.0, 1e-7], ids=["steps0", "steps1", "steps2"])
@@ -606,7 +675,7 @@ class TestLoopIdentity:
         monkeypatch.setattr(mcmc, "_DIAGONAL_SCALE", steps)
         together = self._run(chains, self.CFG)
         shares = together[3]
-        assert any(_log_xl(s.x_l) == -np.inf for s, _ in chains)
+        assert any(_log_xl(s.x_l) == -np.inf for s, _, _ in chains)
         laplace = [0, 1, 2, 3] if bank == "gated" else [0, 3]  # rows walking along L
         if bank == "screened, off-mode, boundary":
             assert np.all(shares[[0, 3], 0] < 1.0) and np.all(shares[1:3, 0] == 1.0)
@@ -713,7 +782,7 @@ class TestChainFanOut:
         s, fit = cases[case]
         cfg = replace(self.CFG, chains=chains)
         pools = self._counting_pools(monkeypatch, cpus)
-        res = run_chain(s, cfg=cfg, init=(fit.alpha, fit.beta))
+        res = run_chain(s, cfg=cfg, fit=fit)
         assert pools == ([min(chains, cpus)] if cpus > 1 else [])
         assert multiprocessing.active_children() == []
 
@@ -721,7 +790,8 @@ class TestChainFanOut:
             return mcmc._mh_chains(np.repeat(s.log_values[None], len(rows), axis=0),
                                    np.full(len(rows), _log_xl(s.x_l)), PriorSpec.diffuse(),
                                    cfg, [RngStream(cfg.seed, 1 + k) for k in rows],
-                                   np.tile([fit.alpha, fit.beta], (len(rows), 1)))
+                                   np.tile([fit.alpha, fit.beta], (len(rows), 1)),
+                                   [fit] * len(rows))
 
         alone = [np.concatenate(parts) for parts in zip(*(chains_of([k]) for k in range(chains)))]
         bank = chains_of(range(chains))
@@ -743,13 +813,13 @@ class TestChainFanOut:
         s, fit = cases["gated"]
         cfg = replace(self.CFG, chains=3)
         pools = self._counting_pools(monkeypatch, 4)
-        want = run_chain(s, cfg=cfg, init=(fit.alpha, fit.beta))
+        want = run_chain(s, cfg=cfg, fit=fit)
         assert pools == [3]
         release = threading.Event()
         waiter = threading.Thread(target=release.wait, args=(60.0,))
         waiter.start()
         try:
-            got = run_chain(s, cfg=cfg, init=(fit.alpha, fit.beta))
+            got = run_chain(s, cfg=cfg, fit=fit)
         finally:
             release.set()
             waiter.join(60.0)
@@ -830,31 +900,39 @@ class TestMixtureExactness:
         assert np.all(res.independence_acceptance > 0.0)  # the cycle is engaged
         assert grid_mismatches(res.draws, cfg.chains, exact) == []
 
+    def test_overdispersed_starts_match_grid_posterior(self):
+        # Four chains on bladder at x_L = 1 start at the four axis points of
+        # the level-0.999 Wald ellipse.  Each is gated by the MLE's record,
+        # and the merged draws are exact.
+        s = apply_truncation(load_bladder_cancer(), 1.0)
+        fit, prior, cfg = fit_mle(s), PriorSpec.diffuse(), self.BANK
+        starts = confidence_ellipse(fit, 0.001, 4).points
+        assert np.all(starts > 0.0)
+        draws, _, _, shares = mcmc._mh_chains(
+            np.repeat(s.log_values[None], 4, axis=0), np.zeros(4), prior, cfg,
+            [RngStream(cfg.seed, 1 + k) for k in range(4)], starts, [fit] * 4)
+        assert np.all(shares[:, 0] == 1.0) and np.all(shares[:, 1] > 0.0)
+        exact = grid_posterior(s, prior, fit)[0]
+        assert grid_mismatches(draws.reshape(-1, 2), cfg.chains, exact) == []
+
 
 class TestPlainWalkExactness:
     """A chain that only walks, diagonally and without a screen, samples the
-    exact posterior: bladder at x_L = 1 from an off-mode start, and an n = 39
-    sample below the beta0/beta_C margin from its MLE.  The chain is
-    ``TestMixtureExactness``'s lone one.  The n = 39 oracle's box spans
-    ln alpha from -21.8 to 2.0, so it takes 901 points a side: alpha's 97.5%
-    quantile reads 3.517 at 301 points, 3.494 at 601, 3.489 at 901 and 3.487
-    at 1201, and 20 chains of seeds 1-20 pooled read the CDF at 0.97722
-    (+5.4 standard errors) at the first and 0.97478 (-0.5) at the last."""
+    exact posterior: an n = 39 sample below the beta0/beta_C margin, from its
+    MLE.  The chain is ``TestMixtureExactness``'s lone one.  Its oracle's box
+    spans ln alpha from -21.8 to 2.0, so ``grid_posterior`` spaces that axis
+    by its FINE_STEP."""
 
-    @pytest.fixture(scope="class", params=["bladder x_L=1 off-mode", "below the margin"])
+    @pytest.fixture(scope="class", params=["below the margin"])
     def case(self, request):
         prior = PriorSpec.diffuse()
-        if request.param == "below the margin":
-            s, fit = _near_boundary_sample()
-            return s, prior, (fit.alpha, fit.beta), grid_posterior(s, prior, fit, points=901)[0]
-        s = apply_truncation(load_bladder_cancer(), 1.0)
-        fit = fit_mle(s)
-        return s, prior, (2.0 * fit.alpha, fit.beta), grid_posterior(s, prior, fit)[0]
+        s, fit = _near_boundary_sample()
+        return s, prior, grid_posterior(s, prior, fit)[0]
 
     def test_matches_grid_posterior(self, case):
-        s, prior, start, exact = case
+        s, prior, exact = case
         cfg = TestMixtureExactness.LONE
-        res = run_chain(s, prior, cfg, init=start)
+        res = run_chain(s, prior, cfg)
         # The plain walk: no screen and no independence steps.
         assert np.array_equal(res.screen_pass, [1.0])
         assert np.isnan(res.independence_acceptance).all()
