@@ -34,6 +34,19 @@ never correctness.  The quadratic screens small, skewed samples too poorly
 to pay off.  Every other chain (small samples, boundary fits) runs plain
 MH, ln u < dpi, bit for bit.
 
+A screened bank decides most of stage 2 without the likelihood.  Each of
+its chains with a record carries a certified Taylor model of its
+log-likelihood (``distribution._loglik_taylor``, after the Taylor proxies
+with bounded remainder of Bardenet, Doucet & Holmes 2017, "On MCMC methods
+for tall data"): the quartic about the MLE, exact in its coefficients, with
+a bound on the order-5 remainder over a box of _TAYLOR_SDS Laplace standard
+deviations per axis and a margin for floating-point error.  Stage 2's
+threshold is monotone in both targets, so a bracket on each settles every
+step whose ln u lies outside the bracket's thresholds, the same way the
+exact comparison would; only the undecided rest reaches the kernel.  The
+draws, and every output byte, are those of the exact kernel, which the lone
+loop ``_mh_one`` runs on every step as the reference.
+
 Below _SCREEN_MIN_N the same quadratic serves a chain as an independence
 proposal instead (Tierney 1994, "Markov chains for exploring posterior
 distributions").  A gated chain, one with a record whose sample is
@@ -55,9 +68,10 @@ floats and calls numpy only for its likelihood and exponentials, and for
 work done once per block of steps: at one chain a vectorized step is
 interpreter-bound.  A bank (``_mh_bank``, the simulation harness's banks)
 steps vectorized across its chains.  Both take the same floating-point
-steps in the same order; every chain draws from its own counter-based
-stream, and both gates read only their own chain's fit, so results never
-depend on how chains are grouped or scheduled.  ``run_chain`` runs each
+steps in the same order, and where the bank's bracket settles a step it
+settles it as the lone loop's comparison does; every chain draws from its
+own counter-based stream, and both gates read only their own chain's fit,
+so results never depend on how chains are grouped or scheduled.  ``run_chain`` runs each
 chain alone, spread over the usable CPUs (``_pooled``).
 """
 
@@ -73,7 +87,8 @@ from functools import partial
 
 import numpy as np
 
-from .distribution import Sample, _log_xl, _loglik_batch, _loglik_row, log_likelihood
+from .distribution import (Sample, _log_xl, _loglik_batch, _loglik_row, _loglik_taylor,
+                           _taylor_bracket, log_likelihood)
 from .mle import EllipsePoints, MleFit, _trace_ellipse, fit_mle
 # normal_quantile goes unused here; the benchmark tracer rebinds it by this name.
 from .numerics import RngStream, SymMatrix2, chi2_quantile_2dof, normal_quantile
@@ -114,6 +129,9 @@ _PRICE_ELEMENTS = 1 << 15
 # Smallest sample whose chains are screened by a Laplace quadratic; smaller
 # samples use the quadratic for independence proposals.
 _SCREEN_MIN_N = 500
+# Half-width, in Laplace standard deviations per axis, of the box about the
+# MLE where a screened bank's Taylor model of the log-likelihood is certified.
+_TAYLOR_SDS = 6.0
 # Least beta0/beta_C of a truncated sample below _SCREEN_MIN_N whose chains
 # take independence steps: nearer the Pareto boundary the posterior grows a
 # ridge toward alpha -> 0 that the t proposal covers poorly.  Measured with
@@ -422,7 +440,10 @@ def _mh_chains(lx, ln_xl, prior: PriorSpec, cfg: McmcConfig, streams, init, fits
     (``_mh_bank``); both share the start, quadratics, walk shapes
     (``_walk_normals``), adaptation rule, stream layout, block pricing and
     ``_log_target_z``, and take the same floating-point steps in the same
-    order, so chain k of any bank equals that chain run alone.  Returns
+    order, so chain k of any bank equals that chain run alone.  A screened
+    bank first builds every recorded chain's certified Taylor model
+    (``_taylor_models``), once, and decides stage 2 on its bracket where it
+    can; the lone loop, the exact reference, always runs the kernel.  Returns
     (draws (B, retained, 2), acceptance_rate (B,), steps (B,), shares
     (B, 2)), where shares holds the share of proposals that reached the full
     likelihood (1 for chains without a screen) and the acceptance of
@@ -443,9 +464,33 @@ def _mh_chains(lx, ln_xl, prior: PriorSpec, cfg: McmcConfig, streams, init, fits
     along = has & (lx.shape[1] >= _LAPLACE_WALK_MIN_N)
     shape = np.where(along, quads[2], [[1.0], [0.0], [1.0]])
     steps = np.where(along, _WALK_SCALE, _DIAGONAL_SCALE)
-    loop = _mh_bank if lx.shape[0] > 1 else _mh_one
-    return loop(lx, sumlx, ln_xl, prior, cfg, streams, state, target, quads, screened, gated,
-                shape, steps)
+    if lx.shape[0] == 1:
+        return _mh_one(lx, sumlx, ln_xl, prior, cfg, streams, state, target, quads, screened,
+                       gated, shape, steps)
+    model = _taylor_models(lx, sumlx, ln_xl, fits, quads) if screened else None
+    return _mh_bank(lx, sumlx, ln_xl, prior, cfg, streams, state, target, quads, screened, gated,
+                    shape, steps, model)
+
+
+def _taylor_models(lx, sumlx, ln_xl, fits, quads):
+    """Every chain's certified Taylor model of its log-likelihood
+    (``_loglik_taylor``), expanded about its MLE over the box of _TAYLOR_SDS
+    Laplace standard deviations per axis, for the chains with a Laplace
+    record.  Returns (z0 (2, B), half (2, B), coef, rem, margin); a chain
+    without a record holds half = -1, so no proposal falls in its box.
+    """
+    b_chains = lx.shape[0]
+    z0 = np.zeros((2, b_chains))
+    half = np.full((2, b_chains), -1.0)
+    coef = np.zeros((b_chains, 6, 6))
+    rem = np.zeros((b_chains, 6, 6))
+    margin = np.zeros(b_chains)
+    k = np.flatnonzero(quads[1].any(axis=0))
+    z0[:, k] = np.log([[fits[i].alpha for i in k], [fits[i].beta for i in k]])
+    l11, l21, l22 = quads[2][:, k]
+    half[:, k] = _TAYLOR_SDS * np.array([l11, np.hypot(l21, l22)])
+    coef[k], rem[k], margin[k] = _loglik_taylor(lx[k], sumlx[k], ln_xl[k], z0[:, k], half[:, k])
+    return z0, half, coef, rem, margin
 
 
 def _mh_one(lx, sumlx, ln_xl, prior, cfg, streams, state, target, quads, screened, gated,
@@ -519,7 +564,7 @@ def _mh_one(lx, sumlx, ln_xl, prior, cfg, streams, state, target, quads, screene
 
 
 def _mh_bank(lx, sumlx, ln_xl, prior, cfg, streams, state, target, quads, screened, gated,
-             shape, steps):
+             shape, steps, model):
     """``_mh_chains`` for a bank of chains, one vectorized step for all.
 
     Proposal increments are formed once per block of uniforms (again after
@@ -528,11 +573,23 @@ def _mh_bank(lx, sumlx, ln_xl, prior, cfg, streams, state, target, quads, screen
     window's hits are read off the running acceptance counts.  At an
     independence step a chain outside the gate walks: both its ln g terms
     are 0, so they add exactly 0 to its log ratio.
+
+    A screened bank's stage 2 prices each passing proposal on ``model``
+    (``_taylor_models``): the proposal's target lies in [lo, hi], and a
+    state's target is known (lo = hi) or bracketed, when a bracket accepted
+    it.  The step accepts when ln u < bound + min(target_p - target - dq, 0),
+    and every floating-point operation there is monotone, so ln u below that
+    threshold at (lo_p, hi) accepts and ln u at or above it at (hi_p, lo)
+    rejects, exactly as the exact comparison would.  The undecided rows, with
+    any of their states whose target is only bracketed, go to the kernel in
+    one call per step and take the exact comparison, bit for bit.
     """
     b_chains = lx.shape[0]
     burn_in, thin = cfg.burn_in, cfg.thin
     if screened:
         q = _quadratic(state[0], state[1], quads)
+        target_hi = target.copy()
+        z0, half, coef, rem, margin = model
     cycle = gated.any()
     walks = np.where(gated, _ADAPT_WINDOW // 2, _ADAPT_WINDOW)
     walkers = None if gated.all() else np.flatnonzero(~gated)
@@ -577,18 +634,45 @@ def _mh_bank(lx, sumlx, ln_xl, prior, cfg, streams, state, target, quads, screen
                 bound = np.minimum(dq, 0.0)
                 screen = lu < bound
                 passed += screen
-                npass = np.count_nonzero(screen)
-                accept = None
-                if npass:
+                rows = np.flatnonzero(screen)
+                accept = None  # moves are applied below, in place
+                if rows.size:
                     # Stage 2 reuses the uniform: given ln u < min(0, dq),
-                    # u / e^min(0, dq) is uniform on (0, 1).
-                    rows = slice(None) if npass == b_chains else np.flatnonzero(screen)
-                    la, lb = prop[0, rows], prop[1, rows]
-                    target_p = target.copy()
-                    target_p[rows] = (_loglik_batch(lx[rows], sumlx[rows], ln_xl[rows], la, lb)
-                                      + _log_target_z(la, lb, prior))
-                    accept = screen & (lu < bound + np.minimum(target_p - target - dq, 0.0))
-                    np.copyto(q, q_p, where=accept)
+                    # u / e^min(0, dq) is uniform on (0, 1), and the step
+                    # accepts when ln u < bound + min(D, 0), with
+                    # D = target_p - target - dq.  Each side of that is
+                    # monotone in both targets, so brackets [lo, hi] on them
+                    # decide it where ln u falls below the threshold at
+                    # (lo_p, hi) or at or above the one at (hi_p, lo).
+                    zp = prop[:, rows]
+                    value, width = _taylor_bracket(zp - z0[:, rows], half[:, rows], coef[rows],
+                                                   rem[rows], margin[rows])
+                    prior_p = _log_target_z(zp[0], zp[1], prior)
+                    lo, hi = (value - width) + prior_p, (value + width) + prior_p
+                    lu_r, bound_r, dq_r = lu[rows], bound[rows], dq[rows]
+                    take = lu_r < bound_r + np.minimum(lo - target_hi[rows] - dq_r, 0.0)
+                    # Written as "not rejected" so that a nan bracket stays open.
+                    open_ = ~take & ~(lu_r >= bound_r + np.minimum(hi - target[rows] - dq_r, 0.0))
+                    if open_.any():
+                        # The exact comparison, in one kernel call for the
+                        # open proposals and the states whose target is only
+                        # bracketed (lo < hi).
+                        ev = rows[open_]
+                        stale = ev[target[ev] < target_hi[ev]]
+                        at = np.concatenate((ev, stale))
+                        z_at = np.concatenate((zp[:, open_], state[:, stale]), axis=1)
+                        exact = (_loglik_batch(lx[at], sumlx[at], ln_xl[at], z_at[0], z_at[1])
+                                 + _log_target_z(z_at[0], z_at[1], prior))
+                        target[stale] = target_hi[stale] = exact[ev.size:]
+                        target_p = lo[open_] = hi[open_] = exact[:ev.size]
+                        take[open_] = lu_r[open_] < bound_r[open_] + np.minimum(
+                            target_p - target[ev] - dq_r[open_], 0.0)
+                    moved = rows[take]
+                    state[:, moved] = zp[:, take]
+                    q[moved] = q_p[moved]
+                    target[moved] = lo[take]
+                    target_hi[moved] = hi[take]
+                    accepted[moved] += 1
             if accept is not None:
                 np.copyto(state, prop, where=accept)
                 np.copyto(target, target_p, where=accept)

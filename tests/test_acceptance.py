@@ -481,6 +481,29 @@ def test_c09_bayes_containment(bladder_fits):
     assert report("9 (bladder Bayes containment)", ok, "; ".join(rows))
 
 
+def test_c09_exact_posterior_means_in_reference_box(bladder_fits):
+    # The oracle for c09's containment: the exact posterior means from the
+    # dense grid must lie in the published boxes, whatever a chain draws.
+    # Each margin (distance to the nearer edge) is given in MCSE units of the
+    # seed-7 chain, which says how likely chain noise alone is to push that
+    # chain's mean out of the box.
+    ok = True
+    rows = []
+    for x_l, (fit, post) in bladder_fits.items():
+        sample = apply_truncation(load_bladder_cancer(), x_l)
+        exact, _ = grid_posterior(sample, PriorSpec.diffuse(), fit)
+        cells = []
+        for j, (lo, hi) in enumerate(REFERENCE_BLADDER_BAYES_CI[x_l]):
+            mean = exact[j][0]
+            se = _batch_mcse(post.draws[:, j], 1)[1]
+            margin = min(mean - lo, hi - mean)
+            ok &= margin >= 0.0
+            cells.append(f"{'ab'[j]} {mean:.3f} in [{lo},{hi}], margin {margin:.3f} "
+                         f"= {margin / se:.1f} MCSE")
+        rows.append(f"x_L={x_l}: " + ", ".join(cells))
+    assert report("9 (exact posterior means in the Bayes reference boxes)", ok, "; ".join(rows))
+
+
 def test_c09_ellipse_area_monotone(bladder_fits):
     areas = [credible_ellipse(post, 0.05).area for _, post in bladder_fits.values()]
     ok = all(b >= a for a, b in zip(areas, areas[1:]))

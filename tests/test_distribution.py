@@ -4,15 +4,18 @@ from decimal import Decimal, localcontext
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
 
 from ltll.distribution import (
     DegenerateSampleError,
+    _derivatives_z,
     _log_xl,
     _loglik_batch,
     _loglik_row,
+    _loglik_taylor,
+    _taylor_bracket,
     LTLLParams,
     Sample,
     draw_ltll,
@@ -28,9 +31,10 @@ from ltll.distribution import (
     phi_objective,
     score_gradient,
 )
+from ltll.mle import fit_mle
 from ltll.numerics import RngStream
 
-from finite_diff import finite_diff_gradient
+from finite_diff import finite_diff_gradient, finite_diff_hessian
 
 BETA0_TWO_FOUR = 2.0 / (3.0 * math.log(2.0))
 BETA_C_TWO_FOUR = -math.log((math.sqrt(5.0) - 1.0) / 2.0) / math.log(2.0)
@@ -294,6 +298,90 @@ class TestScore:
         g0 = score_gradient(s0, 2.0, 1.5)
         g_eps = score_gradient(s_eps, 2.0, 1.5)
         assert g0 == pytest.approx(g_eps, rel=1e-9)
+
+
+def _taylor_case(n, beta, quantile, seed):
+    """A sample of LTLL(2, beta) truncated at its ``quantile`` (0: none), its
+    log-data as a bank of one, and the MLE's z with the box of 6 Wald
+    standard deviations per axis; None for a boundary fit."""
+    x_l = 0.0 if quantile == 0.0 else 2.0 * (quantile / (1.0 - quantile)) ** (1.0 / beta)
+    s = draw_ltll(n, LTLLParams(2.0, beta, x_l), RngStream(seed, 0))
+    fit = fit_mle(s)
+    if fit.boundary:
+        return None
+    cov = fit.info.inverse()
+    z0 = np.log([[fit.alpha], [fit.beta]])
+    half = 6.0 * np.sqrt([[cov.a11], [cov.a22]]) / np.exp(z0)
+    lx = s.log_values[None]
+    return lx, lx.sum(axis=1), np.array([_log_xl(x_l)]), z0, half
+
+
+class TestTaylorModel:
+    """The certified model a screened bank decides stage 2 on: the kernel's
+    own value must lie within model -+ (remainder bound + margin) anywhere in
+    the box, and orders 3-4 must be the derivatives of the tested Hessian."""
+
+    @settings(max_examples=60, deadline=None, derandomize=True, database=None)
+    @given(
+        n=st.integers(500, 3000),
+        log_beta=st.floats(math.log(0.5), math.log(20.0)),
+        quantile=st.one_of(st.just(0.0), st.floats(0.01, 0.9)),
+        seed=st.integers(0, 1 << 20),
+        fractions=st.lists(st.tuples(st.floats(-1.0, 1.0), st.floats(-1.0, 1.0)),
+                           min_size=1, max_size=6),
+    )
+    def test_kernel_lies_inside_the_bracket(self, n, log_beta, quantile, seed, fractions):
+        case = _taylor_case(n, math.exp(log_beta), quantile, seed)
+        assume(case is not None)
+        lx, sumlx, ln_xl, z0, half = case
+        coef, rem, margin = _loglik_taylor(lx, sumlx, ln_xl, z0, half)
+        # Fractions of the half-widths: the four corners, then the drawn points.
+        f = np.array([(-1.0, -1.0), (-1.0, 1.0), (1.0, -1.0), (1.0, 1.0), *fractions]).T
+        d = f * half
+        z = z0 + d
+        k = z.shape[1]
+        got = _loglik_batch(np.repeat(lx, k, axis=0), np.repeat(sumlx, k), np.repeat(ln_xl, k),
+                            z[0], z[1])
+        value, width = _taylor_bracket(d, np.repeat(half, k, axis=1), np.repeat(coef, k, axis=0),
+                                       np.repeat(rem, k, axis=0), np.repeat(margin, k))
+        assert np.all(np.abs(got - value) <= width)
+        # Just outside the box the bracket claims nothing.
+        outside = np.array([[1.01, 0.0], [0.0, -1.01]]) * half
+        width = _taylor_bracket(outside, np.repeat(half, 2, axis=1), np.repeat(coef, 2, axis=0),
+                                np.repeat(rem, 2, axis=0), np.repeat(margin, 2))[1]
+        assert np.all(width == np.inf)
+        assert coef[0, 0, 0] == _loglik_row(lx[0], sumlx[0], ln_xl[0], z0[0, 0], z0[1, 0])
+
+    @pytest.mark.parametrize("n, beta, quantile", [(500, 0.5, 0.0), (1000, 3.0, 0.11),
+                                                   (800, 20.0, 0.9), (2000, 1.5, 0.5)])
+    def test_partials_match_score_hessian_and_their_differences(self, n, beta, quantile):
+        lx, sumlx, ln_xl, z0, half = _taylor_case(n, beta, quantile, 31)
+        coef = _loglik_taylor(lx, sumlx, ln_xl, z0, half)[0][0]
+
+        def partial(i, j):
+            return coef[i, j] * math.factorial(i) * math.factorial(j)
+
+        def entry(r, c):
+            return lambda z: float(_derivatives_z(lx[0], ln_xl[0], z)[1][r, c])
+
+        theta = z0[:, 0]
+        # Orders 1-2: the score and Hessian, summed another way.
+        g, h = _derivatives_z(lx[0], ln_xl[0], theta)
+        scale = np.abs(h).max()
+        for (i, j), want in [((1, 0), g[0]), ((0, 1), g[1]), ((2, 0), h[0, 0]),
+                             ((1, 1), h[0, 1]), ((0, 2), h[1, 1])]:
+            assert partial(i, j) == pytest.approx(want, rel=1e-9, abs=1e-11 * scale)
+        # Third order: one central difference of a Hessian entry.
+        for (r, c), axis, (i, j) in [((0, 0), 0, (3, 0)), ((0, 0), 1, (2, 1)),
+                                     ((0, 1), 1, (1, 2)), ((1, 1), 1, (0, 3))]:
+            want = finite_diff_gradient(entry(r, c), theta)[axis]
+            assert partial(i, j) == pytest.approx(want, rel=1e-5, abs=1e-6 * n)
+        # Fourth order: second differences of Hessian entries.
+        for (r, c), (i, j), pick in [((0, 0), (4, 0), "a11"), ((0, 0), (3, 1), "a12"),
+                                     ((0, 0), (2, 2), "a22"), ((0, 1), (1, 3), "a22"),
+                                     ((1, 1), (0, 4), "a22")]:
+            want = getattr(finite_diff_hessian(entry(r, c), theta), pick)
+            assert partial(i, j) == pytest.approx(want, rel=1e-4, abs=1e-5 * n)
 
 
 class TestExistenceStats:

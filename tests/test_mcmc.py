@@ -610,7 +610,10 @@ class TestLoopIdentity:
     Bank rows share n, so the chains below the screen floor form banks of
     their own: one where every chain is gated (walk/independence cycle) and
     one that mixes gated chains with a boundary fit's chains from an off-mode
-    start and from the fit's own start.  Each
+    start and from the fit's own start.  A screened bank decides stage 2 on
+    a certified bracket of the likelihood where it can, and the lone chain
+    always on the kernel; the bank shaped like the sweep's (n = 1000 pooled
+    from x_L 0, 0.1 and 1.0) must draw the same bytes.  Each
     bank also holds an untruncated sample at its MLE (ln x_L = -inf beside
     finite ones).  4501 iterations are odd and no multiple of the uniform
     block, and diagonal scales of 20 and 1e-7 land a chain without a Laplace
@@ -619,7 +622,7 @@ class TestLoopIdentity:
     """
 
     CFG = McmcConfig(iterations=4501, burn_in=1150, thin=3, seed=6)
-    BANKS = ["screened, off-mode, boundary", "below the floor", "gated"]
+    BANKS = ["screened, off-mode, boundary", "below the floor", "gated", "screened, pooled x_L"]
 
     @pytest.fixture(scope="class")
     def banks(self, sample_n1000):
@@ -642,6 +645,8 @@ class TestLoopIdentity:
         def at_mle(s, f):
             return s, (f.alpha, f.beta), f
 
+        pooled = [draw_ltll(1000, LTLLParams(2.0, 3.0, x_l), RngStream(9, 4 + k))
+                  for k, x_l in enumerate((0.0, 0.0, 0.1, 0.1, 1.0, 1.0))]
         # (sample, start, fit) per chain.
         return {
             "screened, off-mode, boundary": [
@@ -654,6 +659,7 @@ class TestLoopIdentity:
             "gated": [
                 at_mle(bladder, bfit), at_mle(small, sfit), at_mle(small_untruncated, sufit),
                 at_mle(bladder, bfit)],
+            "screened, pooled x_L": [at_mle(s, fit_mle(s)) for s in pooled],
         }
 
     @staticmethod
@@ -680,6 +686,9 @@ class TestLoopIdentity:
         if bank == "screened, off-mode, boundary":
             assert np.all(shares[[0, 3], 0] < 1.0) and np.all(shares[1:3, 0] == 1.0)
             assert np.isnan(shares[:, 1]).all()
+        elif bank == "screened, pooled x_L":
+            laplace = list(range(len(chains)))
+            assert np.all(shares[:, 0] < 1.0) and np.isnan(shares[:, 1]).all()
         else:
             gated = [0, 3] if bank == "below the floor" else [0, 1, 2, 3]
             assert np.all(shares[:, 0] == 1.0)
@@ -699,6 +708,23 @@ class TestLoopIdentity:
             assert 0.0 < alone[1][0] < 1.0 or (steps < lo and k in plain)
             for got, want in zip(together, alone):
                 assert np.array_equal(got[k], want[0], equal_nan=True)
+
+    def test_screened_bank_evaluates_few_passes(self, banks, monkeypatch):
+        # The bracket decides stage 2 for all but a few of the proposals that
+        # pass the screen; the kernel sees the rest, plus the states whose
+        # target is only bracketed, plus the start.
+        rows = []
+        kernel = mcmc._loglik_batch
+
+        def counting(lx, *args):
+            rows.append(lx.shape[0])
+            return kernel(lx, *args)
+
+        monkeypatch.setattr(mcmc, "_loglik_batch", counting)
+        shares = self._run(banks["screened, pooled x_L"], self.CFG)[3]
+        passes = float(np.sum(shares[:, 0])) * self.CFG.iterations
+        assert passes > 1000.0
+        assert 0 < sum(rows) <= 0.1 * passes
 
     @pytest.mark.parametrize("block", [2048, 512, 37])
     def test_uniform_block_size_changes_no_draw(self, banks, block, monkeypatch):
