@@ -38,9 +38,12 @@ A screened bank decides most of stage 2 without the likelihood.  Each of
 its chains with a record carries a certified Taylor model of its
 log-likelihood (``distribution._loglik_taylor``, after the Taylor proxies
 with bounded remainder of Bardenet, Doucet & Holmes 2017, "On MCMC methods
-for tall data"): the quartic about the MLE, exact in its coefficients, with
-a bound on the order-5 remainder over a box of _TAYLOR_SDS Laplace standard
-deviations per axis and a margin for floating-point error.  Stage 2's
+for tall data"): the quartic about the Laplace centre, exact in its
+coefficients, with a bound on the order-5 remainder over a box of
+_TAYLOR_SDS Laplace standard deviations per axis and a margin for
+floating-point error.  The box sits where the chain runs, under an
+informative prior as under a flat one, and the bracket is certified
+wherever it is centred.  Stage 2's
 threshold is monotone in both targets, so a bracket on each settles every
 step whose ln u lies outside the bracket's thresholds, the same way the
 exact comparison would; only the undecided rest reaches the kernel.  The
@@ -130,7 +133,8 @@ _PRICE_ELEMENTS = 1 << 15
 # samples use the quadratic for independence proposals.
 _SCREEN_MIN_N = 500
 # Half-width, in Laplace standard deviations per axis, of the box about the
-# MLE where a screened bank's Taylor model of the log-likelihood is certified.
+# Laplace centre where a screened bank's Taylor model of the log-likelihood
+# is certified.
 _TAYLOR_SDS = 6.0
 # Least beta0/beta_C of a truncated sample below _SCREEN_MIN_N whose chains
 # take independence steps: nearer the Pareto boundary the posterior grows a
@@ -441,8 +445,8 @@ def _mh_chains(lx, ln_xl, prior: PriorSpec, cfg: McmcConfig, streams, init, fits
     (``_walk_normals``), adaptation rule, stream layout, block pricing and
     ``_log_target_z``, and take the same floating-point steps in the same
     order, so chain k of any bank equals that chain run alone.  A screened
-    bank first builds every recorded chain's certified Taylor model
-    (``_taylor_models``), once, and decides stage 2 on its bracket where it
+    bank first builds every recorded chain's certified Taylor model about
+    its Laplace centre, once, and decides stage 2 on its bracket where it
     can; the lone loop, the exact reference, always runs the kernel.  Returns
     (draws (B, retained, 2), acceptance_rate (B,), steps (B,), shares
     (B, 2)), where shares holds the share of proposals that reached the full
@@ -467,30 +471,8 @@ def _mh_chains(lx, ln_xl, prior: PriorSpec, cfg: McmcConfig, streams, init, fits
     if lx.shape[0] == 1:
         return _mh_one(lx, sumlx, ln_xl, prior, cfg, streams, state, target, quads, screened,
                        gated, shape, steps)
-    model = _taylor_models(lx, sumlx, ln_xl, fits, quads) if screened else None
     return _mh_bank(lx, sumlx, ln_xl, prior, cfg, streams, state, target, quads, screened, gated,
-                    shape, steps, model)
-
-
-def _taylor_models(lx, sumlx, ln_xl, fits, quads):
-    """Every chain's certified Taylor model of its log-likelihood
-    (``_loglik_taylor``), expanded about its MLE over the box of _TAYLOR_SDS
-    Laplace standard deviations per axis, for the chains with a Laplace
-    record.  Returns (z0 (2, B), half (2, B), coef, rem, margin); a chain
-    without a record holds half = -1, so no proposal falls in its box.
-    """
-    b_chains = lx.shape[0]
-    z0 = np.zeros((2, b_chains))
-    half = np.full((2, b_chains), -1.0)
-    coef = np.zeros((b_chains, 6, 6))
-    rem = np.zeros((b_chains, 6, 6))
-    margin = np.zeros(b_chains)
-    k = np.flatnonzero(quads[1].any(axis=0))
-    z0[:, k] = np.log([[fits[i].alpha for i in k], [fits[i].beta for i in k]])
-    l11, l21, l22 = quads[2][:, k]
-    half[:, k] = _TAYLOR_SDS * np.array([l11, np.hypot(l21, l22)])
-    coef[k], rem[k], margin[k] = _loglik_taylor(lx[k], sumlx[k], ln_xl[k], z0[:, k], half[:, k])
-    return z0, half, coef, rem, margin
+                    shape, steps)
 
 
 def _mh_one(lx, sumlx, ln_xl, prior, cfg, streams, state, target, quads, screened, gated,
@@ -564,7 +546,7 @@ def _mh_one(lx, sumlx, ln_xl, prior, cfg, streams, state, target, quads, screene
 
 
 def _mh_bank(lx, sumlx, ln_xl, prior, cfg, streams, state, target, quads, screened, gated,
-             shape, steps, model):
+             shape, steps):
     """``_mh_chains`` for a bank of chains, one vectorized step for all.
 
     Proposal increments are formed once per block of uniforms (again after
@@ -574,22 +556,33 @@ def _mh_bank(lx, sumlx, ln_xl, prior, cfg, streams, state, target, quads, screen
     independence step a chain outside the gate walks: both its ln g terms
     are 0, so they add exactly 0 to its log ratio.
 
-    A screened bank's stage 2 prices each passing proposal on ``model``
-    (``_taylor_models``): the proposal's target lies in [lo, hi], and a
-    state's target is known (lo = hi) or bracketed, when a bracket accepted
-    it.  The step accepts when ln u < bound + min(target_p - target - dq, 0),
-    and every floating-point operation there is monotone, so ln u below that
-    threshold at (lo_p, hi) accepts and ln u at or above it at (hi_p, lo)
-    rejects, exactly as the exact comparison would.  The undecided rows, with
-    any of their states whose target is only bracketed, go to the kernel in
-    one call per step and take the exact comparison, bit for bit.
+    A screened bank builds each recorded chain's certified Taylor model
+    (``_loglik_taylor``) about its Laplace centre, the quadratic's c, over a
+    box of _TAYLOR_SDS Laplace standard deviations per axis, and prices
+    every proposal on it each step: the proposal's target lies in [lo, hi],
+    and a state's target is known (lo = hi) or bracketed, when a bracket
+    accepted it.  A passing step accepts when
+    ln u < bound + min(target_p - target - dq, 0), and every floating-point
+    operation there is monotone, so ln u below that threshold at (lo_p, hi)
+    accepts and ln u at or above it at (hi_p, lo) rejects, exactly as the
+    exact comparison would.  The undecided passes, with any of their states
+    whose target is only bracketed, go to the kernel in one call per step
+    and take the exact comparison, bit for bit.
     """
     b_chains = lx.shape[0]
     burn_in, thin = cfg.burn_in, cfg.thin
     if screened:
         q = _quadratic(state[0], state[1], quads)
         target_hi = target.copy()
-        z0, half, coef, rem, margin = model
+        # A chain without a record holds half = -1: no proposal falls in its box.
+        z0, _, (l11, l21, l22) = quads
+        rec = np.flatnonzero(quads[1].any(axis=0))
+        half = np.full((2, b_chains), -1.0)
+        half[:, rec] = _TAYLOR_SDS * np.array([l11[rec], np.hypot(l21[rec], l22[rec])])
+        coef, rem = np.zeros((2, b_chains, 6, 6))
+        margin = np.zeros(b_chains)
+        coef[rec], rem[rec], margin[rec] = _loglik_taylor(lx[rec], sumlx[rec], ln_xl[rec],
+                                                          z0[:, rec], half[:, rec])
     cycle = gated.any()
     walks = np.where(gated, _ADAPT_WINDOW // 2, _ADAPT_WINDOW)
     walkers = None if gated.all() else np.flatnonzero(~gated)
@@ -634,49 +627,38 @@ def _mh_bank(lx, sumlx, ln_xl, prior, cfg, streams, state, target, quads, screen
                 bound = np.minimum(dq, 0.0)
                 screen = lu < bound
                 passed += screen
-                rows = np.flatnonzero(screen)
-                accept = None  # moves are applied below, in place
-                if rows.size:
-                    # Stage 2 reuses the uniform: given ln u < min(0, dq),
-                    # u / e^min(0, dq) is uniform on (0, 1), and the step
-                    # accepts when ln u < bound + min(D, 0), with
-                    # D = target_p - target - dq.  Each side of that is
-                    # monotone in both targets, so brackets [lo, hi] on them
-                    # decide it where ln u falls below the threshold at
-                    # (lo_p, hi) or at or above the one at (hi_p, lo).
-                    zp = prop[:, rows]
-                    value, width = _taylor_bracket(zp - z0[:, rows], half[:, rows], coef[rows],
-                                                   rem[rows], margin[rows])
-                    prior_p = _log_target_z(zp[0], zp[1], prior)
-                    lo, hi = (value - width) + prior_p, (value + width) + prior_p
-                    lu_r, bound_r, dq_r = lu[rows], bound[rows], dq[rows]
-                    take = lu_r < bound_r + np.minimum(lo - target_hi[rows] - dq_r, 0.0)
-                    # Written as "not rejected" so that a nan bracket stays open.
-                    open_ = ~take & ~(lu_r >= bound_r + np.minimum(hi - target[rows] - dq_r, 0.0))
-                    if open_.any():
-                        # The exact comparison, in one kernel call for the
-                        # open proposals and the states whose target is only
-                        # bracketed (lo < hi).
-                        ev = rows[open_]
-                        stale = ev[target[ev] < target_hi[ev]]
-                        at = np.concatenate((ev, stale))
-                        z_at = np.concatenate((zp[:, open_], state[:, stale]), axis=1)
-                        exact = (_loglik_batch(lx[at], sumlx[at], ln_xl[at], z_at[0], z_at[1])
-                                 + _log_target_z(z_at[0], z_at[1], prior))
-                        target[stale] = target_hi[stale] = exact[ev.size:]
-                        target_p = lo[open_] = hi[open_] = exact[:ev.size]
-                        take[open_] = lu_r[open_] < bound_r[open_] + np.minimum(
-                            target_p - target[ev] - dq_r[open_], 0.0)
-                    moved = rows[take]
-                    state[:, moved] = zp[:, take]
-                    q[moved] = q_p[moved]
-                    target[moved] = lo[take]
-                    target_hi[moved] = hi[take]
-                    accepted[moved] += 1
-            if accept is not None:
-                np.copyto(state, prop, where=accept)
-                np.copyto(target, target_p, where=accept)
-                accepted += accept
+                # Stage 2 reuses the uniform: given ln u < min(0, dq),
+                # u / e^min(0, dq) is uniform on (0, 1), and the step accepts
+                # when ln u < bound + min(D, 0), with D = target_p - target - dq.
+                # Each side of that is monotone in both targets, so brackets
+                # [lo, hi] on them decide it where ln u falls below the
+                # threshold at (lo_p, hi) or at or above the one at (hi_p, lo).
+                value, width = _taylor_bracket(prop - z0, half, coef, rem, margin)
+                prior_p = _log_target_z(prop[0], prop[1], prior)
+                lo, hi = (value - width) + prior_p, (value + width) + prior_p
+                accept = screen & (lu < bound + np.minimum(lo - target_hi - dq, 0.0))
+                # Written as "not rejected" so that a nan bracket stays open.
+                open_ = screen & ~accept & ~(lu >= bound + np.minimum(hi - target - dq, 0.0))
+                ev = np.flatnonzero(open_)
+                if ev.size:
+                    # The exact comparison, in one kernel call for the open
+                    # proposals and the states whose target is only
+                    # bracketed (lo < hi).
+                    stale = ev[target[ev] < target_hi[ev]]
+                    at = np.concatenate((ev, stale))
+                    z_at = np.concatenate((prop[:, ev], state[:, stale]), axis=1)
+                    exact = (_loglik_batch(lx[at], sumlx[at], ln_xl[at], z_at[0], z_at[1])
+                             + _log_target_z(z_at[0], z_at[1], prior))
+                    target[stale] = target_hi[stale] = exact[ev.size:]
+                    lo[ev] = hi[ev] = exact[:ev.size]
+                    accept[ev] = lu[ev] < bound[ev] + np.minimum(lo[ev] - target[ev] - dq[ev],
+                                                                 0.0)
+                np.copyto(q, q_p, where=accept)
+                np.copyto(target_hi, hi, where=accept)
+                target_p = lo
+            np.copyto(state, prop, where=accept)
+            np.copyto(target, target_p, where=accept)
+            accepted += accept
             if t <= burn_in:
                 if t % _ADAPT_WINDOW == 0:
                     steps = _adapted(steps, accepted - indep - window_start, walks)

@@ -249,13 +249,16 @@ def run_scenario(scenarios, workers: int = 1) -> list[ReplicateResult]:
     Returns the records scenario by scenario, each in replicate order.
     Replicates of scenarios that can share a bank are pooled, and each pool
     is cut into the fewest near-equal banks of at most 200 chains, rounded
-    up to a multiple of ``workers`` while no bank is empty; ``workers`` only
-    chooses how many banks run at once and never changes a record.
+    up to a multiple of ``workers`` while no bank is empty; ``workers`` (at
+    least 1) only chooses how many banks run at once and never changes a
+    record.
     """
     if isinstance(scenarios, Scenario):
         scenarios = [scenarios]
     if not scenarios:
         raise ValueError("need at least one scenario")
+    if workers < 1:
+        raise ValueError(f"workers must be >= 1, got {workers}")
     banks = [bank for pool in _pools(scenarios) for bank in _banks(pool, workers)]
     jobs = [[(scenarios[i], r) for i, r in bank] for bank in banks]
     results = _pooled(_bank, jobs, workers)

@@ -613,7 +613,8 @@ class TestLoopIdentity:
     start and from the fit's own start.  A screened bank decides stage 2 on
     a certified bracket of the likelihood where it can, and the lone chain
     always on the kernel; the bank shaped like the sweep's (n = 1000 pooled
-    from x_L 0, 0.1 and 1.0) must draw the same bytes.  Each
+    from x_L 0, 0.1 and 1.0) must draw the same bytes, under the diffuse
+    prior and under one that pulls alpha far off its MLE.  Each
     bank also holds an untruncated sample at its MLE (ln x_L = -inf beside
     finite ones).  4501 iterations are odd and no multiple of the uniform
     block, and diagonal scales of 20 and 1e-7 land a chain without a Laplace
@@ -622,7 +623,10 @@ class TestLoopIdentity:
     """
 
     CFG = McmcConfig(iterations=4501, burn_in=1150, thin=3, seed=6)
-    BANKS = ["screened, off-mode, boundary", "below the floor", "gated", "screened, pooled x_L"]
+    BANKS = ["screened, off-mode, boundary", "below the floor", "gated", "screened, pooled x_L",
+             "screened, pulled prior"]
+    # Gamma(400, 100) on alpha: mean 4, sd 0.2, against samples drawn at alpha = 2.
+    PULLED = PriorSpec(400.0, 100.0, 1.0, 0.01)
 
     @pytest.fixture(scope="class")
     def banks(self, sample_n1000):
@@ -660,33 +664,38 @@ class TestLoopIdentity:
                 at_mle(bladder, bfit), at_mle(small, sfit), at_mle(small_untruncated, sufit),
                 at_mle(bladder, bfit)],
             "screened, pooled x_L": [at_mle(s, fit_mle(s)) for s in pooled],
+            "screened, pulled prior": [at_mle(s, fit_mle(s)) for s in pooled],
         }
 
+    @classmethod
+    def _prior(cls, bank):
+        return cls.PULLED if bank == "screened, pulled prior" else PriorSpec.diffuse()
+
     @staticmethod
-    def _run(chains, cfg, rows=None):
+    def _run(chains, cfg, prior, rows=None):
         """_mh_chains on the given rows of a bank; row k draws from stream
         (seed, 1 + k) wherever it runs."""
         rows = range(len(chains)) if rows is None else rows
         lx = np.stack([chains[k][0].log_values for k in rows])
         ln_xl = np.array([_log_xl(chains[k][0].x_l) for k in rows])
         init = np.array([chains[k][1] for k in rows])
-        return mcmc._mh_chains(lx, ln_xl, PriorSpec.diffuse(), cfg,
+        return mcmc._mh_chains(lx, ln_xl, prior, cfg,
                                [RngStream(cfg.seed, 1 + k) for k in rows], init,
                                [chains[k][2] for k in rows])
 
     @pytest.mark.parametrize("bank", BANKS)
     @pytest.mark.parametrize("steps", [0.1, 20.0, 1e-7], ids=["steps0", "steps1", "steps2"])
     def test_bank_rows_equal_lone_chains(self, banks, bank, steps, monkeypatch):
-        chains = banks[bank]
+        chains, prior = banks[bank], self._prior(bank)
         monkeypatch.setattr(mcmc, "_DIAGONAL_SCALE", steps)
-        together = self._run(chains, self.CFG)
+        together = self._run(chains, self.CFG, prior)
         shares = together[3]
         assert any(_log_xl(s.x_l) == -np.inf for s, _, _ in chains)
         laplace = [0, 1, 2, 3] if bank == "gated" else [0, 3]  # rows walking along L
         if bank == "screened, off-mode, boundary":
             assert np.all(shares[[0, 3], 0] < 1.0) and np.all(shares[1:3, 0] == 1.0)
             assert np.isnan(shares[:, 1]).all()
-        elif bank == "screened, pooled x_L":
+        elif bank.startswith("screened, p"):
             laplace = list(range(len(chains)))
             assert np.all(shares[:, 0] < 1.0) and np.isnan(shares[:, 1]).all()
         else:
@@ -703,7 +712,7 @@ class TestLoopIdentity:
             moves = 10 if steps < lo else -10
             assert final[plain] == pytest.approx(np.clip(steps, lo, hi) * 1.1 ** moves, rel=1e-12)
         for k in range(len(chains)):
-            alone = self._run(chains, self.CFG, [k])
+            alone = self._run(chains, self.CFG, prior, [k])
             # A diagonal walk of scale near 1e-6 accepts (nearly) every move.
             assert 0.0 < alone[1][0] < 1.0 or (steps < lo and k in plain)
             for got, want in zip(together, alone):
@@ -712,7 +721,9 @@ class TestLoopIdentity:
     def test_screened_bank_evaluates_few_passes(self, banks, monkeypatch):
         # The bracket decides stage 2 for all but a few of the proposals that
         # pass the screen; the kernel sees the rest, plus the states whose
-        # target is only bracketed, plus the start.
+        # target is only bracketed, plus the start.  The bracket's box sits
+        # about the Laplace centre, so a prior that pulls the chains off
+        # their MLEs leaves it as decisive.
         rows = []
         kernel = mcmc._loglik_batch
 
@@ -721,10 +732,12 @@ class TestLoopIdentity:
             return kernel(lx, *args)
 
         monkeypatch.setattr(mcmc, "_loglik_batch", counting)
-        shares = self._run(banks["screened, pooled x_L"], self.CFG)[3]
-        passes = float(np.sum(shares[:, 0])) * self.CFG.iterations
-        assert passes > 1000.0
-        assert 0 < sum(rows) <= 0.1 * passes
+        for bank in ("screened, pooled x_L", "screened, pulled prior"):
+            rows.clear()
+            shares = self._run(banks[bank], self.CFG, self._prior(bank))[3]
+            passes = float(np.sum(shares[:, 0])) * self.CFG.iterations
+            assert passes > 1000.0
+            assert 0 < sum(rows) <= 0.1 * passes, (bank, sum(rows), passes)
 
     @pytest.mark.parametrize("block", [2048, 512, 37])
     def test_uniform_block_size_changes_no_draw(self, banks, block, monkeypatch):
@@ -734,14 +747,15 @@ class TestLoopIdentity:
         # proposals are cut into kernel calls, from one element a call to the
         # whole block in one, every row gets the bits of its own evaluation.
         for bank in self.BANKS:
-            chains = banks[bank]
+            chains, prior = banks[bank], self._prior(bank)
             monkeypatch.setattr(mcmc, "_RNG_BLOCK", 512)
             monkeypatch.setattr(mcmc, "_PRICE_ELEMENTS", 1 << 15)
-            want = self._run(chains, self.CFG), self._run(chains, self.CFG, [0])
+            want = self._run(chains, self.CFG, prior), self._run(chains, self.CFG, prior, [0])
             monkeypatch.setattr(mcmc, "_RNG_BLOCK", block)
             for price in (1, 1 << 22):
                 monkeypatch.setattr(mcmc, "_PRICE_ELEMENTS", price)
-                got = self._run(chains, self.CFG), self._run(chains, self.CFG, [0])
+                got = (self._run(chains, self.CFG, prior),
+                       self._run(chains, self.CFG, prior, [0]))
                 for run, ref in zip(got, want):
                     for g, w in zip(run, ref):
                         assert np.array_equal(g, w, equal_nan=True)
@@ -857,8 +871,12 @@ class TestChainFanOut:
 class TestDelayedAcceptanceExactness:
     """A screened chain samples the exact posterior: compare with a dense grid.
 
-    The sample sits at x_L = 1 and n at the screen floor, where the Laplace
-    quadratic is least accurate.  The oracle is ``grid_posterior``.
+    ``run_chain`` runs 4 lone chains (the exact reference loop, which
+    evaluates every pass) of a sample at x_L = 1 with n at the screen floor,
+    where the Laplace quadratic is least accurate.  A 4-row bank, which
+    settles stage 2 on its certified bracket, runs an untruncated sample of
+    the same n under a prior that pulls alpha off its MLE.  The oracle is
+    ``grid_posterior``.
     """
 
     CFG = McmcConfig(iterations=42000, burn_in=2000, thin=1, seed=8, chains=4)
@@ -890,6 +908,18 @@ class TestDelayedAcceptanceExactness:
         res = run_chain(s, prior, self.CFG)
         assert grid_mismatches(res.draws, self.CFG.chains, exact) == []
         assert min(res.ess_alpha, res.ess_beta) < min(good.ess_alpha, good.ess_beta)
+
+    def test_bank_under_pulled_prior_matches_grid_posterior(self):
+        s = draw_ltll(mcmc._SCREEN_MIN_N, LTLLParams(2.0, 3.0, 0.0), RngStream(31, 1))
+        prior, fit, cfg = TestLoopIdentity.PULLED, fit_mle(s), self.CFG
+        draws, _, _, shares = mcmc._mh_chains(
+            np.repeat(s.log_values[None], cfg.chains, axis=0), np.full(cfg.chains, -np.inf),
+            prior, cfg, [RngStream(cfg.seed, 1 + k) for k in range(cfg.chains)],
+            np.tile(mcmc._chain_start(s, fit), (cfg.chains, 1)), [fit] * cfg.chains)
+        assert np.all(shares[:, 0] < 0.6)  # the screen is engaged
+        exact = grid_posterior(s, prior, fit)[0]
+        assert exact[0][0] > fit.alpha + 2.0 * math.sqrt(fit.info.inverse().a11)
+        assert grid_mismatches(draws.reshape(-1, 2), cfg.chains, exact) == []
 
 
 class TestMixtureExactness:

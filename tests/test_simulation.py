@@ -184,6 +184,16 @@ class TestScenario:
         with pytest.raises(ValueError, match="at least one scenario"):
             run_scenario([])
 
+    @pytest.mark.parametrize("workers", [0, -1])
+    def test_workers_below_one_refused(self, workers):
+        sc = tiny_scenario(replicates=2)
+        with pytest.raises(ValueError, match="workers"):
+            run_scenario(sc, workers=workers)
+        with pytest.raises(ValueError, match="workers"):
+            truncation_sweep(sc, [0.5, 1.0], workers=workers)
+        with pytest.raises(ValueError, match="workers"):
+            sample_size_sweep(sc, [50], workers=workers)
+
 
 @pytest.fixture
 def inline_pool(monkeypatch):
