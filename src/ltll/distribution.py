@@ -413,22 +413,15 @@ def _partial_terms(i: int, j: int):
     return tuple((c, m, r) for (_, m, r), c in sorted(terms.items()))
 
 
-def _softplus_derivatives(t):
-    """softplus^(r)(t) for r = 1-4, stacked on a new first axis: sigma, w,
-    w (1 - 2 sigma) and w (1 - 6 w), with w = sigma (1 - sigma)."""
-    sig, w = _logistic(t)
-    return np.stack((sig, w, w * (1.0 - 2.0 * sig), w * (1.0 - 6.0 * w)))
-
-
 def _abs_t_range(lx, a0, ha, beta_lo, beta_hi):
-    """(t_max, tau_lo, tau_hi) of t = beta (lx - z_a) over z_a in a0 -+ ha and
-    beta in [beta_lo, beta_hi]: t's upper end and the range of |t|, per
-    element of lx (rows, n) with the other arguments per row."""
+    """(tau_lo, tau_hi), the range of |t| for t = beta (lx - z_a) over z_a in
+    a0 -+ ha and beta in [beta_lo, beta_hi], per element of lx (rows, n) with
+    the other arguments per row."""
     u_lo = lx - (a0 + ha)[:, None]
     u_hi = lx - (a0 - ha)[:, None]
     t_min = np.where(u_lo >= 0.0, beta_lo[:, None] * u_lo, beta_hi[:, None] * u_lo)
     t_max = np.where(u_hi >= 0.0, beta_hi[:, None] * u_hi, beta_lo[:, None] * u_hi)
-    return t_max, np.maximum(np.maximum(t_min, -t_max), 0.0), np.maximum(t_max, -t_min)
+    return np.maximum(np.maximum(t_min, -t_max), 0.0), np.maximum(t_max, -t_min)
 
 
 def _peak_sums(tau_lo, tau_hi):
@@ -441,51 +434,53 @@ def _peak_sums(tau_lo, tau_hi):
     return out
 
 
-def _loglik_taylor(lx, sumlx, ln_xl, z0, half):
-    """Certified quartic model of the log-likelihood in z = (ln alpha, ln beta).
+def _loglik_taylor(lx, sumlx, z0, half):
+    """Certified quartic model of the log-likelihood's data sum in
+    z = (ln alpha, ln beta).
 
-    lx (B, n), sumlx (B,), ln_xl (B,): rows as ``_loglik_batch`` takes them;
-    z0 (2, B): each row's expansion point; half (2, B): the half-widths of
-    its box |z - z0| <= half.  With d = z - z0 the model is the Taylor
-    polynomial of order 4 about z0, sum over i + j <= 4 of
+    lx (B, n), sumlx (B,): rows as ``_loglik_batch`` takes them; z0 (2, B):
+    each row's expansion point; half (2, B): the half-widths of its box
+    |z - z0| <= half.  With f(t) = t - 2 softplus(t) the log-likelihood is
+    the data sum n z_b - sum ln x_i + sum f(t_i) plus the normalizer
+    n softplus(t_L).  The model covers the data sum alone, which is
+    ``_loglik_batch`` at ln_xl = -inf; the normalizer, like the prior, is
+    closed-form, and the caller adds it exactly.  With d = z - z0 the model
+    is the Taylor polynomial of order 4 about z0, sum over i + j <= 4 of
     coef[i, j] d_a^i d_b^j, and for every z in the box
 
-        |_loglik_batch(z) - model(d)| <= sum_{i+j=5} rem[i, j] |d_a|^i |d_b|^j + margin.
+        |data sum(z) - model(d)| <= sum_{i+j=5} rem[i, j] |d_a|^i |d_b|^j + rem[0, 0].
 
-    With f(t) = t - 2 softplus(t) the log-likelihood is
-    n z_b - sum ln x_i + sum f(t_i) + n softplus(t_L).  Order 0 is the
-    kernel's own value at z0; orders 1-4 are data sums of the terms of
-    ``_partial_terms``, each partial one of f's plus n times one of
-    softplus's at t_L (plus n in d_b, from n z_b).  The order-5 remainder
-    takes Lagrange's form: each order-5 partial is bounded over the box term
-    by term, each term by its sup over every value's range of |t|.  With
-    w = sigma (1 - sigma) <= e^-|t| (w' = w (1 - 2 sigma), w'' = w (1 - 6 w),
-    w''' = w' (1 - 12 w)): |f'| = tanh(|t|/2), |f^(r)| <= 2w for r = 2-4 and
-    4w for r = 5; softplus' = sigma, and its higher derivatives take half of
-    f's bounds; |t|^m e^-|t| peaks at |t| = m, clipped to the range.
+    Order 0 is the kernel's own data sum at z0; orders 1-4 are data sums of
+    the terms of ``_partial_terms``, each partial one of f's (plus n in d_b,
+    from n z_b).  The order-5 remainder takes Lagrange's form: each order-5
+    partial is bounded over the box term by term, each term by its sup over
+    every value's range of |t|.  With w = sigma (1 - sigma) <= e^-|t|
+    (w' = w (1 - 2 sigma), w'' = w (1 - 6 w), w''' = w' (1 - 12 w)):
+    |f'| = tanh(|t|/2), |f^(r)| <= 2w for r = 2-4 and 4w for r = 5;
+    |t|^m e^-|t| peaks at |t| = m, clipped to the range.
 
-    The margin covers floating-point error, of the kernel and of the model
-    alike.  Each of their terms is formed with a relative error of a few
-    units of rounding u and enters one sum once, and a sum of n terms errs by
-    at most (n - 1) u times the sum of their magnitudes: so either error
-    stays below (n + 64) u A, where A adds the magnitudes of the kernel's
-    terms over the box to those of the model's terms at its corner.  The
-    margin is 512 times that, _MARGIN_ULPS (n + 64) A.  Returns
-    (coef, rem, margin): (B, 6, 6), (B, 6, 6) and (B,), coef zero where
-    i + j = 5 and rem zero elsewhere.
+    rem[0, 0] is the margin for floating-point error, of the kernel and of
+    the model alike.  Each of their terms is formed with a relative error of
+    a few units of rounding u and enters one sum once, and a sum of n terms
+    errs by at most (n - 1) u times the sum of their magnitudes: so either
+    error stays below (n + 64) u A, where A adds the magnitudes of the
+    kernel's terms over the box to those of the model's terms at its corner.
+    The margin is 512 times that, _MARGIN_ULPS (n + 64) A.  Returns
+    (coef, rem), both (B, 6, 6): coef is zero where i + j = 5, and rem is
+    zero elsewhere but at (0, 0).
     """
     rows, n = lx.shape
-    out = np.zeros((rows, 6, 6)), np.zeros((rows, 6, 6)), np.empty(rows)
+    out = np.zeros((rows, 6, 6)), np.zeros((rows, 6, 6))
     per = max(1, _TAYLOR_ELEMENTS // n)
     for r0 in range(0, rows, per):
         block = slice(r0, r0 + per)
-        for whole, part in zip(out, _taylor_block(lx[block], sumlx[block], ln_xl[block],
-                                                  z0[:, block], half[:, block])):
+        for whole, part in zip(out, _taylor_block(lx[block], sumlx[block], z0[:, block],
+                                                  half[:, block])):
             whole[block] = part
     return out
 
 
-def _taylor_block(lx, sumlx, ln_xl, z0, half):
+def _taylor_block(lx, sumlx, z0, half):
     """``_loglik_taylor`` for one block of rows."""
     rows, n = lx.shape
     a0, b0 = z0
@@ -493,25 +488,21 @@ def _taylor_block(lx, sumlx, ln_xl, z0, half):
     beta = np.exp(b0)
     coef = np.zeros((rows, 6, 6))
     rem = np.zeros((rows, 6, 6))
-    coef[:, 0, 0] = _loglik_batch(lx, sumlx, ln_xl, a0, b0)
+    coef[:, 0, 0] = _loglik_batch(lx, sumlx, -np.inf, a0, b0)
     coef[:, 0, 1] = n  # from the term n z_b
 
-    # sums[k, m, r - 1]: sum over the data of t^m f^(r), plus n t_L^m softplus^(r)(t_L)
-    # (0 at x_l = 0), for m = 0-4 and r = 1-4; mags sums their magnitudes.
+    # sums[k, m, r - 1]: sum over the data of t^m f^(r), for m = 0-4 and
+    # r = 1-4; mags sums their magnitudes.  With w = sigma (1 - sigma),
+    # f^(r) for r = 1-4 is -tanh(t/2), -2w, -2w (1 - 2 sigma) and -2w (1 - 6w).
     t = beta[:, None] * (lx - a0[:, None])
-    f = -2.0 * _softplus_derivatives(t)
-    f[0] = -np.tanh(0.5 * t)
+    sig, w = _logistic(t)
+    f = np.stack((-np.tanh(0.5 * t), w, w * (1.0 - 2.0 * sig), w * (1.0 - 6.0 * w)))
+    f[1:] *= -2.0
     tm = np.ones((5,) + t.shape)
     for m in range(1, 5):
         np.multiply(tm[m - 1], t, out=tm[m])
     sums = np.einsum("mkn,rkn->kmr", tm, f)
     mags = np.einsum("mkn,rkn->kmr", np.abs(tm, out=tm), np.abs(f, out=f))
-    truncated = ln_xl > -np.inf
-    t_l = np.where(truncated, beta * (ln_xl - a0), 0.0)
-    tail = n * np.einsum("mk,rk->kmr", t_l ** np.arange(5)[:, None],
-                         _softplus_derivatives(t_l) * truncated)
-    sums += tail
-    mags += np.abs(tail)
     corner = np.abs(coef[:, 0, 0]) + n * hb
     for order in range(1, 5):
         for i in range(order + 1):
@@ -522,20 +513,13 @@ def _taylor_block(lx, sumlx, ln_xl, z0, half):
             mag = sum(abs(c) * mags[:, m, r - 1] for c, m, r in terms)
             corner += scale * mag * ha ** i * hb ** j
 
-    # Order 5 over the box, widened by _BOX_SLACK: envelopes per (m, r), for
-    # the data and for the truncation point (an untruncated row's is 0).
+    # Order 5 over the box, widened by _BOX_SLACK: envelopes of |f^(r)| per (m, r).
     ha, hb = _BOX_SLACK * ha, _BOX_SLACK * hb
     beta_lo, beta_hi = np.exp(b0 - hb), np.exp(b0 + hb)
-    _, tau_lo, tau_hi = _abs_t_range(lx, a0, ha, beta_lo, beta_hi)
+    tau_lo, tau_hi = _abs_t_range(lx, a0, ha, beta_lo, beta_hi)
     peaks = _peak_sums(tau_lo, tau_hi)
-    powers = np.arange(6)
-    slope = np.einsum("mkn,kn->km", tau_hi ** powers[:, None, None], np.tanh(0.5 * tau_hi))
-    tl_max, tl_lo, tl_hi = _abs_t_range(np.where(truncated, ln_xl, a0)[:, None], a0, ha,
-                                        beta_lo, beta_hi)
-    tail_peaks = n * truncated[:, None] * _peak_sums(tl_lo, tl_hi)
-    tail_slope = n * truncated[:, None] * tl_hi ** powers * _logistic(tl_max)[0]
-    envelope = {1: slope + tail_slope, 2: 2.0 * peaks + tail_peaks,
-                5: 4.0 * peaks + 2.0 * tail_peaks}
+    slope = np.einsum("mkn,kn->km", tau_hi ** np.arange(6)[:, None, None], np.tanh(0.5 * tau_hi))
+    envelope = {1: slope, 2: 2.0 * peaks, 5: 4.0 * peaks}
     envelope[3] = envelope[4] = envelope[2]
     for i in range(6):
         j = 5 - i
@@ -543,21 +527,21 @@ def _taylor_block(lx, sumlx, ln_xl, z0, half):
         rem[:, i, j] = sup / (math.factorial(i) * math.factorial(j))
 
     kernel = (n * np.maximum(np.abs(b0 - hb), np.abs(b0 + hb)) + np.abs(sumlx)
-              + tau_hi.sum(axis=1) + 2.0 * n * math.log(2.0)
-              + n * truncated * (np.maximum(tl_max[:, 0], 0.0) + math.log(2.0)))
-    return coef, rem, _MARGIN_ULPS * (n + 64) * (kernel + corner)
+              + tau_hi.sum(axis=1) + 2.0 * n * math.log(2.0))
+    rem[:, 0, 0] = _MARGIN_ULPS * (n + 64) * (kernel + corner)
+    return coef, rem
 
 
-def _taylor_bracket(d, half, coef, rem, margin):
+def _taylor_bracket(d, half, coef, rem):
     """(value, width) of ``_loglik_taylor``'s models of k rows at
     displacements d (2, k) from their expansion points, given the rows'
-    half (2, k), coef and rem (k, 6, 6) and margin (k,): the kernel's value
-    lies within value -+ width, and width is inf outside a row's box."""
+    half (2, k) and their coef and rem (k, 6, 6): the kernel's data sum lies
+    within value -+ width, and width is inf outside a row's box."""
     powers = np.ones(d.shape + (6,))
     powers[:, :, 1:] = d[:, :, None]
     np.cumprod(powers, axis=2, out=powers)
     mono = powers[0][:, :, None] * powers[1][:, None, :]
-    width = np.einsum("kij,kij->k", np.abs(mono), rem) + margin
+    width = np.einsum("kij,kij->k", np.abs(mono), rem)
     return (np.einsum("kij,kij->k", mono, coef),
             np.where((np.abs(d) <= half).all(axis=0), width, np.inf))
 

@@ -25,7 +25,7 @@ at least _SCREEN_MIN_N values whose fit is interior with positive-definite
 information run delayed-acceptance MH (Christen & Fox 2005, "MCMC using an
 approximation").  Stage 1 prices a proposal on q, the Laplace quadratic of
 the log-target about the MLE, and passes it when ln u < min(0, dq).  Only
-passing chains evaluate the full likelihood, and they accept when
+proposals that pass this stage-1 screen go on to stage 2, which accepts when
 ln u < min(0, dq) + min(0, dpi - dq).  Given a pass, u / e^min(0, dq) is
 uniform on (0, 1), so the one accept uniform serves both stages and a step
 still consumes three uniforms.  The two-stage kernel is reversible with
@@ -36,13 +36,15 @@ MH, ln u < dpi, bit for bit.
 
 A screened bank decides most of stage 2 without the likelihood.  Each of
 its chains with a record carries a certified Taylor model of its
-log-likelihood (``distribution._loglik_taylor``, after the Taylor proxies
-with bounded remainder of Bardenet, Doucet & Holmes 2017, "On MCMC methods
-for tall data"): the quartic about the Laplace centre, exact in its
-coefficients, with a bound on the order-5 remainder over a box of
-_TAYLOR_SDS Laplace standard deviations per axis and a margin for
-floating-point error.  The box sits where the chain runs, under an
-informative prior as under a flat one, and the bracket is certified
+log-likelihood's data sum (``distribution._loglik_taylor``, after the
+Taylor proxies with bounded remainder of Bardenet, Doucet & Holmes 2017,
+"On MCMC methods for tall data"): the quartic about the Laplace centre,
+exact in its coefficients, with a bound on the order-5 remainder over a box
+of _TAYLOR_SDS Laplace standard deviations per axis and a margin for
+floating-point error.  The truncation normalizer n ln(1 + (x_L/alpha)^beta)
+and the prior are closed-form, and each step adds them to the bracket
+exactly, as the kernel adds them.  The box sits where the chain runs, under
+an informative prior as under a flat one, and the bracket is certified
 wherever it is centred.  Stage 2's
 threshold is monotone in both targets, so a bracket on each settles every
 step whose ln u lies outside the bracket's thresholds, the same way the
@@ -232,7 +234,7 @@ class PosteriorResult:
     ess_alpha: float
     ess_beta: float
     # Per chain (chains,): the final walk scale s; the share of proposals
-    # that reached the full likelihood (1 for plain MH) and the acceptance of
+    # that passed the stage-1 screen (1 for plain MH) and the acceptance of
     # independence steps (nan for chains that only walk); None when unknown.
     steps: np.ndarray | None = None
     screen_pass: np.ndarray | None = None
@@ -317,19 +319,19 @@ def _laplace_quadratics(fits, prior: PriorSpec):
     return centre, coef, chol
 
 
-def _quadratic(la, lb, quads):
-    """Laplace quadratic q at (la, lb); quads is ``_laplace_quadratics``'
-    (centre, coefficients, L), per chain or for one chain."""
-    (ca, cb), (qaa, qab, qbb), _ = quads
-    da = la - ca
-    db = lb - cb
+def _quadratic(d, coef):
+    """Laplace quadratic q at the displacements d = (z_a - c_a, z_b - c_b)
+    from its centre; coef is ``_laplace_quadratics``' coefficients, per
+    chain or for one chain."""
+    (da, db), (qaa, qab, qbb) = d, coef
     return da * (qaa * da + qab * db) + qbb * db * db
 
 
 def _log_t2(la, lb, quads):
     """ln g at (la, lb), up to a constant, for the t_2 proposal: with
     delta = (z - c)^T (-H) (z - c) = -2 q, g is (1 + delta / 2)^-2."""
-    return -2.0 * np.log1p(-_quadratic(la, lb, quads))
+    (ca, cb), coef, _ = quads
+    return -2.0 * np.log1p(-_quadratic((la - ca, lb - cb), coef))
 
 
 def _independence_block(w, quads, gated, lx, sumlx, ln_xl, prior):
@@ -445,12 +447,13 @@ def _mh_chains(lx, ln_xl, prior: PriorSpec, cfg: McmcConfig, streams, init, fits
     (``_walk_normals``), adaptation rule, stream layout, block pricing and
     ``_log_target_z``, and take the same floating-point steps in the same
     order, so chain k of any bank equals that chain run alone.  A screened
-    bank first builds every recorded chain's certified Taylor model about
-    its Laplace centre, once, and decides stage 2 on its bracket where it
+    bank first builds every recorded chain's certified Taylor model of the
+    data sum about its Laplace centre, once, and decides stage 2 on its
+    bracket, with the truncation term and the prior added exactly, where it
     can; the lone loop, the exact reference, always runs the kernel.  Returns
     (draws (B, retained, 2), acceptance_rate (B,), steps (B,), shares
-    (B, 2)), where shares holds the share of proposals that reached the full
-    likelihood (1 for chains without a screen) and the acceptance of
+    (B, 2)), where shares holds the share of proposals that passed the
+    stage-1 screen (1 for chains without a screen) and the acceptance of
     independence steps (nan for chains that only walk).
     """
     lx = np.ascontiguousarray(lx, dtype=np.float64)
@@ -493,9 +496,10 @@ def _mh_one(lx, sumlx, ln_xl, prior, cfg, streams, state, target, quads, screene
     (lna,), (lnb,) = state.tolist()
     target = float(target[0])
     quad = [tuple(a[:, 0].tolist()) for a in quads]  # this chain's, on Python floats
+    (ca, cb), qcoef, _ = quad
     cycle = bool(gated[0])
     steps = float(steps[0])
-    q = q_p = _quadratic(lna, lnb, quad) if screened else 0.0
+    q = q_p = _quadratic((lna - ca, lnb - cb), qcoef) if screened else 0.0
     walks = _ADAPT_WINDOW // 2 if cycle else _ADAPT_WINDOW
     lg = None  # ln g at the current state, once an independence step needs it
     kept = []
@@ -521,7 +525,7 @@ def _mh_one(lx, sumlx, ln_xl, prior, cfg, streams, state, target, quads, screene
                 lna_p = lna + inc[i][0]
                 lnb_p = lnb + inc[i][1]
                 if screened:
-                    q_p = _quadratic(lna_p, lnb_p, quad)
+                    q_p = _quadratic((lna_p - ca, lnb_p - cb), qcoef)
                 dq = q_p - q
                 bound = min(dq, 0.0)
                 if lu < bound:
@@ -556,33 +560,34 @@ def _mh_bank(lx, sumlx, ln_xl, prior, cfg, streams, state, target, quads, screen
     independence step a chain outside the gate walks: both its ln g terms
     are 0, so they add exactly 0 to its log ratio.
 
-    A screened bank builds each recorded chain's certified Taylor model
-    (``_loglik_taylor``) about its Laplace centre, the quadratic's c, over a
-    box of _TAYLOR_SDS Laplace standard deviations per axis, and prices
-    every proposal on it each step: the proposal's target lies in [lo, hi],
-    and a state's target is known (lo = hi) or bracketed, when a bracket
-    accepted it.  A passing step accepts when
-    ln u < bound + min(target_p - target - dq, 0), and every floating-point
-    operation there is monotone, so ln u below that threshold at (lo_p, hi)
-    accepts and ln u at or above it at (hi_p, lo) rejects, exactly as the
-    exact comparison would.  The undecided passes, with any of their states
-    whose target is only bracketed, go to the kernel in one call per step
-    and take the exact comparison, bit for bit.
+    A screened bank builds each recorded chain's certified Taylor model of
+    the data sum (``_loglik_taylor``) about its Laplace centre, the
+    quadratic's c, over a box of _TAYLOR_SDS Laplace standard deviations per
+    axis, and prices every proposal on it each step.  To the model's
+    value -+ width it adds the truncation term T and then the prior P, each
+    formed by the kernel's own expression and in the kernel's order, so
+    lo = ((value - width) + T) + P and hi likewise; rounding is monotone, so
+    the proposal's target lies in [lo, hi].  A state's target is known
+    (lo = hi) or bracketed, when a bracket accepted it.  A passing step
+    accepts when ln u < bound + min(target_p - target - dq, 0), and every
+    floating-point operation there is monotone, so ln u below that threshold
+    at (lo_p, hi) accepts and ln u at or above it at (hi_p, lo) rejects,
+    exactly as the exact comparison would.  The undecided passes, with any of
+    their states whose target is only bracketed, go to the kernel in one call
+    per step and take the exact comparison, bit for bit.
     """
     b_chains = lx.shape[0]
     burn_in, thin = cfg.burn_in, cfg.thin
     if screened:
-        q = _quadratic(state[0], state[1], quads)
+        centre, qcoef, (l11, l21, l22) = quads
+        q = _quadratic(state - centre, qcoef)
         target_hi = target.copy()
         # A chain without a record holds half = -1: no proposal falls in its box.
-        z0, _, (l11, l21, l22) = quads
-        rec = np.flatnonzero(quads[1].any(axis=0))
+        rec = np.flatnonzero(qcoef.any(axis=0))
         half = np.full((2, b_chains), -1.0)
         half[:, rec] = _TAYLOR_SDS * np.array([l11[rec], np.hypot(l21[rec], l22[rec])])
         coef, rem = np.zeros((2, b_chains, 6, 6))
-        margin = np.zeros(b_chains)
-        coef[rec], rem[rec], margin[rec] = _loglik_taylor(lx[rec], sumlx[rec], ln_xl[rec],
-                                                          z0[:, rec], half[:, rec])
+        coef[rec], rem[rec] = _loglik_taylor(lx[rec], sumlx[rec], centre[:, rec], half[:, rec])
     cycle = gated.any()
     walks = np.where(gated, _ADAPT_WINDOW // 2, _ADAPT_WINDOW)
     walkers = None if gated.all() else np.flatnonzero(~gated)
@@ -622,7 +627,8 @@ def _mh_bank(lx, sumlx, ln_xl, prior, cfg, streams, state, target, quads, screen
                 accept = lu < target_p - target
             else:
                 # Stage 1 prices the move on the quadratic alone.
-                q_p = _quadratic(prop[0], prop[1], quads)
+                d = prop - centre
+                q_p = _quadratic(d, qcoef)
                 dq = q_p - q
                 bound = np.minimum(dq, 0.0)
                 screen = lu < bound
@@ -633,9 +639,12 @@ def _mh_bank(lx, sumlx, ln_xl, prior, cfg, streams, state, target, quads, screen
                 # Each side of that is monotone in both targets, so brackets
                 # [lo, hi] on them decide it where ln u falls below the
                 # threshold at (lo_p, hi) or at or above the one at (hi_p, lo).
-                value, width = _taylor_bracket(prop - z0, half, coef, rem, margin)
+                # The bracket covers the data sum; the truncation term and
+                # the prior are added exactly, in the kernel's order.
+                value, width = _taylor_bracket(d, half, coef, rem)
+                trunc = lx.shape[1] * np.logaddexp(0.0, np.exp(prop[1]) * (ln_xl - prop[0]))
                 prior_p = _log_target_z(prop[0], prop[1], prior)
-                lo, hi = (value - width) + prior_p, (value + width) + prior_p
+                lo, hi = ((value - width) + trunc) + prior_p, ((value + width) + trunc) + prior_p
                 accept = screen & (lu < bound + np.minimum(lo - target_hi - dq, 0.0))
                 # Written as "not rejected" so that a nan bracket stays open.
                 open_ = screen & ~accept & ~(lu >= bound + np.minimum(hi - target - dq, 0.0))

@@ -31,6 +31,7 @@ from ltll.distribution import (
     phi_objective,
     score_gradient,
 )
+from ltll.mcmc import _TAYLOR_SDS, PriorSpec, _laplace_quadratics, _log_target_z
 from ltll.mle import fit_mle
 from ltll.numerics import RngStream
 
@@ -300,10 +301,15 @@ class TestScore:
         assert g0 == pytest.approx(g_eps, rel=1e-9)
 
 
+def _box_points(fractions):
+    """(2, k) fractions of a box's half-widths: its four corners, then ``fractions``."""
+    return np.array([(-1.0, -1.0), (-1.0, 1.0), (1.0, -1.0), (1.0, 1.0), *fractions]).T
+
+
 def _taylor_case(n, beta, quantile, seed):
     """A sample of LTLL(2, beta) truncated at its ``quantile`` (0: none), its
-    log-data as a bank of one, and the MLE's z with the box of 6 Wald
-    standard deviations per axis; None for a boundary fit."""
+    log-data as a bank of one, the MLE's z with the box of 6 Wald standard
+    deviations per axis, and the fit; None for a boundary fit."""
     x_l = 0.0 if quantile == 0.0 else 2.0 * (quantile / (1.0 - quantile)) ** (1.0 / beta)
     s = draw_ltll(n, LTLLParams(2.0, beta, x_l), RngStream(seed, 0))
     fit = fit_mle(s)
@@ -313,13 +319,15 @@ def _taylor_case(n, beta, quantile, seed):
     z0 = np.log([[fit.alpha], [fit.beta]])
     half = 6.0 * np.sqrt([[cov.a11], [cov.a22]]) / np.exp(z0)
     lx = s.log_values[None]
-    return lx, lx.sum(axis=1), np.array([_log_xl(x_l)]), z0, half
+    return lx, lx.sum(axis=1), np.array([_log_xl(x_l)]), z0, half, fit
 
 
 class TestTaylorModel:
     """The certified model a screened bank decides stage 2 on: the kernel's
-    own value must lie within model -+ (remainder bound + margin) anywhere in
-    the box, and orders 3-4 must be the derivatives of the tested Hessian."""
+    own data sum (ln_xl = -inf) must lie within model -+ (remainder bound +
+    margin) anywhere in the box, orders 3-4 must be the derivatives of the
+    tested Hessian, and the bank's bracket on the whole log-target, with the
+    truncation term and the prior added exactly, must hold the target."""
 
     @settings(max_examples=60, deadline=None, derandomize=True, database=None)
     @given(
@@ -333,40 +341,73 @@ class TestTaylorModel:
     def test_kernel_lies_inside_the_bracket(self, n, log_beta, quantile, seed, fractions):
         case = _taylor_case(n, math.exp(log_beta), quantile, seed)
         assume(case is not None)
-        lx, sumlx, ln_xl, z0, half = case
-        coef, rem, margin = _loglik_taylor(lx, sumlx, ln_xl, z0, half)
-        # Fractions of the half-widths: the four corners, then the drawn points.
-        f = np.array([(-1.0, -1.0), (-1.0, 1.0), (1.0, -1.0), (1.0, 1.0), *fractions]).T
-        d = f * half
+        lx, sumlx, _, z0, half, _ = case
+        coef, rem = _loglik_taylor(lx, sumlx, z0, half)
+        d = _box_points(fractions) * half
         z = z0 + d
         k = z.shape[1]
-        got = _loglik_batch(np.repeat(lx, k, axis=0), np.repeat(sumlx, k), np.repeat(ln_xl, k),
-                            z[0], z[1])
+        got = _loglik_batch(np.repeat(lx, k, axis=0), np.repeat(sumlx, k), -np.inf, z[0], z[1])
         value, width = _taylor_bracket(d, np.repeat(half, k, axis=1), np.repeat(coef, k, axis=0),
-                                       np.repeat(rem, k, axis=0), np.repeat(margin, k))
+                                       np.repeat(rem, k, axis=0))
         assert np.all(np.abs(got - value) <= width)
         # Just outside the box the bracket claims nothing.
         outside = np.array([[1.01, 0.0], [0.0, -1.01]]) * half
         width = _taylor_bracket(outside, np.repeat(half, 2, axis=1), np.repeat(coef, 2, axis=0),
-                                np.repeat(rem, 2, axis=0), np.repeat(margin, 2))[1]
+                                np.repeat(rem, 2, axis=0))[1]
         assert np.all(width == np.inf)
-        assert coef[0, 0, 0] == _loglik_row(lx[0], sumlx[0], ln_xl[0], z0[0, 0], z0[1, 0])
+        assert coef[0, 0, 0] == _loglik_row(lx[0], sumlx[0], -np.inf, z0[0, 0], z0[1, 0])
+
+    @settings(max_examples=40, deadline=None, derandomize=True, database=None)
+    @given(
+        n=st.integers(500, 3000),
+        log_beta=st.floats(math.log(0.5), math.log(20.0)),
+        quantile=st.one_of(st.just(0.0), st.floats(0.01, 0.9)),
+        seed=st.integers(0, 1 << 20),
+        pulled=st.booleans(),
+        fractions=st.lists(st.tuples(st.floats(-1.0, 1.0), st.floats(-1.0, 1.0)),
+                           min_size=1, max_size=6),
+    )
+    def test_bank_bracket_holds_the_target(self, n, log_beta, quantile, seed, pulled, fractions):
+        # The box a screened bank certifies: _TAYLOR_SDS Laplace sds about
+        # the Laplace centre, under the diffuse prior or Gamma(400, 100) on
+        # alpha.  lo and hi add the truncation term T and the prior P to the
+        # data sum's bracket as the step does, in the kernel's order.
+        case = _taylor_case(n, math.exp(log_beta), quantile, seed)
+        assume(case is not None)
+        lx, sumlx, ln_xl, _, _, fit = case
+        prior = PriorSpec(400.0, 100.0, 1.0, 0.01) if pulled else PriorSpec.diffuse()
+        centre, qcoef, (l11, l21, l22) = _laplace_quadratics([fit], prior)
+        assume(qcoef.any())
+        half = _TAYLOR_SDS * np.array([l11, np.hypot(l21, l22)])
+        coef, rem = _loglik_taylor(lx, sumlx, centre, half)
+        d = _box_points(fractions) * half
+        z = centre + d
+        k = z.shape[1]
+        rows = np.repeat(lx, k, axis=0), np.repeat(sumlx, k), np.repeat(ln_xl, k)
+        value, width = _taylor_bracket(d, np.repeat(half, k, axis=1), np.repeat(coef, k, axis=0),
+                                       np.repeat(rem, k, axis=0))
+        trunc = n * np.logaddexp(0.0, np.exp(z[1]) * (rows[2] - z[0]))
+        prior_z = _log_target_z(z[0], z[1], prior)
+        target = _loglik_batch(*rows, z[0], z[1]) + prior_z
+        assert np.all(((value - width) + trunc) + prior_z <= target)
+        assert np.all(target <= ((value + width) + trunc) + prior_z)
 
     @pytest.mark.parametrize("n, beta, quantile", [(500, 0.5, 0.0), (1000, 3.0, 0.11),
                                                    (800, 20.0, 0.9), (2000, 1.5, 0.5)])
     def test_partials_match_score_hessian_and_their_differences(self, n, beta, quantile):
-        lx, sumlx, ln_xl, z0, half = _taylor_case(n, beta, quantile, 31)
-        coef = _loglik_taylor(lx, sumlx, ln_xl, z0, half)[0][0]
+        lx, sumlx, _, z0, half, _ = _taylor_case(n, beta, quantile, 31)
+        coef = _loglik_taylor(lx, sumlx, z0, half)[0][0]
 
         def partial(i, j):
             return coef[i, j] * math.factorial(i) * math.factorial(j)
 
+        # The model covers the data sum: the derivatives of an untruncated row.
         def entry(r, c):
-            return lambda z: float(_derivatives_z(lx[0], ln_xl[0], z)[1][r, c])
+            return lambda z: float(_derivatives_z(lx[0], -np.inf, z)[1][r, c])
 
         theta = z0[:, 0]
         # Orders 1-2: the score and Hessian, summed another way.
-        g, h = _derivatives_z(lx[0], ln_xl[0], theta)
+        g, h = _derivatives_z(lx[0], -np.inf, theta)
         scale = np.abs(h).max()
         for (i, j), want in [((1, 0), g[0]), ((0, 1), g[1]), ((2, 0), h[0, 0]),
                              ((1, 1), h[0, 1]), ((0, 2), h[1, 1])]:

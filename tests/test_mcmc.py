@@ -614,7 +614,9 @@ class TestLoopIdentity:
     a certified bracket of the likelihood where it can, and the lone chain
     always on the kernel; the bank shaped like the sweep's (n = 1000 pooled
     from x_L 0, 0.1 and 1.0) must draw the same bytes, under the diffuse
-    prior and under one that pulls alpha far off its MLE.  Each
+    prior and under one that pulls alpha far off its MLE, and so must a bank
+    truncated at the 0.5 and 0.9 quantiles, where the truncation term the
+    step adds to the bracket exactly is largest.  Each
     bank also holds an untruncated sample at its MLE (ln x_L = -inf beside
     finite ones).  4501 iterations are odd and no multiple of the uniform
     block, and diagonal scales of 20 and 1e-7 land a chain without a Laplace
@@ -624,7 +626,7 @@ class TestLoopIdentity:
 
     CFG = McmcConfig(iterations=4501, burn_in=1150, thin=3, seed=6)
     BANKS = ["screened, off-mode, boundary", "below the floor", "gated", "screened, pooled x_L",
-             "screened, pulled prior"]
+             "screened, pulled prior", "screened, steep x_L", "screened, steep x_L, pulled prior"]
     # Gamma(400, 100) on alpha: mean 4, sd 0.2, against samples drawn at alpha = 2.
     PULLED = PriorSpec(400.0, 100.0, 1.0, 0.01)
 
@@ -651,6 +653,10 @@ class TestLoopIdentity:
 
         pooled = [draw_ltll(1000, LTLLParams(2.0, 3.0, x_l), RngStream(9, 4 + k))
                   for k, x_l in enumerate((0.0, 0.0, 0.1, 0.1, 1.0, 1.0))]
+        # Truncated at the 0.5 and 0.9 quantiles of LL(2, 3), 2 (u / (1 - u))^(1/3),
+        # where n ln(1 + (x_L / alpha)^beta) is about 690 and 2300.
+        steep = [draw_ltll(1000, LTLLParams(2.0, 3.0, x_l), RngStream(9, 10 + k))
+                 for k, x_l in enumerate((2.0, 2.0 * 9.0 ** (1.0 / 3.0), 0.0))]
         # (sample, start, fit) per chain.
         return {
             "screened, off-mode, boundary": [
@@ -665,11 +671,13 @@ class TestLoopIdentity:
                 at_mle(bladder, bfit)],
             "screened, pooled x_L": [at_mle(s, fit_mle(s)) for s in pooled],
             "screened, pulled prior": [at_mle(s, fit_mle(s)) for s in pooled],
+            "screened, steep x_L": [at_mle(s, fit_mle(s)) for s in steep],
+            "screened, steep x_L, pulled prior": [at_mle(s, fit_mle(s)) for s in steep],
         }
 
     @classmethod
     def _prior(cls, bank):
-        return cls.PULLED if bank == "screened, pulled prior" else PriorSpec.diffuse()
+        return cls.PULLED if bank.endswith("pulled prior") else PriorSpec.diffuse()
 
     @staticmethod
     def _run(chains, cfg, prior, rows=None):
@@ -695,7 +703,7 @@ class TestLoopIdentity:
         if bank == "screened, off-mode, boundary":
             assert np.all(shares[[0, 3], 0] < 1.0) and np.all(shares[1:3, 0] == 1.0)
             assert np.isnan(shares[:, 1]).all()
-        elif bank.startswith("screened, p"):
+        elif bank.startswith("screened"):
             laplace = list(range(len(chains)))
             assert np.all(shares[:, 0] < 1.0) and np.isnan(shares[:, 1]).all()
         else:
@@ -704,7 +712,7 @@ class TestLoopIdentity:
             assert np.array_equal(np.isfinite(shares[:, 1]), np.isin(np.arange(4), gated))
             assert np.all(shares[gated, 1] > 0.0)
         final = together[2]
-        plain = np.setdiff1d(np.arange(4), laplace)
+        plain = np.setdiff1d(np.arange(len(chains)), laplace)
         lo, hi = mcmc._STEP_BOUNDS
         assert np.all((lo <= final) & (final <= hi))
         if plain.size and not lo <= steps <= hi:
@@ -723,7 +731,10 @@ class TestLoopIdentity:
         # pass the screen; the kernel sees the rest, plus the states whose
         # target is only bracketed, plus the start.  The bracket's box sits
         # about the Laplace centre, so a prior that pulls the chains off
-        # their MLEs leaves it as decisive.
+        # their MLEs leaves it as decisive.  (The steep banks stay out: at the
+        # 0.5 and 0.9 quantiles ln alpha's Laplace sd is 0.09 and 0.24, and
+        # over boxes that wide the order-5 remainder bound leaves about half
+        # their passes undecided.)
         rows = []
         kernel = mcmc._loglik_batch
 
@@ -926,28 +937,44 @@ class TestMixtureExactness:
     """A gated chain (walk/independence cycle) samples the exact posterior,
     as one long chain and as 4 chains merged by ``run_chain`` (each runs
     alone; that a bank's rows equal lone chains is ``TestLoopIdentity``'s):
-    bladder at x_L = 1 (n = 121), an n = 100 sample, and an n = 60 sample
+    bladder at x_L = 1 (n = 121), an n = 100 sample, an n = 60 sample
     just above the beta0/beta_C margin, whose posterior reaches far toward
-    alpha -> 0."""
+    alpha -> 0, an n = 20 sample whose cycle walks diagonally (below
+    _LAPLACE_WALK_MIN_N), and an untruncated n = 100 sample under a prior
+    that pulls alpha off its MLE."""
 
     LONE = McmcConfig(iterations=82000, burn_in=2000, thin=1, seed=8)
     BANK = McmcConfig(iterations=42000, burn_in=2000, thin=1, seed=8, chains=4)
 
-    @pytest.fixture(scope="class", params=["bladder x_L=1", "n=100", "above the margin"])
+    @pytest.fixture(scope="class", params=["bladder x_L=1", "n=100", "above the margin",
+                                           "n=20, diagonal walk", "untruncated, pulled prior"])
     def case(self, request):
+        prior = PriorSpec.diffuse()
         if request.param == "bladder x_L=1":
             s = apply_truncation(load_bladder_cancer(), 1.0)
         elif request.param == "n=100":
             s = draw_ltll(100, LTLLParams(2.0, 3.0, 1.0), RngStream(0, 0))
-        else:
+        elif request.param == "above the margin":
             s = draw_ltll(60, LTLLParams(2.0, 3.0, 3.0), RngStream(41, 23))
+        elif request.param == "n=20, diagonal walk":
+            s = draw_ltll(20, LTLLParams(2.0, 3.0, 1.0), RngStream(3, 0))
+            assert s.n < mcmc._LAPLACE_WALK_MIN_N
+        else:
+            s = draw_ltll(100, LTLLParams(2.0, 3.0, 0.0), RngStream(0, 1))
+            prior = TestLoopIdentity.PULLED
         fit = fit_mle(s)
-        ratio = fit.stats.beta0 / fit.stats.beta_c
-        assert ratio >= mcmc._MIX_MIN_RATIO
-        if request.param == "above the margin":
-            assert ratio < mcmc._MIX_MIN_RATIO + 0.005
-        prior = PriorSpec.diffuse()
-        return s, prior, grid_posterior(s, prior, fit)[0]
+        # The gate: an interior fit with a record, and beta0/beta_C above the
+        # margin where the sample is truncated.
+        assert mcmc._laplace_quadratics([fit], prior)[1].any()
+        if s.x_l > 0.0:
+            ratio = fit.stats.beta0 / fit.stats.beta_c
+            assert ratio >= mcmc._MIX_MIN_RATIO
+            if request.param == "above the margin":
+                assert ratio < mcmc._MIX_MIN_RATIO + 0.005
+        exact = grid_posterior(s, prior, fit)[0]
+        if prior is TestLoopIdentity.PULLED:
+            assert exact[0][0] > fit.alpha + 2.0 * math.sqrt(fit.info.inverse().a11)
+        return s, prior, exact
 
     @pytest.mark.parametrize("cfg", [LONE, BANK], ids=["lone", "bank"])
     def test_matches_grid_posterior(self, case, cfg):
