@@ -383,6 +383,16 @@ _BOX_SLACK = 1.001
 # The floating-point margin, in units of (n + 64) A (see _loglik_taylor):
 # 2^-44 is 512 units of rounding.
 _MARGIN_ULPS = 2.0 ** -44
+# The packed model's monomials d_a^i d_b^j as (i, j): orders 0-4, whose rows
+# hold the Taylor coefficients, then order 5, whose rows hold the remainder's
+# weights; one more row holds the margin.
+_MONOMIALS = tuple((i, order - i) for order in range(6) for i in range(order, -1, -1))
+# The rows of the (6, 2, k) powers of d, flattened, that each packed row
+# multiplies: d_a^i is row 2i and d_b^j row 2j + 1.
+_FACTORS = np.array([[2 * i for i, _ in _MONOMIALS] + [0],
+                     [2 * j + 1 for _, j in _MONOMIALS] + [1]])
+# [lo, hi] of a bracket that claims nothing.
+_UNBOUNDED = np.array([[-np.inf], [np.inf]])
 
 
 @lru_cache(maxsize=None)
@@ -436,7 +446,7 @@ def _peak_sums(tau_lo, tau_hi):
 
 def _loglik_taylor(lx, sumlx, z0, half):
     """Certified quartic model of the log-likelihood's data sum in
-    z = (ln alpha, ln beta).
+    z = (ln alpha, ln beta), packed for ``_taylor_bracket``.
 
     lx (B, n), sumlx (B,): rows as ``_loglik_batch`` takes them; z0 (2, B):
     each row's expansion point; half (2, B): the half-widths of its box
@@ -446,9 +456,9 @@ def _loglik_taylor(lx, sumlx, z0, half):
     ``_loglik_batch`` at ln_xl = -inf; the normalizer, like the prior, is
     closed-form, and the caller adds it exactly.  With d = z - z0 the model
     is the Taylor polynomial of order 4 about z0, sum over i + j <= 4 of
-    coef[i, j] d_a^i d_b^j, and for every z in the box
+    c_ij d_a^i d_b^j, and for every z in the box
 
-        |data sum(z) - model(d)| <= sum_{i+j=5} rem[i, j] |d_a|^i |d_b|^j + rem[0, 0].
+        |data sum(z) - model(d)| <= sum_{i+j=5} r_ij |d_a|^i |d_b|^j + M.
 
     Order 0 is the kernel's own data sum at z0; orders 1-4 are data sums of
     the terms of ``_partial_terms``, each partial one of f's (plus n in d_b,
@@ -459,24 +469,36 @@ def _loglik_taylor(lx, sumlx, z0, half):
     |f'| = tanh(|t|/2), |f^(r)| <= 2w for r = 2-4 and 4w for r = 5;
     |t|^m e^-|t| peaks at |t| = m, clipped to the range.
 
-    rem[0, 0] is the margin for floating-point error, of the kernel and of
-    the model alike.  Each of their terms is formed with a relative error of
-    a few units of rounding u and enters one sum once, and a sum of n terms
-    errs by at most (n - 1) u times the sum of their magnitudes: so either
-    error stays below (n + 64) u A, where A adds the magnitudes of the
-    kernel's terms over the box to those of the model's terms at its corner.
-    The margin is 512 times that, _MARGIN_ULPS (n + 64) A.  Returns
-    (coef, rem), both (B, 6, 6): coef is zero where i + j = 5, and rem is
-    zero elsewhere but at (0, 0).
+    M is the margin for floating-point error, of the kernel and of the
+    bracket alike.  Each of the kernel's terms is formed with a relative
+    error of a few units of rounding u and enters one sum once, and a sum of
+    n terms errs by at most (n - 1) u times the sum of their magnitudes, so
+    the kernel errs by less than (n + 64) u K, where K adds the magnitudes
+    of its terms over the box.  The bracket forms lo and hi each as one
+    signed sum of 22 terms: the 15 monomials of order 4 or less times c_ij,
+    the magnitudes of the 6 of order 5 times -+ r_ij, and -+ M.  A monomial
+    d_a^i d_b^j carries i + j roundings from d = z - z0, i - 1 and j - 1
+    from the powers and one from their product, 2 (i + j) - 1 <= 9 in all;
+    its weight adds one, and the sum, in whatever order, at most 21 more.
+    So lo and hi each err by at most 31 u (1 + O(u)) (C + R + M), where C
+    and R add the magnitudes of the terms of order 0-4 and of order 5 at the
+    box's corner: the caller lets in no displacement beyond the box but by a
+    few units of rounding.  The margin is M = _MARGIN_ULPS (n + 64) A =
+    512 (n + 64) u A with A = K + C + R: (n + 64) u K + 31 u (C + R) is at
+    most (n + 64) u A, which leaves 511 (n + 64) u A, far more than 31 u M.
+    The count holds for the bracket's sums alone.  The step adds the truncation term and the
+    prior to lo and hi with the kernel's own expressions, where rounding is
+    monotone, and its quadratic and exact comparison are the lone loop's.
+
+    Returns (2, 22, B), the weights of lo and of hi: one row per monomial
+    d_a^i d_b^j of ``_MONOMIALS``, c_ij where i + j <= 4 and -+ r_ij where
+    i + j = 5, then -+ M.
     """
-    rows, n = lx.shape
-    out = np.zeros((rows, 6, 6)), np.zeros((rows, 6, 6))
-    per = max(1, _TAYLOR_ELEMENTS // n)
-    for r0 in range(0, rows, per):
+    out = np.zeros((2, len(_MONOMIALS) + 1, lx.shape[0]))
+    per = max(1, _TAYLOR_ELEMENTS // lx.shape[1])
+    for r0 in range(0, lx.shape[0], per):
         block = slice(r0, r0 + per)
-        for whole, part in zip(out, _taylor_block(lx[block], sumlx[block], z0[:, block],
-                                                  half[:, block])):
-            whole[block] = part
+        out[:, :, block] = _taylor_block(lx[block], sumlx[block], z0[:, block], half[:, block])
     return out
 
 
@@ -486,10 +508,9 @@ def _taylor_block(lx, sumlx, z0, half):
     a0, b0 = z0
     ha, hb = half
     beta = np.exp(b0)
-    coef = np.zeros((rows, 6, 6))
-    rem = np.zeros((rows, 6, 6))
-    coef[:, 0, 0] = _loglik_batch(lx, sumlx, -np.inf, a0, b0)
-    coef[:, 0, 1] = n  # from the term n z_b
+    row = {ij: k for k, ij in enumerate(_MONOMIALS)}
+    weights = np.empty((len(_MONOMIALS) + 1, rows))  # c_ij, r_ij, then M
+    weights[0] = _loglik_batch(lx, sumlx, -np.inf, a0, b0)
 
     # sums[k, m, r - 1]: sum over the data of t^m f^(r), for m = 0-4 and
     # r = 1-4; mags sums their magnitudes.  With w = sigma (1 - sigma),
@@ -503,15 +524,16 @@ def _taylor_block(lx, sumlx, z0, half):
         np.multiply(tm[m - 1], t, out=tm[m])
     sums = np.einsum("mkn,rkn->kmr", tm, f)
     mags = np.einsum("mkn,rkn->kmr", np.abs(tm, out=tm), np.abs(f, out=f))
-    corner = np.abs(coef[:, 0, 0]) + n * hb
+    corner = np.abs(weights[0]) + n * hb
     for order in range(1, 5):
         for i in range(order + 1):
             j = order - i
             terms = _partial_terms(i, j)
             scale = beta ** i / (math.factorial(i) * math.factorial(j))
-            coef[:, i, j] += scale * sum(c * sums[:, m, r - 1] for c, m, r in terms)
+            weights[row[i, j]] = scale * sum(c * sums[:, m, r - 1] for c, m, r in terms)
             mag = sum(abs(c) * mags[:, m, r - 1] for c, m, r in terms)
             corner += scale * mag * ha ** i * hb ** j
+    weights[row[0, 1]] += n  # from the term n z_b
 
     # Order 5 over the box, widened by _BOX_SLACK: envelopes of |f^(r)| per (m, r).
     ha, hb = _BOX_SLACK * ha, _BOX_SLACK * hb
@@ -524,26 +546,33 @@ def _taylor_block(lx, sumlx, z0, half):
     for i in range(6):
         j = 5 - i
         sup = beta_hi ** i * sum(abs(c) * envelope[r][:, m] for c, m, r in _partial_terms(i, j))
-        rem[:, i, j] = sup / (math.factorial(i) * math.factorial(j))
+        weights[row[i, j]] = sup / (math.factorial(i) * math.factorial(j))
+        corner += weights[row[i, j]] * ha ** i * hb ** j
 
     kernel = (n * np.maximum(np.abs(b0 - hb), np.abs(b0 + hb)) + np.abs(sumlx)
               + tau_hi.sum(axis=1) + 2.0 * n * math.log(2.0))
-    rem[:, 0, 0] = _MARGIN_ULPS * (n + 64) * (kernel + corner)
-    return coef, rem
+    weights[-1] = _MARGIN_ULPS * (n + 64) * (kernel + corner)
+    model = np.stack((weights, weights))
+    model[0, row[5, 0]:] *= -1.0
+    return model
 
 
-def _taylor_bracket(d, half, coef, rem):
-    """(value, width) of ``_loglik_taylor``'s models of k rows at
-    displacements d (2, k) from their expansion points, given the rows'
-    half (2, k) and their coef and rem (k, 6, 6): the kernel's data sum lies
-    within value -+ width, and width is inf outside a row's box."""
-    powers = np.ones(d.shape + (6,))
-    powers[:, :, 1:] = d[:, :, None]
-    np.cumprod(powers, axis=2, out=powers)
-    mono = powers[0][:, :, None] * powers[1][:, None, :]
-    width = np.einsum("kij,kij->k", np.abs(mono), rem)
-    return (np.einsum("kij,kij->k", mono, coef),
-            np.where((np.abs(d) <= half).all(axis=0), width, np.inf))
+def _taylor_bracket(d, inside, model):
+    """[lo, hi] (2, k) on the kernel's data sum of k rows at displacements
+    d (2, k) from their expansion points, from the rows' packed models
+    (2, 22, k) of ``_loglik_taylor``.  A row not ``inside`` (k,), the
+    caller's test that d lies in the row's box, gets [-inf, inf].  The powers of d run along the outer axis, one gather pairs
+    them into the packed monomials (the margin's is 1 * 1), and one dot sums
+    lo and hi."""
+    powers = np.empty((6,) + d.shape)
+    powers[0] = 1.0
+    powers[1] = d
+    for p in range(2, 6):
+        np.multiply(powers[p - 1], d, out=powers[p])
+    mono = powers.reshape(12, -1)[_FACTORS]
+    mono = mono[0] * mono[1]
+    np.abs(mono[-7:], out=mono[-7:])  # order 5, and the margin's 1
+    return np.where(inside, np.einsum("smk,mk->sk", model, mono), _UNBOUNDED)
 
 
 # ---------------------------------------------------------------------------

@@ -41,16 +41,17 @@ Taylor proxies with bounded remainder of Bardenet, Doucet & Holmes 2017,
 "On MCMC methods for tall data"): the quartic about the Laplace centre,
 exact in its coefficients, with a bound on the order-5 remainder over a box
 of _TAYLOR_SDS Laplace standard deviations per axis and a margin for
-floating-point error.  The truncation normalizer n ln(1 + (x_L/alpha)^beta)
-and the prior are closed-form, and each step adds them to the bracket
-exactly, as the kernel adds them.  The box sits where the chain runs, under
-an informative prior as under a flat one, and the bracket is certified
-wherever it is centred.  Stage 2's
-threshold is monotone in both targets, so a bracket on each settles every
-step whose ln u lies outside the bracket's thresholds, the same way the
-exact comparison would; only the undecided rest reaches the kernel.  The
-draws, and every output byte, are those of the exact kernel, which the lone
-loop ``_mh_one`` runs on every step as the reference.
+floating-point error, packed so that one gather and one dot bracket a whole
+bank's proposals inside their Laplace ellipses of _TAYLOR_SDS.  The
+truncation normalizer n ln(1 + (x_L/alpha)^beta) and the prior are
+closed-form, and each step adds them to the bracket exactly, as the kernel
+adds them.  The box sits where the chain runs, under an informative prior as
+under a flat one, and the bracket is certified wherever it is centred.
+Stage 2's threshold is monotone in both targets, so a bracket on each
+settles every step whose ln u lies outside the bracket's thresholds, the
+same way the exact comparison would; only the undecided rest reaches the
+kernel.  The draws, and every output byte, are those of the exact kernel,
+which the lone loop ``_mh_one`` runs on every step as the reference.
 
 Below _SCREEN_MIN_N the same quadratic serves a chain as an independence
 proposal instead (Tierney 1994, "Markov chains for exploring posterior
@@ -92,8 +93,8 @@ from functools import partial
 
 import numpy as np
 
-from .distribution import (Sample, _log_xl, _loglik_batch, _loglik_row, _loglik_taylor,
-                           _taylor_bracket, log_likelihood)
+from .distribution import (_UNBOUNDED, Sample, _log_xl, _loglik_batch, _loglik_row,
+                           _loglik_taylor, _taylor_bracket, log_likelihood)
 from .mle import EllipsePoints, MleFit, _trace_ellipse, fit_mle
 # normal_quantile goes unused here; the benchmark tracer rebinds it by this name.
 from .numerics import RngStream, SymMatrix2, chi2_quantile_2dof, normal_quantile
@@ -136,7 +137,8 @@ _PRICE_ELEMENTS = 1 << 15
 _SCREEN_MIN_N = 500
 # Half-width, in Laplace standard deviations per axis, of the box about the
 # Laplace centre where a screened bank's Taylor model of the log-likelihood
-# is certified.
+# is certified; a step uses the model within the Laplace ellipse of this
+# radius, which the box holds (``_taylor_models``).
 _TAYLOR_SDS = 6.0
 # Least beta0/beta_C of a truncated sample below _SCREEN_MIN_N whose chains
 # take independence steps: nearer the Pareto boundary the posterior grows a
@@ -272,7 +274,12 @@ def _log_target_z(lna, lnb, prior: PriorSpec):
     normalizing constants, which cancel in every acceptance ratio and are
     left out.
     """
-    return prior.a1 * lna - prior.b1 * np.exp(lna) + prior.a2 * lnb - prior.b2 * np.exp(lnb)
+    return _log_target_ze(lna, lnb, np.exp(lna), np.exp(lnb), prior)
+
+
+def _log_target_ze(lna, lnb, alpha, beta, prior: PriorSpec):
+    """``_log_target_z`` given alpha = e^lna and beta = e^lnb too."""
+    return prior.a1 * lna - prior.b1 * alpha + prior.a2 * lnb - prior.b2 * beta
 
 
 # ---------------------------------------------------------------------------
@@ -325,6 +332,33 @@ def _quadratic(d, coef):
     chain or for one chain."""
     (da, db), (qaa, qab, qbb) = d, coef
     return da * (qaa * da + qab * db) + qbb * db * db
+
+
+def _taylor_models(lx, sumlx, quads):
+    """A screened bank's packed Taylor models (2, 22, B) of its rows' data
+    sums (``_loglik_taylor``): each chain with a Laplace record gets its own
+    about the quadratic's centre c, over the box of _TAYLOR_SDS Laplace
+    standard deviations per axis, half = _TAYLOR_SDS (l11, hypot(l21, l22));
+    a chain without one holds an infinite margin, so its bracket is
+    [-inf, inf] and settles nothing.
+
+    The step lets a displacement d into the bracket when it lies in the
+    Laplace ellipse -2 q(d) <= _TAYLOR_SDS^2, one comparison on the q that
+    stage 1 forms anyway.  That ellipse lies inside the box: -2 q(d) is
+    d^T (-H) d, and over the ellipse d^T (-H) d <= s^2, s = _TAYLOR_SDS, the
+    largest |d_a| and |d_b| are s sqrt(S_aa) and s sqrt(S_bb), with
+    S = (-H)^-1 = L L^T, that is s l11 and s hypot(l21, l22): ``half``.  A
+    displacement that rounding lets in stays within the box widened by
+    ``distribution._BOX_SLACK``, which the remainder bound covers.
+    """
+    centre, qcoef, (l11, l21, l22) = quads
+    rec = np.flatnonzero(qcoef.any(axis=0))
+    half = _TAYLOR_SDS * np.array([l11[rec], np.hypot(l21[rec], l22[rec])])
+    packed = _loglik_taylor(lx[rec], sumlx[rec], centre[:, rec], half)
+    model = np.zeros(packed.shape[:2] + lx.shape[:1])
+    model[:, -1] = _UNBOUNDED
+    model[:, :, rec] = packed
+    return model
 
 
 def _log_t2(la, lb, quads):
@@ -560,34 +594,35 @@ def _mh_bank(lx, sumlx, ln_xl, prior, cfg, streams, state, target, quads, screen
     independence step a chain outside the gate walks: both its ln g terms
     are 0, so they add exactly 0 to its log ratio.
 
-    A screened bank builds each recorded chain's certified Taylor model of
-    the data sum (``_loglik_taylor``) about its Laplace centre, the
-    quadratic's c, over a box of _TAYLOR_SDS Laplace standard deviations per
-    axis, and prices every proposal on it each step.  To the model's
-    value -+ width it adds the truncation term T and then the prior P, each
-    formed by the kernel's own expression and in the kernel's order, so
-    lo = ((value - width) + T) + P and hi likewise; rounding is monotone, so
-    the proposal's target lies in [lo, hi].  A state's target is known
-    (lo = hi) or bracketed, when a bracket accepted it.  A passing step
-    accepts when ln u < bound + min(target_p - target - dq, 0), and every
-    floating-point operation there is monotone, so ln u below that threshold
-    at (lo_p, hi) accepts and ln u at or above it at (hi_p, lo) rejects,
-    exactly as the exact comparison would.  The undecided passes, with any of
-    their states whose target is only bracketed, go to the kernel in one call
-    per step and take the exact comparison, bit for bit.
+    A screened bank builds its chains' packed Taylor models of the data sum
+    once (``_taylor_models``), and each step brackets every proposal's data
+    sum in one (2, B) array [lo, hi] (``_taylor_bracket``), unbounded outside
+    the Laplace ellipse of _TAYLOR_SDS.  To both rows it adds the truncation
+    term T and then the prior P, each formed by the kernel's own expression
+    and in the kernel's order, from one exponential of the proposal, so
+    lo = (lo_data + T) + P and hi likewise; rounding is monotone, so the
+    proposal's target lies in [lo, hi].  Each chain's record, (5, B) rows
+    ln alpha, ln beta, q, lo and hi, holds its state; its target is known
+    (lo = hi) or bracketed, when a bracket accepted it, and one copy per step
+    moves every accepted proposal's record in.  A passing step accepts when
+    ln u < bound + min(target_p - target - dq, 0), and every floating-point
+    operation there is monotone, so ln u below that threshold at
+    (lo_p, hi) accepts and ln u at or above it at (hi_p, lo) rejects, exactly
+    as the exact comparison would; both thresholds come from one (2, B)
+    difference of the proposal's [lo, hi] and the state's [hi, lo].  The
+    undecided passes, with any of their states whose target is only
+    bracketed, go to the kernel in one call per step and take the exact
+    comparison, bit for bit.
     """
     b_chains = lx.shape[0]
     burn_in, thin = cfg.burn_in, cfg.thin
     if screened:
-        centre, qcoef, (l11, l21, l22) = quads
-        q = _quadratic(state - centre, qcoef)
-        target_hi = target.copy()
-        # A chain without a record holds half = -1: no proposal falls in its box.
-        rec = np.flatnonzero(qcoef.any(axis=0))
-        half = np.full((2, b_chains), -1.0)
-        half[:, rec] = _TAYLOR_SDS * np.array([l11[rec], np.hypot(l21[rec], l22[rec])])
-        coef, rem = np.zeros((2, b_chains, 6, 6))
-        coef[rec], rem[rec] = _loglik_taylor(lx[rec], sumlx[rec], centre[:, rec], half[:, rec])
+        centre, qcoef, _ = quads
+        model = _taylor_models(lx, sumlx, quads)
+        rim = -0.5 * _TAYLOR_SDS ** 2  # q on the Laplace ellipse -2 q = _TAYLOR_SDS^2
+        record = np.concatenate((state, _quadratic(state - centre, qcoef)[None],
+                                 target[None], target[None]))
+        state, prop = record[:2], np.empty_like(record)
     cycle = gated.any()
     walks = np.where(gated, _ADAPT_WINDOW // 2, _ADAPT_WINDOW)
     walkers = None if gated.all() else np.flatnonzero(~gated)
@@ -605,31 +640,13 @@ def _mh_bank(lx, sumlx, ln_xl, prior, cfg, streams, state, target, quads, screen
         inc = z * steps
         for i in range(len(inc)):
             t += 1
-            prop = state + inc[i]
             lu = ln_u[i]
-            if cycle and t % 2 == 0:
-                j = i // 2
-                np.copyto(prop[0], ya[j], where=gated)
-                np.copyto(prop[1], yb[j], where=gated)
-                target_p = target_y[j]
-                if walkers is not None:
-                    la, lb = prop[0, walkers], prop[1, walkers]
-                    target_p = target_p.copy()
-                    target_p[walkers] = (
-                        _loglik_batch(lx[walkers], sumlx[walkers], ln_xl[walkers], la, lb)
-                        + _log_target_z(la, lb, prior))
-                lg = _log_t2(state[0], state[1], quads)
-                accept = lu < target_p - target + (lg - lg_y[j])
-                indep += accept & gated
-            elif not screened:
-                target_p = (_loglik_batch(lx, sumlx, ln_xl, prop[0], prop[1])
-                            + _log_target_z(prop[0], prop[1], prior))
-                accept = lu < target_p - target
-            else:
+            if screened:
                 # Stage 1 prices the move on the quadratic alone.
-                d = prop - centre
-                q_p = _quadratic(d, qcoef)
-                dq = q_p - q
+                np.add(state, inc[i], out=prop[:2])
+                d = prop[:2] - centre
+                prop[2] = _quadratic(d, qcoef)
+                dq = prop[2] - record[2]
                 bound = np.minimum(dq, 0.0)
                 screen = lu < bound
                 passed += screen
@@ -641,32 +658,52 @@ def _mh_bank(lx, sumlx, ln_xl, prior, cfg, streams, state, target, quads, screen
                 # threshold at (lo_p, hi) or at or above the one at (hi_p, lo).
                 # The bracket covers the data sum; the truncation term and
                 # the prior are added exactly, in the kernel's order.
-                value, width = _taylor_bracket(d, half, coef, rem)
-                trunc = lx.shape[1] * np.logaddexp(0.0, np.exp(prop[1]) * (ln_xl - prop[0]))
-                prior_p = _log_target_z(prop[0], prop[1], prior)
-                lo, hi = ((value - width) + trunc) + prior_p, ((value + width) + trunc) + prior_p
-                accept = screen & (lu < bound + np.minimum(lo - target_hi - dq, 0.0))
+                e = np.exp(prop[:2])
+                trunc = lx.shape[1] * np.logaddexp(0.0, e[1] * (ln_xl - prop[0]))
+                np.add(_taylor_bracket(d, prop[2] >= rim, model), trunc, out=prop[3:])
+                prop[3:] += _log_target_ze(prop[0], prop[1], e[0], e[1], prior)
+                threshold = bound + np.minimum(prop[3:] - record[:2:-1] - dq, 0.0)
+                # Below the first threshold ln u is below bound too: a pass.
+                accept = lu < threshold[0]
                 # Written as "not rejected" so that a nan bracket stays open.
-                open_ = screen & ~accept & ~(lu >= bound + np.minimum(hi - target - dq, 0.0))
-                ev = np.flatnonzero(open_)
+                ev = (screen & ~(accept | (lu >= threshold[1]))).nonzero()[0]
                 if ev.size:
                     # The exact comparison, in one kernel call for the open
                     # proposals and the states whose target is only
                     # bracketed (lo < hi).
-                    stale = ev[target[ev] < target_hi[ev]]
+                    stale = ev[record[3, ev] < record[4, ev]]
                     at = np.concatenate((ev, stale))
-                    z_at = np.concatenate((prop[:, ev], state[:, stale]), axis=1)
+                    z_at = np.concatenate((prop[:2, ev], state[:, stale]), axis=1)
                     exact = (_loglik_batch(lx[at], sumlx[at], ln_xl[at], z_at[0], z_at[1])
                              + _log_target_z(z_at[0], z_at[1], prior))
-                    target[stale] = target_hi[stale] = exact[ev.size:]
-                    lo[ev] = hi[ev] = exact[:ev.size]
-                    accept[ev] = lu[ev] < bound[ev] + np.minimum(lo[ev] - target[ev] - dq[ev],
-                                                                 0.0)
-                np.copyto(q, q_p, where=accept)
-                np.copyto(target_hi, hi, where=accept)
-                target_p = lo
-            np.copyto(state, prop, where=accept)
-            np.copyto(target, target_p, where=accept)
+                    record[3:, stale] = exact[ev.size:]
+                    prop[3:, ev] = exact[:ev.size]
+                    # The first threshold again: exact on the open rows, and
+                    # the bracket's own elsewhere.
+                    accept = lu < bound + np.minimum(prop[3] - record[4] - dq, 0.0)
+                np.copyto(record, prop, where=accept)
+            else:
+                prop = state + inc[i]
+                if cycle and t % 2 == 0:
+                    j = i // 2
+                    np.copyto(prop[0], ya[j], where=gated)
+                    np.copyto(prop[1], yb[j], where=gated)
+                    target_p = target_y[j]
+                    if walkers is not None:
+                        la, lb = prop[0, walkers], prop[1, walkers]
+                        target_p = target_p.copy()
+                        target_p[walkers] = (
+                            _loglik_batch(lx[walkers], sumlx[walkers], ln_xl[walkers], la, lb)
+                            + _log_target_z(la, lb, prior))
+                    lg = _log_t2(state[0], state[1], quads)
+                    accept = lu < target_p - target + (lg - lg_y[j])
+                    indep += accept & gated
+                else:
+                    target_p = (_loglik_batch(lx, sumlx, ln_xl, prop[0], prop[1])
+                                + _log_target_z(prop[0], prop[1], prior))
+                    accept = lu < target_p - target
+                np.copyto(state, prop, where=accept)
+                np.copyto(target, target_p, where=accept)
             accepted += accept
             if t <= burn_in:
                 if t % _ADAPT_WINDOW == 0:

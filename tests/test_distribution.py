@@ -31,7 +31,8 @@ from ltll.distribution import (
     phi_objective,
     score_gradient,
 )
-from ltll.mcmc import _TAYLOR_SDS, PriorSpec, _laplace_quadratics, _log_target_z
+from ltll.mcmc import (_TAYLOR_SDS, PriorSpec, _laplace_quadratics, _log_target_z, _quadratic,
+                       _taylor_models)
 from ltll.mle import fit_mle
 from ltll.numerics import RngStream
 
@@ -306,6 +307,13 @@ def _box_points(fractions):
     return np.array([(-1.0, -1.0), (-1.0, 1.0), (1.0, -1.0), (1.0, 1.0), *fractions]).T
 
 
+# The packed model's rows as (i, j) of d_a^i d_b^j: orders 0-4, then order 5;
+# the row after them holds the margin.
+PACKED = [(0, 0), (1, 0), (0, 1), (2, 0), (1, 1), (0, 2), (3, 0), (2, 1), (1, 2), (0, 3),
+          (4, 0), (3, 1), (2, 2), (1, 3), (0, 4),
+          (5, 0), (4, 1), (3, 2), (2, 3), (1, 4), (0, 5)]
+
+
 def _taylor_case(n, beta, quantile, seed):
     """A sample of LTLL(2, beta) truncated at its ``quantile`` (0: none), its
     log-data as a bank of one, the MLE's z with the box of 6 Wald standard
@@ -322,12 +330,17 @@ def _taylor_case(n, beta, quantile, seed):
     return lx, lx.sum(axis=1), np.array([_log_xl(x_l)]), z0, half, fit
 
 
+def _in_box(d, half):
+    return (np.abs(d) <= half).all(axis=0)
+
+
 class TestTaylorModel:
     """The certified model a screened bank decides stage 2 on: the kernel's
-    own data sum (ln_xl = -inf) must lie within model -+ (remainder bound +
-    margin) anywhere in the box, orders 3-4 must be the derivatives of the
-    tested Hessian, and the bank's bracket on the whole log-target, with the
-    truncation term and the prior added exactly, must hold the target."""
+    own data sum (ln_xl = -inf) must lie within [lo, hi] anywhere in the
+    box, the packed evaluation must be the dense double sum of the model,
+    orders 3-4 must be the derivatives of the tested Hessian, and the bank's
+    bracket on the whole log-target, with the truncation term and the prior
+    added exactly, must hold the target."""
 
     @settings(max_examples=60, deadline=None, derandomize=True, database=None)
     @given(
@@ -342,20 +355,51 @@ class TestTaylorModel:
         case = _taylor_case(n, math.exp(log_beta), quantile, seed)
         assume(case is not None)
         lx, sumlx, _, z0, half, _ = case
-        coef, rem = _loglik_taylor(lx, sumlx, z0, half)
+        model = _loglik_taylor(lx, sumlx, z0, half)
         d = _box_points(fractions) * half
         z = z0 + d
         k = z.shape[1]
         got = _loglik_batch(np.repeat(lx, k, axis=0), np.repeat(sumlx, k), -np.inf, z[0], z[1])
-        value, width = _taylor_bracket(d, np.repeat(half, k, axis=1), np.repeat(coef, k, axis=0),
-                                       np.repeat(rem, k, axis=0))
-        assert np.all(np.abs(got - value) <= width)
-        # Just outside the box the bracket claims nothing.
+        lo, hi = _taylor_bracket(d, _in_box(d, half), np.repeat(model, k, axis=2))
+        assert np.all((lo <= got) & (got <= hi))
+        assert model[0, 0, 0] == _loglik_row(lx[0], sumlx[0], -np.inf, z0[0, 0], z0[1, 0])
+
+    @pytest.mark.parametrize("n, beta, quantile, seed", [(500, 0.5, 0.0, 3), (1000, 3.0, 0.11, 4),
+                                                         (800, 20.0, 0.9, 5), (2000, 1.5, 0.5, 6)])
+    def test_packed_bracket_is_the_dense_double_sum(self, n, beta, quantile, seed):
+        # lo and hi are one signed sum each, so (lo + hi) / 2 and
+        # (hi - lo) / 2 both carry rounding of the order of the sum of the
+        # terms' magnitudes: both are held to 1e-12 of it.
+        lx, sumlx, _, z0, half, _ = _taylor_case(n, beta, quantile, seed)
+        model = _loglik_taylor(lx, sumlx, z0, half)[:, :, 0]
+        lo_w, hi_w = model
+        assert np.array_equal(lo_w[:15], hi_w[:15])
+        assert np.array_equal(lo_w[15:], -hi_w[15:]) and np.all(hi_w[15:] > 0.0)
+        c = dict(zip(PACKED[:15], hi_w[:15]))
+        r = dict(zip(PACKED[15:], hi_w[15:21]))
+        margin = hi_w[21]
+        rng = np.random.default_rng(seed)
+        d = np.concatenate((_box_points([]), rng.uniform(-1.0, 1.0, (2, 12))), axis=1) * half
+        lo, hi = _taylor_bracket(d, _in_box(d, half), np.repeat(model[:, :, None], d.shape[1], 2))
+        for k, (da, db) in enumerate(d.T.tolist()):
+            value = sum(c[i, j] * da ** i * db ** j for i in range(5) for j in range(5 - i))
+            scale = sum(abs(c[i, j] * da ** i * db ** j) for i in range(5) for j in range(5 - i))
+            width = sum(r[i, 5 - i] * abs(da) ** i * abs(db) ** (5 - i) for i in range(6)) + margin
+            scale += width
+            assert abs(0.5 * (lo[k] + hi[k]) - value) <= 1e-12 * scale
+            assert abs(0.5 * (hi[k] - lo[k]) - width) <= 1e-12 * scale
+        # A row outside its box, or without a record, claims nothing.
         outside = np.array([[1.01, 0.0], [0.0, -1.01]]) * half
-        width = _taylor_bracket(outside, np.repeat(half, 2, axis=1), np.repeat(coef, 2, axis=0),
-                                np.repeat(rem, 2, axis=0))[1]
-        assert np.all(width == np.inf)
-        assert coef[0, 0, 0] == _loglik_row(lx[0], sumlx[0], -np.inf, z0[0, 0], z0[1, 0])
+        assert np.array_equal(
+            _taylor_bracket(outside, _in_box(outside, half), np.repeat(model[:, :, None], 2, 2)),
+            [[-np.inf, -np.inf], [np.inf, np.inf]])
+        fit = _taylor_case(n, beta, quantile, seed)[-1]
+        quads = _laplace_quadratics([fit, fit], PriorSpec.diffuse())
+        for a in quads:
+            a[:, 1] = 0.0  # the second chain's record, as a chain without one holds it
+        bank = _taylor_models(np.repeat(lx, 2, axis=0), np.repeat(sumlx, 2), quads)
+        assert np.array_equal(_taylor_bracket(np.zeros((2, 2)), np.ones(2, bool), bank)[:, 1],
+                              [-np.inf, np.inf])
 
     @settings(max_examples=40, deadline=None, derandomize=True, database=None)
     @given(
@@ -368,35 +412,72 @@ class TestTaylorModel:
                            min_size=1, max_size=6),
     )
     def test_bank_bracket_holds_the_target(self, n, log_beta, quantile, seed, pulled, fractions):
-        # The box a screened bank certifies: _TAYLOR_SDS Laplace sds about
-        # the Laplace centre, under the diffuse prior or Gamma(400, 100) on
-        # alpha.  lo and hi add the truncation term T and the prior P to the
-        # data sum's bracket as the step does, in the kernel's order.
+        # The region a screened bank certifies: the Laplace ellipse of
+        # _TAYLOR_SDS about the Laplace centre, under the diffuse prior or
+        # Gamma(400, 100) on alpha, at points c + _TAYLOR_SDS L v for v in
+        # the unit disc (the corners on its rim).  lo and hi add the
+        # truncation term T and the prior P to the data sum's bracket as the
+        # step does, in the kernel's order.
         case = _taylor_case(n, math.exp(log_beta), quantile, seed)
         assume(case is not None)
         lx, sumlx, ln_xl, _, _, fit = case
         prior = PriorSpec(400.0, 100.0, 1.0, 0.01) if pulled else PriorSpec.diffuse()
-        centre, qcoef, (l11, l21, l22) = _laplace_quadratics([fit], prior)
+        quads = _laplace_quadratics([fit], prior)
+        centre, qcoef, (l11, l21, l22) = quads
         assume(qcoef.any())
-        half = _TAYLOR_SDS * np.array([l11, np.hypot(l21, l22)])
-        coef, rem = _loglik_taylor(lx, sumlx, centre, half)
-        d = _box_points(fractions) * half
+        v = 0.999 * _box_points(fractions) / np.maximum(1.0, np.hypot(*_box_points(fractions)))
+        d = _TAYLOR_SDS * np.array([l11 * v[0], l21 * v[0] + l22 * v[1]])
         z = centre + d
         k = z.shape[1]
         rows = np.repeat(lx, k, axis=0), np.repeat(sumlx, k), np.repeat(ln_xl, k)
-        value, width = _taylor_bracket(d, np.repeat(half, k, axis=1), np.repeat(coef, k, axis=0),
-                                       np.repeat(rem, k, axis=0))
+        inside = _quadratic(d, qcoef) >= -0.5 * _TAYLOR_SDS ** 2
+        assert inside.all()
+        lo, hi = _taylor_bracket(d, inside, np.repeat(_taylor_models(lx, sumlx, quads), k, 2))
         trunc = n * np.logaddexp(0.0, np.exp(z[1]) * (rows[2] - z[0]))
         prior_z = _log_target_z(z[0], z[1], prior)
         target = _loglik_batch(*rows, z[0], z[1]) + prior_z
-        assert np.all(((value - width) + trunc) + prior_z <= target)
-        assert np.all(target <= ((value + width) + trunc) + prior_z)
+        assert np.all((lo + trunc) + prior_z <= target)
+        assert np.all(target <= (hi + trunc) + prior_z)
+
+    @settings(max_examples=40, deadline=None, derandomize=True, database=None)
+    @given(
+        n=st.integers(500, 3000),
+        log_beta=st.floats(math.log(0.5), math.log(20.0)),
+        quantile=st.one_of(st.just(0.0), st.floats(0.01, 0.9)),
+        seed=st.integers(0, 1 << 20),
+        pulled=st.booleans(),
+    )
+    def test_laplace_ellipse_lies_in_the_box(self, n, log_beta, quantile, seed, pulled):
+        # The step lets a displacement into the bracket when -2 q <=
+        # _TAYLOR_SDS^2; the model is certified over the box
+        # _TAYLOR_SDS (l11, hypot(l21, l22)).  The ellipse's marginal extents,
+        # from (-H)^-1 = inv of the quadratic's own Hessian, are that box's
+        # half-widths, and points along its rim stay inside the box.
+        case = _taylor_case(n, math.exp(log_beta), quantile, seed)
+        assume(case is not None)
+        prior = PriorSpec(400.0, 100.0, 1.0, 0.01) if pulled else PriorSpec.diffuse()
+        _, qcoef, (l11, l21, l22) = _laplace_quadratics([case[-1]], prior)
+        assume(qcoef.any())
+        (qaa,), (qab,), (qbb,) = qcoef
+        cov = np.linalg.inv(-np.array([[2.0 * qaa, qab], [qab, 2.0 * qbb]]))
+        half = _TAYLOR_SDS * np.array([l11[0], math.hypot(l21[0], l22[0])])
+        assert _TAYLOR_SDS * np.sqrt(np.diag(cov)) == pytest.approx(half, rel=1e-9)
+        # Rim points: d = s w / sqrt(w^T (-H) w) for directions w.
+        angle = np.linspace(0.0, 2.0 * np.pi, 721)
+        w = np.array([np.cos(angle), np.sin(angle)])
+        rim = _TAYLOR_SDS * w / np.sqrt(-2.0 * _quadratic(w, qcoef))
+        assert np.all(-2.0 * _quadratic(rim, qcoef) == pytest.approx(_TAYLOR_SDS ** 2, rel=1e-12))
+        assert np.all(np.abs(rim) <= half[:, None] * (1.0 + 1e-9))
+        # The rim reaches each half-width, at s S e_m / sqrt(S_mm), S = (-H)^-1.
+        extreme = _TAYLOR_SDS * cov / np.sqrt(np.diag(cov))
+        assert -2.0 * _quadratic(extreme, qcoef) == pytest.approx([_TAYLOR_SDS ** 2] * 2, rel=1e-9)
+        assert np.diag(extreme) == pytest.approx(half, rel=1e-9)
 
     @pytest.mark.parametrize("n, beta, quantile", [(500, 0.5, 0.0), (1000, 3.0, 0.11),
                                                    (800, 20.0, 0.9), (2000, 1.5, 0.5)])
     def test_partials_match_score_hessian_and_their_differences(self, n, beta, quantile):
         lx, sumlx, _, z0, half, _ = _taylor_case(n, beta, quantile, 31)
-        coef = _loglik_taylor(lx, sumlx, z0, half)[0][0]
+        coef = dict(zip(PACKED, _loglik_taylor(lx, sumlx, z0, half)[1, :, 0]))
 
         def partial(i, j):
             return coef[i, j] * math.factorial(i) * math.factorial(j)

@@ -726,6 +726,22 @@ class TestLoopIdentity:
             for got, want in zip(together, alone):
                 assert np.array_equal(got[k], want[0], equal_nan=True)
 
+    def test_two_chain_screened_bank_keeps_every_draw(self, banks):
+        # The smallest bank that steps vectorized: the n = 1000 sample at its
+        # MLE beside the Pareto boundary chain, which has no record.  At
+        # thin = 1 every step writes a draw, so a record that one copy a
+        # step moved wrongly shows in the very next draw.
+        chains = [banks["screened, off-mode, boundary"][k] for k in (0, 2)]
+        assert chains[1][2].boundary
+        cfg = McmcConfig(iterations=2001, burn_in=500, thin=1, seed=6)
+        together = self._run(chains, cfg, PriorSpec.diffuse())
+        assert together[0].shape == (2, 1501, 2)
+        assert together[3][0, 0] < 1.0 and together[3][1, 0] == 1.0
+        for k in range(2):
+            alone = self._run(chains, cfg, PriorSpec.diffuse(), [k])
+            for got, want in zip(together, alone):
+                assert np.array_equal(got[k], want[0], equal_nan=True)
+
     def test_screened_bank_evaluates_few_passes(self, banks, monkeypatch):
         # The bracket decides stage 2 for all but a few of the proposals that
         # pass the screen; the kernel sees the rest, plus the states whose
