@@ -274,11 +274,13 @@ def _log_target_z(lna, lnb, prior: PriorSpec):
     normalizing constants, which cancel in every acceptance ratio and are
     left out.
     """
-    return _log_target_ze(lna, lnb, np.exp(lna), np.exp(lnb), prior)
+    return prior.a1 * lna - prior.b1 * np.exp(lna) + prior.a2 * lnb - prior.b2 * np.exp(lnb)
 
 
 def _log_target_ze(lna, lnb, alpha, beta, prior: PriorSpec):
-    """``_log_target_z`` given alpha = e^lna and beta = e^lnb too."""
+    """``_log_target_z`` given alpha = e^lna and beta = e^lnb, for a screened
+    bank step that has the exponentials already; the same expression and
+    order, so the same bits (``TestLoopIdentity``)."""
     return prior.a1 * lna - prior.b1 * alpha + prior.a2 * lnb - prior.b2 * beta
 
 

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from scipy.integrate import quad
 
 from ltll.distribution import (
+    _BOX_SLACK,
     DegenerateSampleError,
     _derivatives_z,
     _log_xl,
@@ -414,8 +415,14 @@ class TestTaylorModel:
     def test_bank_bracket_holds_the_target(self, n, log_beta, quantile, seed, pulled, fractions):
         # The region a screened bank certifies: the Laplace ellipse of
         # _TAYLOR_SDS about the Laplace centre, under the diffuse prior or
-        # Gamma(400, 100) on alpha, at points c + _TAYLOR_SDS L v for v in
-        # the unit disc (the corners on its rim).  lo and hi add the
+        # Gamma(400, 100) on alpha, at points c + _TAYLOR_SDS L v.  Inside it
+        # v runs over the unit disc (|v| <= 0.999, the corners on its rim);
+        # on its rim and one to four ulps past it, over 16 directions at
+        # |v| = 1, 1 + 2^-52, 1 + 2^-51 and 1 + 2^-50.  The step's own test,
+        # on the rounded q, decides which points get a bracket, so a point
+        # that rounding lets in from past the rim is checked too (some land
+        # just outside the box of half-widths ``half``); every point let in
+        # lies in the box that _BOX_SLACK widens.  lo and hi add the
         # truncation term T and the prior P to the data sum's bracket as the
         # step does, in the kernel's order.
         case = _taylor_case(n, math.exp(log_beta), quantile, seed)
@@ -425,14 +432,22 @@ class TestTaylorModel:
         quads = _laplace_quadratics([fit], prior)
         centre, qcoef, (l11, l21, l22) = quads
         assume(qcoef.any())
-        v = 0.999 * _box_points(fractions) / np.maximum(1.0, np.hypot(*_box_points(fractions)))
+        inner = 0.999 * _box_points(fractions) / np.maximum(1.0, np.hypot(*_box_points(fractions)))
+        angle = np.linspace(0.0, 2.0 * np.pi, 16, endpoint=False)
+        rim_scale = 1.0 + np.array([0.0, 2.0 ** -52, 2.0 ** -51, 2.0 ** -50])
+        rim = np.array([np.cos(angle), np.sin(angle)])[:, None, :] * rim_scale[:, None]
+        v = np.hstack((inner, rim.reshape(2, -1)))
         d = _TAYLOR_SDS * np.array([l11 * v[0], l21 * v[0] + l22 * v[1]])
         z = centre + d
         k = z.shape[1]
         rows = np.repeat(lx, k, axis=0), np.repeat(sumlx, k), np.repeat(ln_xl, k)
         inside = _quadratic(d, qcoef) >= -0.5 * _TAYLOR_SDS ** 2
-        assert inside.all()
+        m = inner.shape[1]
+        assert inside[:m].all() and inside[m:m + angle.size].any()
+        half = _TAYLOR_SDS * np.array([l11, np.hypot(l21, l22)])
+        assert np.all(np.abs(d[:, inside]) <= _BOX_SLACK * half)
         lo, hi = _taylor_bracket(d, inside, np.repeat(_taylor_models(lx, sumlx, quads), k, 2))
+        assert np.isfinite(lo[inside]).all() and np.isfinite(hi[inside]).all()
         trunc = n * np.logaddexp(0.0, np.exp(z[1]) * (rows[2] - z[0]))
         prior_z = _log_target_z(z[0], z[1], prior)
         target = _loglik_batch(*rows, z[0], z[1]) + prior_z

@@ -4,20 +4,19 @@
 Run from the repository root:
 
     python3 tools/bank_ab.py --base HEAD
-    python3 tools/bank_ab.py --base HEAD --rounds 9 --seed 7919 --iterations 20000
 
 The bank is the one ``ltll simulate --sweep truncation --levels 0.1,1.0
---n 1000 --replicates 50 --workers 1 --seed SEED`` runs: 100 chains, set
+--n 1000 --replicates 50 --workers 1 --seed 7919`` runs: 100 chains, set
 up as ``simulation._run_chunk`` sets them up (each replicate's sample from
-its data stream, its MLE, the chain's start and stream), with a chain of
-``--iterations`` steps, a quarter of them burn-in, thinned by 5 (the CLI's
-default chain at 20000).  Only the ``mcmc._mh_chains`` call is timed, as
-the process CPU of one call in a fresh process, so the draws, the MLEs and
-the imports stay out of it.  The working tree's ``src/`` and that of
-``git archive --base`` run in alternating processes, the side that goes
-first alternating from round to round.  Each side prints its minimum and
-median CPU and the SHA-256 of the call's output arrays; the exit status is
-1 when the two sides' outputs differ or one side's runs disagree.
+its data stream, its MLE, the chain's start and stream), with the CLI's
+default chain of 20000 steps, 5000 of them burn-in, thinned by 5.  Only
+the ``mcmc._mh_chains`` call is timed, as the process CPU of one call in a
+fresh process, so the draws, the MLEs and the imports stay out of it.  The
+working tree's ``src/`` and that of ``git archive --base`` run ROUNDS times
+each in alternating processes, the side that goes first alternating from
+round to round.  Each side prints its minimum and median CPU and the
+SHA-256 of the call's output arrays; the exit status is 1 when the two
+sides' outputs differ or one side's runs disagree.
 
 End-to-end pairs of ``perfbench/run.py`` mix this bank with draws, fits and
 summaries, and on a shared host one tree's runs spread by more than a
@@ -35,10 +34,20 @@ import sys
 import tempfile
 from pathlib import Path
 
-ROOT = Path(__file__).resolve().parent.parent
+HERE = Path(__file__).resolve().parent
+if str(HERE) not in sys.path:
+    sys.path.insert(0, str(HERE))
+
+from bench_pairs import export_base  # noqa: E402
+
+ROOT = HERE.parent
 LEVELS = (0.1, 1.0)
 REPLICATES = 50
 N = 1000
+SEED = 7919
+ITERATIONS = 20000
+# Runs of each side.
+ROUNDS = 7
 
 # Runs in a fresh process with one side's src/ on the path; prints one JSON line.
 CHILD = f"""
@@ -75,13 +84,6 @@ def run_side(src: Path, seed: int, iterations: int) -> dict:
     return json.loads(proc.stdout.strip().splitlines()[-1])
 
 
-def export_base(rev: str, dest: Path) -> None:
-    dest.mkdir()
-    archive = subprocess.run(["git", "archive", rev], cwd=ROOT, check=True,
-                             capture_output=True).stdout
-    subprocess.run(["tar", "-x", "-C", str(dest)], input=archive, check=True)
-
-
 def summary(runs: dict[str, list[dict]]) -> tuple[list[str], bool]:
     """Lines of (side, runs, min and median CPU, output SHA-256s) and whether
     every run of both sides wrote the same outputs."""
@@ -99,18 +101,14 @@ def summary(runs: dict[str, list[dict]]) -> tuple[list[str], bool]:
 def main(argv=None) -> int:
     p = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     p.add_argument("--base", default="HEAD", help="git revision of the base side (default HEAD)")
-    p.add_argument("--rounds", type=int, default=5, help="runs of each side (default 5)")
-    p.add_argument("--seed", type=int, default=7919, help="the sweep's --seed (default 7919)")
-    p.add_argument("--iterations", type=int, default=20000,
-                   help="chain length; burn-in is a quarter of it (default 20000)")
     args = p.parse_args(argv)
     runs = {"base": [], "change": []}
     with tempfile.TemporaryDirectory(prefix="bank-ab-") as tmp:
         export_base(args.base, Path(tmp) / "base")
         srcs = {"base": Path(tmp) / "base" / "src", "change": ROOT / "src"}
-        for i in range(args.rounds):
+        for i in range(ROUNDS):
             for side in ("base", "change") if i % 2 == 0 else ("change", "base"):
-                runs[side].append(run_side(srcs[side], args.seed, args.iterations))
+                runs[side].append(run_side(srcs[side], SEED, ITERATIONS))
                 print(f"round {i} {side}: {runs[side][-1]['cpu']:.3f} s", flush=True)
     lines, same = summary(runs)
     print("\n".join(lines))

@@ -33,7 +33,13 @@ import sys
 import tempfile
 from pathlib import Path
 
-ROOT = Path(__file__).resolve().parent.parent
+HERE = Path(__file__).resolve().parent
+if str(HERE) not in sys.path:
+    sys.path.insert(0, str(HERE))
+
+from bench_pairs import export_base  # noqa: E402
+
+ROOT = HERE.parent
 # 2 * 9^(1/3), the 0.9 quantile of LL(2, 3), as a level of --levels.
 _Q90 = repr(2.0 * 9.0 ** (1.0 / 3.0))
 _PULLED = "400,100,1,0.01"
@@ -99,13 +105,6 @@ def compare(tree: dict[str, str], base: dict[str, str]) -> tuple[list[str], bool
         same &= ok
         lines.append(f"{tree.get(name, '-')}  {name}  {'same' if ok else 'DIFFERENT'}")
     return lines, same
-
-
-def export_base(rev: str, dest: Path) -> None:
-    dest.mkdir()
-    archive = subprocess.run(["git", "archive", rev], cwd=ROOT, check=True,
-                             capture_output=True).stdout
-    subprocess.run(["tar", "-x", "-C", str(dest)], input=archive, check=True)
 
 
 def main(argv=None) -> int:
